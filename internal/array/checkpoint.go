@@ -83,7 +83,10 @@ func (s *sim) onCheckpointTick(e *des.Engine) {
 	if s.opaqueLive > 0 {
 		// A non-serializable policy callback is in flight; skip this
 		// snapshot and try again next tick. The previous snapshot stays
-		// valid on disk.
+		// valid on disk. The skip is counted: the count reaches the result,
+		// the ops plane, and the next snapshot, so a resume keeps it.
+		s.checkpointsSkipped++
+		s.live.PublishCheckpointsSkipped(uint64(s.checkpointsSkipped))
 		return
 	}
 	if err := s.writeCheckpoint(); err != nil {
@@ -168,7 +171,9 @@ type stripeState struct {
 // order; restoring re-schedules them in that order so same-instant FIFO
 // ties break identically. Seq carries the engine's original sequence number
 // so a cluster restore can merge-sort the pending sets of several owners
-// (router + members) of one shared engine back into the global order.
+// (router + members) of one shared engine back into the global order. Op is
+// set on service events only: it is the disk's in-service op (diskState.svc),
+// which completes when that event fires.
 //
 //simlint:checkpoint-for eventRecord
 type savedEvent struct {
@@ -188,9 +193,10 @@ type savedEvent struct {
 	Op          *opState `json:"op,omitempty"`
 }
 
-// diskCkptState is the serializable form of a diskState.
+// diskCkptState is the serializable form of a diskState. svc, the op in
+// service, travels inside Events as its service event's Op.
 //
-//simlint:checkpoint-for diskState
+//simlint:checkpoint-for diskState ignore=svc
 type diskCkptState struct {
 	Disk          diskmodel.Checkpoint `json:"disk"`
 	Temp          thermal.Checkpoint   `json:"temp"`
@@ -252,11 +258,12 @@ type raidCkptState struct {
 // state carried as Clock/Seq/Fired, opaqueLive is zero by construction (a
 // snapshot is never written while an opaque continuation is live), live is
 // observation-only (re-cached from cfg.Telemetry on restore), failure
-// aborts the run before a checkpoint could be taken, and ctx/dispatchH are
-// stateless singletons rebuilt by newSimOn (ctx carries only the sim
-// pointer; dispatchH re-reads the restored events table by FiringID).
+// aborts the run before a checkpoint could be taken, ctx is a stateless
+// singleton rebuilt by newSimOn (it carries only the sim pointer), and recs —
+// the pending events' records — travels inside Events and is refilled as
+// restore re-schedules them.
 //
-//simlint:checkpoint-for sim ignore=cfg,eng,files,opaqueLive,failure,live,host,ctx,dispatchH alias=met:Metrics,flt:Faults,trc:Trace
+//simlint:checkpoint-for sim ignore=cfg,eng,files,opaqueLive,failure,live,host,ctx,recs alias=met:Metrics,flt:Faults,trc:Trace
 type simState struct {
 	Clock         float64                     `json:"clock"`
 	Seq           uint64                      `json:"seq"`
@@ -280,6 +287,8 @@ type simState struct {
 	Events        []savedEvent                `json:"events"`
 	Metrics       *telemetry.RegistryState    `json:"metrics,omitempty"`
 	Trace         *traceCkptState             `json:"trace,omitempty"`
+
+	CheckpointsSkipped int `json:"checkpoints_skipped,omitempty"`
 }
 
 // stripeTable assigns dense IDs to stripeJob pointers in the deterministic
@@ -351,6 +360,8 @@ func (s *sim) buildState() (*simState, error) {
 		RespStream:    s.respStream.State(),
 		RespHist:      s.respHist.State(),
 		Timeline:      s.timeline,
+
+		CheckpointsSkipped: s.checkpointsSkipped,
 	}
 	for id := range s.migrating {
 		st.Migrating = append(st.Migrating, id)
@@ -394,21 +405,20 @@ func (s *sim) buildState() (*simState, error) {
 		st.Disks[i] = dc
 	}
 
-	for _, id := range s.eng.PendingIDs() {
-		rec, ok := s.events[id]
-		if !ok {
+	for _, pe := range s.eng.PendingEvents() {
+		if pe.Owner != s {
 			if s.host != nil {
 				// Shared engine: this pending event belongs to another owner
 				// (the router or a sibling member), which saves it itself.
 				continue
 			}
-			return nil, fmt.Errorf("array: pending event %d has no record; cannot checkpoint", id)
+			return nil, fmt.Errorf("array: pending event %d is not the simulator's; cannot checkpoint", pe.Seq)
 		}
-		t, _ := s.eng.EventTime(id)
+		rec := s.recs.Get(pe.Slot)
 		se := savedEvent{
-			Time:        t,
-			Seq:         uint64(id),
-			Kind:        rec.Kind,
+			Time:        pe.Time,
+			Seq:         pe.Seq,
+			Kind:        rec.Kind.String(),
 			Disk:        rec.Disk,
 			Gen:         rec.Gen,
 			Deadline:    rec.Deadline,
@@ -420,8 +430,9 @@ func (s *sim) buildState() (*simState, error) {
 			To:          rec.To,
 			SizeMB:      rec.SizeMB,
 		}
-		if rec.Op != nil {
-			os, err := table.encodeOp(*rec.Op)
+		if rec.Kind == evService {
+			// The disk's in-service op travels with its service event.
+			os, err := table.encodeOp(s.disks[rec.Disk].svc)
 			if err != nil {
 				return nil, err
 			}
@@ -575,7 +586,7 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 		// cadence, or EventsFired (and the whole event sequence) diverges
 		// from the uninterrupted run the resume claims to equal.
 		for _, se := range st.Events {
-			if se.Kind == evCheckpoint {
+			if se.Kind == evCheckpoint.String() {
 				return nil, fmt.Errorf("array: resume: snapshot has pending checkpoint ticks; set Config.Checkpoint to the original interval")
 			}
 		}
@@ -712,6 +723,7 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 		return nil, nil, fmt.Errorf("array: resume: %w", err)
 	}
 	s.timeline = st.Timeline
+	s.checkpointsSkipped = st.CheckpointsSkipped
 
 	if err := pol.LoadState(st.Policy); err != nil {
 		return nil, nil, fmt.Errorf("array: resume: policy %q load: %w", pol.Name(), err)
@@ -781,8 +793,12 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 
 	evs := make([]RestoredEvent, 0, len(st.Events))
 	for _, se := range st.Events {
+		kind, err := parseEvKind(se.Kind)
+		if err != nil {
+			return nil, nil, fmt.Errorf("array: resume: %w", err)
+		}
 		rec := eventRecord{
-			Kind:        se.Kind,
+			Kind:        kind,
 			Disk:        se.Disk,
 			Gen:         se.Gen,
 			Deadline:    se.Deadline,
@@ -794,12 +810,18 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 			To:          se.To,
 			SizeMB:      se.SizeMB,
 		}
+		if (kind == evService) != (se.Op != nil) {
+			return nil, nil, fmt.Errorf("array: resume: %s event at %v: an op travels with service events only", se.Kind, se.Time)
+		}
 		if se.Op != nil {
+			if se.Disk < 0 || se.Disk >= len(s.disks) {
+				return nil, nil, fmt.Errorf("array: resume: service event on disk %d of %d", se.Disk, len(s.disks))
+			}
 			o, err := decodeOp(*se.Op)
 			if err != nil {
 				return nil, nil, err
 			}
-			rec.Op = &o
+			s.disks[se.Disk].svc = o
 		}
 		evs = append(evs, RestoredEvent{Seq: se.Seq, Time: se.Time, s: s, rec: rec})
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/reliability"
 )
@@ -78,6 +79,20 @@ func (p *ckptMigrator) LoadState(data []byte) error {
 	return nil
 }
 
+// watchLedger attaches a fresh watch to cfg and returns a check of the
+// engine's conservation ledger once the run is over: every event ever
+// scheduled fired or is still pending.
+func watchLedger(t *testing.T, cfg *Config) func() {
+	w := des.NewWatch()
+	cfg.Watch = w
+	return func() {
+		t.Helper()
+		if ws := w.Snapshot(); ws.Scheduled != ws.Fired+ws.Pending {
+			t.Fatalf("event ledger: %d scheduled != %d fired + %d pending", ws.Scheduled, ws.Fired, ws.Pending)
+		}
+	}
+}
+
 // runWithSnapshots runs cfg to completion while capturing every checkpoint
 // envelope through the in-process sink.
 func runWithSnapshots(t *testing.T, cfg Config, everySimSeconds float64) (*Result, [][]byte) {
@@ -92,10 +107,12 @@ func runWithSnapshots(t *testing.T, cfg Config, everySimSeconds float64) (*Resul
 			return nil
 		},
 	}
+	ledger := watchLedger(t, &cfg)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ledger()
 	if len(snaps) < 2 {
 		t.Fatalf("only %d snapshots captured; interval %v too coarse for the trace",
 			len(snaps), everySimSeconds)
@@ -118,10 +135,12 @@ func resumeFromSnapshot(t *testing.T, cfg Config, freshPolicy Policy, snap []byt
 		ConfigDigest:    "test-digest",
 		Sink:            func([]byte) error { return nil },
 	}
+	ledger := watchLedger(t, &cfg)
 	res, err := Resume(cfg, env.State)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ledger()
 	return res
 }
 
@@ -377,10 +396,12 @@ func TestCheckpointEveryTickOverwrites(t *testing.T) {
 			ConfigDigest:    "test-digest",
 		},
 	}
+	ledger := watchLedger(t, &cfg)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ledger()
 	env, err := checkpoint.Read(path)
 	if err != nil {
 		t.Fatal(err)

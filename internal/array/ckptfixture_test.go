@@ -1,0 +1,137 @@
+package array_test
+
+import (
+	"encoding/json"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"repro/internal/array"
+	"repro/internal/checkpoint"
+	"repro/internal/des"
+	"repro/internal/faults"
+	"repro/internal/policy"
+	"repro/internal/reliability"
+	"repro/internal/workload"
+)
+
+// fixturePath is a version-1 checkpoint of fixtureConfig: the 15th snapshot
+// (t = 60 s) a Run with a CheckpointSpec.Sink captured, written by the
+// kernel that still held the in-service op inside the event record. It has
+// five service events pending and a disk failure behind it. It is committed,
+// not regenerated: it pins the wire schema an earlier binary wrote, so a
+// change that moves the schema (renamed fields, re-ordered events, a
+// different home for the in-service op) fails here instead of silently
+// orphaning users' snapshots.
+var fixturePath = filepath.Join("testdata", "ckpt_v1_raid6_read.json")
+
+// fixtureEvery is the checkpoint interval the fixture was captured with.
+// The snapshot holds a pending checkpoint tick, so a resume must keep it.
+const fixtureEvery = 4.0
+
+// fixtureConfig is the run the fixture was captured from: a small RAID-6
+// READ array with failures, latent sector errors, scrubs and rebuilds.
+func fixtureConfig(t *testing.T) array.Config {
+	t.Helper()
+	wl := workload.DefaultGenConfig()
+	wl.NumFiles = 120
+	wl.NumRequests = 1500
+	wl.MeanInterarrival = 0.04
+	wl.Seed = 3
+	trace, err := workload.Generate(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := faults.Default()
+	fc.Seed = 3
+	fc.Acceleration = 5e5
+	fc.LSERatePerHour = faults.DefaultLSERatePerHour
+	fc.RebuildTime = &reliability.Weibull{Shape: 1, ScaleHours: 12}
+	fc.Scripted = []faults.ScriptedEvent{{Disk: 1, At: 12}}
+	return array.Config{
+		Disks:        6,
+		Trace:        trace,
+		Policy:       policy.NewREAD(policy.READConfig{}),
+		EpochSeconds: 5,
+		Faults:       &fc,
+		Spares:       2,
+		RAID:         array.RAIDConfig{Level: array.RAID6},
+	}
+}
+
+// TestCheckpointFixtureV1Resumes resumes the committed version-1 snapshot
+// and requires the result to equal the uninterrupted run exactly.
+func TestCheckpointFixtureV1Resumes(t *testing.T) {
+	env, err := checkpoint.Read(fixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Version != 1 {
+		t.Fatalf("fixture envelope version %d, want 1", env.Version)
+	}
+	// Guard against the fixture silently not exercising the in-service op:
+	// at least one pending service event must carry its op.
+	var st struct {
+		Events []struct {
+			Kind string          `json:"kind"`
+			Op   json.RawMessage `json:"op"`
+		} `json:"events"`
+	}
+	if err := json.Unmarshal(env.State, &st); err != nil {
+		t.Fatal(err)
+	}
+	services := 0
+	for _, ev := range st.Events {
+		if ev.Kind == "service" && ev.Op != nil {
+			services++
+		}
+	}
+	if services == 0 {
+		t.Fatal("fixture has no pending service event with an op")
+	}
+
+	spec := func() *array.CheckpointSpec {
+		return &array.CheckpointSpec{
+			EverySimSeconds: fixtureEvery,
+			Tool:            "fixture",
+			ConfigDigest:    "fixture",
+			Sink:            func([]byte) error { return nil },
+		}
+	}
+	cfg := fixtureConfig(t)
+	cfg.Checkpoint = spec()
+	ledger := watchLedger(t, &cfg)
+	want, err := array.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger()
+	if want.DiskFailures == 0 {
+		t.Fatalf("fixture run injected no failures")
+	}
+	cfg = fixtureConfig(t)
+	cfg.Checkpoint = spec()
+	ledger = watchLedger(t, &cfg)
+	got, err := array.Resume(cfg, env.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger()
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("resume from the v1 fixture diverged:\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
+// watchLedger attaches a fresh watch to cfg and returns a check of the
+// engine's conservation ledger once the run is over: every event ever
+// scheduled fired or is still pending.
+func watchLedger(t *testing.T, cfg *array.Config) func() {
+	w := des.NewWatch()
+	cfg.Watch = w
+	return func() {
+		t.Helper()
+		if ws := w.Snapshot(); ws.Scheduled != ws.Fired+ws.Pending {
+			t.Fatalf("event ledger: %d scheduled != %d fired + %d pending", ws.Scheduled, ws.Fired, ws.Pending)
+		}
+	}
+}

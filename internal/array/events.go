@@ -6,10 +6,11 @@ package array
 // captured, and the dispatch methods replicate the old closure bodies, so
 // runtime behaviour is unchanged — but because records are plain data, a
 // checkpoint can serialize the pending event queue and a resume can rebuild
-// it, which is impossible with closures. The one escape hatch is the
-// "opaque" continuation (a policy callback passed to Context.EnqueueWrite);
-// those cannot be serialized, so checkpoint writes are skipped while any is
-// in flight (see sim.opaqueLive).
+// it, which is impossible with closures. Pending records live in the sim's
+// slab; the engine's event carries only the slot and hands it back to
+// sim.Fire. The one escape hatch is the "opaque" continuation (a policy
+// callback passed to Context.EnqueueWrite); those cannot be serialized, so
+// checkpoint writes are skipped while any is in flight (see sim.opaqueLive).
 
 import (
 	"fmt"
@@ -18,60 +19,62 @@ import (
 	"repro/internal/diskmodel"
 )
 
-// Event kinds. Each maps to a tracer label via recLabel; the labels are the
-// same strings the pre-reification closures used, so event traces are
-// unchanged.
+// evKind is an event record's kind.
+type evKind uint8
+
 const (
-	evArrival      = "arrival"
-	evEpoch        = "epoch"
-	evFaultTick    = "fault-tick"
-	evTransition   = "transition"
-	evService      = "service"
-	evIdleArm      = "idle-arm"
-	evIdleRearm    = "idle-rearm"
-	evSample       = "sample"
-	evMigrateStart = "migrate-start"
-	evRepair       = "repair"
-	evRebuildNext  = "rebuild-next"
-	evScrub        = "scrub"
-	evCheckpoint   = "checkpoint"
+	evArrival evKind = iota
+	evEpoch
+	evFaultTick
+	evTransition
+	evService
+	evIdleArm
+	evIdleRearm
+	evSample
+	evMigrateStart
+	evRepair
+	evRebuildNext
+	evScrub
+	evCheckpoint
+	numEvKinds
 )
 
-func recLabel(kind string) string {
-	switch kind {
-	case evArrival:
-		return labelArrival
-	case evEpoch:
-		return labelEpoch
-	case evFaultTick:
-		return labelFaultTick
-	case evTransition:
-		return labelTransition
-	case evService:
-		return labelService
-	case evIdleArm, evIdleRearm:
-		return labelIdleTimer
-	case evSample:
-		return labelSample
-	case evMigrateStart:
-		return labelMigrate
-	case evRepair:
-		return labelRepair
-	case evRebuildNext:
-		return labelRebuild
-	case evScrub:
-		return labelScrub
-	case evCheckpoint:
-		return labelCheckpoint
-	default:
-		return kind
+// evKinds gives each kind its checkpoint wire name (savedEvent.Kind) and its
+// tracer label. The labels are the strings the pre-reification closures
+// used, so event traces are unchanged.
+var evKinds = [numEvKinds]struct{ name, label string }{
+	evArrival:      {"arrival", "arrival"},
+	evEpoch:        {"epoch", "epoch"},
+	evFaultTick:    {"fault-tick", "fault-tick"},
+	evTransition:   {"transition", "transition"},
+	evService:      {"service", "service"},
+	evIdleArm:      {"idle-arm", "idle-timer"},
+	evIdleRearm:    {"idle-rearm", "idle-timer"},
+	evSample:       {"sample", "timeline-sample"},
+	evMigrateStart: {"migrate-start", "migrate-start"},
+	evRepair:       {"repair", "repair"},
+	evRebuildNext:  {"rebuild-next", "rebuild"},
+	evScrub:        {"scrub", "scrub"},
+	evCheckpoint:   {"checkpoint", "checkpoint"},
+}
+
+func (k evKind) String() string { return evKinds[k].name }
+
+// parseEvKind maps a checkpoint wire name back to its kind.
+func parseEvKind(name string) (evKind, error) {
+	for k, ek := range evKinds {
+		if ek.name == name {
+			return evKind(k), nil
+		}
 	}
+	return 0, fmt.Errorf("array: unknown event kind %q", name)
 }
 
 // eventRecord is the serializable description of one scheduled event. One
-// flat struct covers every kind; unused fields stay zero.
+// flat struct covers every kind; unused fields stay zero. A service event's
+// op is not here: it lives in its disk's diskState.svc (see kick).
 type eventRecord struct {
-	Kind        string
+	Kind        evKind
 	Disk        int
 	Gen         uint64  // service: diskState generation at dispatch
 	Deadline    float64 // idle-arm: absolute deadline the timer was armed for
@@ -82,7 +85,6 @@ type eventRecord struct {
 	From        int     // migrate-start: source disk
 	To          int     // migrate-start: target disk
 	SizeMB      float64 // migrate-start
-	Op          *op     // service: the operation in service
 }
 
 // Continuation kinds (op.done).
@@ -111,31 +113,38 @@ type cont struct {
 	fn          func(now float64) // contOpaque only
 }
 
-// at schedules rec at absolute virtual time t and registers it in the
-// record table. Every record is scheduled with the sim's one cached
-// dispatch handler, which looks the record up by the engine's FiringID and
-// removes the table entry when the event fires — so scheduling an event
-// allocates no per-event closure.
+// at schedules rec at absolute virtual time t. The record goes into the
+// sim's slab and the engine carries only its slot, so scheduling an event
+// allocates nothing in steady state.
 //
 //simlint:hotpath
 func (s *sim) at(t float64, rec eventRecord) error {
-	id, err := s.eng.AtLabeled(t, recLabel(rec.Kind), s.dispatchH)
-	if err != nil {
+	slot := s.recs.Put(rec)
+	if err := s.eng.Post(t, evKinds[rec.Kind].label, s, slot); err != nil {
+		s.recs.Take(slot)
 		return err
 	}
-	s.events[id] = rec
 	return nil
 }
 
-// schedule is `at` with a delay relative to now, panicking on the
-// programming errors MustScheduleLabeled used to panic on.
+// schedule is `at` with a delay relative to now, panicking on a negative
+// delay, which is always a programming error in the model.
 func (s *sim) schedule(delay float64, rec eventRecord) {
 	if err := s.at(s.eng.Now()+delay, rec); err != nil {
 		panic(err)
 	}
 }
 
+// Fire is the sim's side of des.Owner: it runs the record posted with slot.
+//
+//simlint:hotpath
+func (s *sim) Fire(e *des.Engine, slot uint32) {
+	s.dispatch(s.recs.Take(slot), e)
+}
+
 // dispatch runs the handler body for one fired event record.
+//
+//simlint:hotpath
 func (s *sim) dispatch(rec eventRecord, e *des.Engine) {
 	switch rec.Kind {
 	case evArrival:
@@ -147,7 +156,7 @@ func (s *sim) dispatch(rec eventRecord, e *des.Engine) {
 	case evTransition:
 		s.onTransitionEnd(rec.Disk)
 	case evService:
-		s.onServiceEnd(rec.Disk, rec.Gen, rec.Op)
+		s.onServiceEnd(rec.Disk, rec.Gen)
 	case evIdleArm:
 		s.onIdleTimer(rec.Disk, rec.Deadline, rec.Timeout, false)
 	case evIdleRearm:
@@ -165,7 +174,7 @@ func (s *sim) dispatch(rec eventRecord, e *des.Engine) {
 	case evCheckpoint:
 		s.onCheckpointTick(e)
 	default:
-		s.fail(fmt.Errorf("array: unknown event kind %q", rec.Kind))
+		s.fail(fmt.Errorf("array: unknown event kind %d", rec.Kind)) //simlint:allow hotalloc -- unreachable: every evKind has a case; a new kind without one fails the run once
 	}
 }
 
@@ -180,21 +189,23 @@ func (s *sim) onTransitionEnd(d int) {
 	s.kick(d)
 }
 
-// onServiceEnd completes the in-flight op on disk d.
-func (s *sim) onServiceEnd(d int, gen uint64, o *op) {
+// onServiceEnd completes the in-service op on disk d.
+func (s *sim) onServiceEnd(d int, gen uint64) {
 	ds := s.disks[d]
 	end := s.eng.Now()
 	ds.disk.EndService(end)
+	o := ds.svc
+	ds.svc = op{}
 	if ds.failed || ds.gen != gen {
 		// The disk died mid-service (and was possibly even replaced
 		// already): the op's work is void and the op is re-routed or lost.
-		s.routeAroundFailure(d, *o)
+		s.routeAroundFailure(d, o)
 		if !ds.failed {
 			s.kick(d)
 		}
 		return
 	}
-	s.complete(d, *o, end)
+	s.complete(d, o, end)
 	s.kick(d)
 }
 

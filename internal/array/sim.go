@@ -293,6 +293,11 @@ type Result struct {
 	MTTDLEstHours float64
 	// RAIDLossLog lists every declared loss in time order.
 	RAIDLossLog []RAIDLossEvent
+
+	// CheckpointsSkipped counts checkpoint ticks that wrote no snapshot
+	// because a non-serializable policy callback was in flight. Zero
+	// without Config.Checkpoint.
+	CheckpointsSkipped int `json:",omitempty"`
 }
 
 type opKind int
@@ -366,6 +371,14 @@ type diskState struct {
 	idleTimeout float64          // 0 = disabled
 	idleArmed   bool
 
+	// svc is the op in service, held by value: its completion is the
+	// disk's one pending service event. A disk holds at most one, because
+	// the disk model stays Active from BeginService until that event's
+	// EndService, and kick starts nothing on a non-Idle disk. Failure and
+	// repair keep the model Active too — they bump gen instead — so the
+	// slot is never overwritten while its event is pending.
+	svc op
+
 	// Fault lifecycle (only ever set when fault injection is enabled).
 	failed        bool    // disk is down; rejects all I/O
 	spareAssigned bool    // a spare absorbs this outage: queued work waits
@@ -430,21 +443,18 @@ type sim struct {
 	// carries a DecisionLog (see trace.go).
 	trc *traceState
 
-	// events mirrors the engine's pending queue as serializable records
-	// (events.go); entries are removed as events fire.
-	events map[des.EventID]eventRecord
-	// dispatchH is the one engine handler every record is scheduled with;
-	// it keys the record table by the engine's FiringID. Caching it here
-	// means `at` allocates no per-event closure.
-	dispatchH des.Handler
+	// recs holds the records of this sim's pending events (events.go),
+	// indexed by the slot each was posted with.
+	recs des.Slab[eventRecord]
 	// ctx is the one Context handed to policy callbacks. Context carries
 	// only the sim pointer, so a single cached instance replaces a heap
 	// allocation at every callback site.
 	ctx *Context
 	// opaqueLive counts in-flight non-serializable continuations (policy
 	// callbacks from Context.EnqueueWrite); checkpoint writes are skipped
-	// while it is nonzero.
-	opaqueLive int
+	// while it is nonzero, and checkpointsSkipped counts those skips.
+	opaqueLive         int
+	checkpointsSkipped int
 
 	// host is non-nil when this sim is a fleet member driven by a cluster
 	// router over a shared engine (see member.go): arrivals come from
@@ -485,15 +495,8 @@ func newSimOn(cfg Config, eng *des.Engine, host Host) (*sim, error) {
 		counts:    make(map[int]int),
 		respHist:  hist,
 		migrating: make(map[int]bool),
-		events:    make(map[des.EventID]eventRecord),
 	}
 	s.ctx = &Context{s: s}
-	s.dispatchH = func(e *des.Engine) {
-		id := e.FiringID()
-		rec := s.events[id]
-		delete(s.events, id)
-		s.dispatch(rec, e)
-	}
 	if cfg.Telemetry != nil {
 		s.met = newSimMetrics(cfg.Telemetry.Metrics)
 		s.live = cfg.Telemetry.Live
@@ -748,7 +751,8 @@ func (s *sim) kick(d int) {
 		}
 	}
 	if ds.queueLen() > 0 {
-		o := ds.pop()
+		ds.svc = ds.pop()
+		o := &ds.svc
 		var dur float64
 		if seek := s.cfg.DiskParams.Seek; seek.Enabled() {
 			dur = ds.disk.BeginServiceAt(now, o.sizeMB, seek.CylinderOf(o.fileID))
@@ -759,7 +763,7 @@ func (s *sim) kick(d int) {
 			o.waitSpin = ds.transBusy - o.spinBase
 			o.svcDur = dur
 		}
-		s.schedule(dur, eventRecord{Kind: evService, Disk: d, Gen: ds.gen, Op: &o})
+		s.schedule(dur, eventRecord{Kind: evService, Disk: d, Gen: ds.gen})
 		return
 	}
 	// Disk idle with empty queue: arm idle timer.
@@ -950,6 +954,8 @@ func (s *sim) collect() (*Result, error) {
 		Epochs:        s.epochs,
 		EventsFired:   s.eng.Fired(),
 		Timeline:      s.timeline,
+
+		CheckpointsSkipped: s.checkpointsSkipped,
 	}
 	if s.respHist.N() > 0 {
 		p50, err := s.respHist.Quantile(0.50)

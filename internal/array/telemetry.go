@@ -38,23 +38,6 @@ func newSimMetrics(r *telemetry.Registry) simMetrics {
 	}
 }
 
-// Tracer labels for the simulator's event classes; constants so attaching
-// them costs nothing.
-const (
-	labelArrival    = "arrival"
-	labelService    = "service"
-	labelTransition = "transition"
-	labelEpoch      = "epoch"
-	labelIdleTimer  = "idle-timer"
-	labelSample     = "timeline-sample"
-	labelMigrate    = "migrate-start"
-	labelFaultTick  = "fault-tick"
-	labelRepair     = "repair"
-	labelRebuild    = "rebuild"
-	labelScrub      = "scrub"
-	labelCheckpoint = "checkpoint"
-)
-
 // sampleDisks appends one DiskSample per disk to the telemetry recorder at
 // virtual time now. It reads only snapshot (non-mutating) accessors, so
 // sampling never perturbs the simulation: a run with telemetry enabled is

@@ -56,10 +56,12 @@ type savedRouterEvent struct {
 // clusterState is the fleet checkpoint payload. Ignored clusterSim fields
 // are re-derived on restore: cfg and traceEnd come from the caller's config,
 // eng is reconstructed and carried as Clock/Seq/Fired, members and racks are
-// rebuilt (member state travels in Members), and failure aborts a run before
-// a checkpoint could be written.
+// rebuilt (member state travels in Members), failure aborts a run before
+// a checkpoint could be written, and recs — the pending router events'
+// records — travels inside Events and is refilled as restore re-schedules
+// them.
 //
-//simlint:checkpoint-for clusterSim ignore=cfg,eng,members,racks,traceEnd,failure
+//simlint:checkpoint-for clusterSim ignore=cfg,eng,members,racks,traceEnd,failure,recs
 type clusterState struct {
 	Clock float64 `json:"clock"`
 	Seq   uint64  `json:"seq"`
@@ -125,20 +127,15 @@ func (c *clusterSim) buildState() (*clusterState, error) {
 		})
 	}
 
-	// Pending router events, in ascending engine sequence order (the event
-	// ID IS the sequence number). Events owned by members are saved inside
-	// their own payloads.
-	for _, id := range c.eng.PendingIDs() {
-		rec, ok := c.events[id]
-		if !ok {
+	// Pending router events, in ascending engine sequence order. Events
+	// owned by members are saved inside their own payloads.
+	for _, pe := range c.eng.PendingEvents() {
+		if pe.Owner != c {
 			continue
 		}
-		t, ok := c.eng.EventTime(id)
-		if !ok {
-			return nil, fmt.Errorf("cluster: pending event %d has no fire time", id)
-		}
+		rec := c.recs.Get(pe.Slot)
 		st.Events = append(st.Events, savedRouterEvent{
-			Time: t, Seq: uint64(id),
+			Time: pe.Time, Seq: pe.Seq,
 			Kind: rec.Kind, Req: rec.Req, Attempt: rec.Attempt,
 			Rack: rec.Rack, Shock: rec.Shock, Cause: rec.Cause,
 		})

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/checkpoint"
+	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
@@ -26,6 +27,32 @@ func fleetTrace(t *testing.T, files, requests int, interarrival float64) *worklo
 }
 
 func alwaysOn(int) (array.Policy, error) { return policy.NewAlwaysOn(), nil }
+
+// watchLedger attaches a fresh watch to cfg and returns a check of the
+// shared engine's conservation ledger once the run is over: every event ever
+// scheduled, by the router or a member, fired or is still pending.
+func watchLedger(t *testing.T, cfg *Config) func() {
+	w := des.NewWatch()
+	cfg.Watch = w
+	return func() {
+		t.Helper()
+		if ws := w.Snapshot(); ws.Scheduled != ws.Fired+ws.Pending {
+			t.Fatalf("event ledger: %d scheduled != %d fired + %d pending", ws.Scheduled, ws.Fired, ws.Pending)
+		}
+	}
+}
+
+// runLedgered is Run followed by the ledger check.
+func runLedgered(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	ledger := watchLedger(t, &cfg)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger()
+	return res
+}
 
 // TestFleetOfOneMatchesStandalone: with the resilience tier disabled, a
 // 1-array fleet must reproduce the standalone simulator exactly — same event
@@ -123,10 +150,7 @@ func TestFleetDeterminism(t *testing.T) {
 		cfg := resilientConfig(tr)
 		rec := &telemetry.Recorder{Decisions: telemetry.NewDecisionLog()}
 		cfg.Telemetry = rec
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runLedgered(t, cfg)
 		return res, rec.Decisions.Records()
 	}
 	r1, d1 := run()
@@ -163,10 +187,7 @@ func TestFleetRoutingPolicies(t *testing.T) {
 			MakePolicy: alwaysOn,
 			Routing:    rp,
 		}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", rp, err)
-		}
+		res := runLedgered(t, cfg)
 		if res.Served != res.Requests {
 			t.Errorf("%s: served %d of %d", rp, res.Served, res.Requests)
 		}
@@ -200,10 +221,7 @@ func TestFleetFailover(t *testing.T) {
 		},
 		MaxAttempts: 3,
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runLedgered(t, cfg)
 	if res.LostRequests == 0 {
 		t.Fatal("scripted failure lost no member requests; scenario is vacuous")
 	}
@@ -229,14 +247,11 @@ func TestFleetKillResume(t *testing.T) {
 		return cfg
 	}
 
-	full, err := Run(mkCfg(func(data []byte) error {
+	full := runLedgered(t, mkCfg(func(data []byte) error {
 		cp := append([]byte(nil), data...)
 		snaps = append(snaps, cp)
 		return nil
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(snaps) < 2 {
 		t.Fatalf("only %d snapshots taken; widen the trace", len(snaps))
 	}
@@ -246,10 +261,13 @@ func TestFleetKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := Resume(mkCfg(func([]byte) error { return nil }), env.State)
+	cfg := mkCfg(func([]byte) error { return nil })
+	ledger := watchLedger(t, &cfg)
+	resumed, err := Resume(cfg, env.State)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ledger()
 	if !reflect.DeepEqual(full, resumed) {
 		t.Errorf("resumed fleet diverged from uninterrupted run:\nfull    %+v\nresumed %+v", full, resumed)
 	}

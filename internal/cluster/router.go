@@ -7,11 +7,11 @@ package cluster
 // sustained silence (hedged attempts), and member data loss (failover).
 //
 // Every router action is a reified routerRecord event on the shared engine,
-// mirroring the array simulator's event table: records are plain data, so a
-// checkpoint serializes the pending set and a resume rebuilds it. Events are
-// never cancelled — a deadline, retry, or hedge that outlives its request
-// fires and no-ops against the settled state — so no event IDs ever need to
-// be persisted.
+// kept in the router's slab exactly like the array simulator's records:
+// records are plain data, so a checkpoint serializes the pending set and a
+// resume rebuilds it. Events are never cancelled — a deadline, retry, or
+// hedge that outlives its request fires and no-ops against the settled
+// state — so no event IDs ever need to be persisted.
 
 import (
 	"fmt"
@@ -88,8 +88,10 @@ type clusterSim struct {
 	members []*array.Member
 	racks   [][]int // arrays per rack, in index order
 
-	reqs   map[uint64]*reqState
-	events map[des.EventID]routerRecord
+	reqs map[uint64]*reqState
+	// recs holds the records of the router's pending events, indexed by
+	// the slot each was posted with.
+	recs des.Slab[routerRecord]
 
 	// hist is the fleet latency distribution: arrival to FIRST successful
 	// completion, across retries and hedges.
@@ -121,7 +123,6 @@ func newClusterSim(cfg *Config) (*clusterSim, error) {
 		cfg:        cfg,
 		eng:        des.New(),
 		reqs:       make(map[uint64]*reqState),
-		events:     make(map[des.EventID]routerRecord),
 		hist:       hist,
 		shockDepth: make([]int, cfg.Topology.Racks),
 		racks:      make([][]int, cfg.Topology.Racks),
@@ -186,21 +187,26 @@ func (c *clusterSim) fail(err error) {
 	}
 }
 
-// ratErr schedules rec at absolute time t and registers it in the event
-// table; the wrapper removes the entry when the event fires.
+// ratErr schedules rec at absolute time t. The record goes into the
+// router's slab and the engine carries only its slot, so a router event
+// allocates nothing in steady state.
+//
+//simlint:hotpath
 func (c *clusterSim) ratErr(t float64, rec routerRecord) error {
-	var id des.EventID
-	h := func(e *des.Engine) {
-		delete(c.events, id)
-		c.dispatch(rec, e)
-	}
-	eid, err := c.eng.AtLabeled(t, rec.Kind, h)
-	if err != nil {
+	slot := c.recs.Put(rec)
+	if err := c.eng.Post(t, rec.Kind, c, slot); err != nil {
+		c.recs.Take(slot)
 		return err
 	}
-	id = eid
-	c.events[id] = rec
 	return nil
+}
+
+// Fire is the router's side of des.Owner: it runs the record posted with
+// slot.
+//
+//simlint:hotpath
+func (c *clusterSim) Fire(e *des.Engine, slot uint32) {
+	c.dispatch(c.recs.Take(slot), e)
 }
 
 // rat is ratErr with scheduling errors routed to fail.

@@ -19,10 +19,23 @@ import (
 	"time"
 )
 
-// Handler is the callback invoked when an event fires. The engine passes
-// itself so handlers can schedule follow-up events without capturing the
-// engine in every closure.
+// Owner is the model-side receiver of scheduled events. A scheduled event
+// is a plain value — (time, seq, owner, slot, label) — rather than a
+// callback: the owner posts it with a slot that indexes its own payload
+// table (typically a Slab) and gets the slot back when the event fires.
+// Events are never cancelled; an owner whose event outlives its purpose
+// makes the handler a no-op against its current state.
+type Owner interface {
+	Fire(e *Engine, slot uint32)
+}
+
+// Handler is a closure event: an Owner that ignores its slot. It is the
+// thin adapter Schedule, At and MustSchedule put onto Post. A func value is
+// pointer-shaped, so boxing one as an Owner allocates nothing.
 type Handler func(e *Engine)
+
+// Fire runs the closure.
+func (h Handler) Fire(e *Engine, _ uint32) { h(e) }
 
 // Tracer observes engine activity for diagnostics. All times are virtual
 // seconds except wallNanos, the handler's wall-clock execution time. The
@@ -37,8 +50,6 @@ type Tracer interface {
 	EventScheduled(id uint64, label string, at, now float64)
 	// EventFired fires after an event's handler returns.
 	EventFired(id uint64, label string, at float64, wallNanos int64)
-	// EventCanceled fires when a pending event is canceled.
-	EventCanceled(id uint64, label string, now float64)
 }
 
 // SpanTracer is an optional Tracer extension for logical intervals that are
@@ -50,122 +61,122 @@ type SpanTracer interface {
 	Span(label string, start, end float64)
 }
 
-// EventID identifies a scheduled event for cancellation. The zero EventID is
-// never issued.
-type EventID uint64
-
 // ErrStalled is returned by Run when the event queue drains before the
 // requested end time was reached with RunUntil semantics. It is informational
 // rather than fatal: a drained queue simply means the simulation reached
 // quiescence early.
 var ErrStalled = errors.New("des: event queue drained before end time")
 
+var errNilOwner = errors.New("des: nil handler")
+
 type event struct {
-	time     float64
-	seq      uint64 // FIFO tie-breaker and identity
-	handler  Handler
-	label    string // tracer annotation; "" for unlabeled events
-	canceled bool
-	index    int // heap index, -1 once popped
+	time  float64
+	seq   uint64 // FIFO tie-breaker and identity
+	owner Owner
+	slot  uint32
+	label string // tracer annotation; "" for unlabeled events
 }
 
-// eventHeap is a binary min-heap ordered by (time, seq), flattened into
-// direct sift methods rather than container/heap: the interface-based API
-// boxes every element through `any` and cannot be inlined, and push/pop is
-// the kernel's innermost loop. Index maintenance mirrors container/heap so
-// Remove-by-index still works for Cancel.
-type eventHeap []*event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before orders events by (time, seq).
+func (a *event) before(b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+// eventHeap is a binary min-heap of event values ordered by (time, seq).
+// The sift loops move a hole instead of swapping, so each level costs one
+// copy, and values rather than pointers keep the queue in one allocation
+// with no per-event record to recycle.
+type eventHeap []event
 
-// siftUp restores the heap property after an insertion at index i.
+// push inserts x, maintaining heap order.
 //
 //simlint:hotpath
-func (h eventHeap) siftUp(i int) {
+func (h *eventHeap) push(x event) {
+	*h = append(*h, x)
+	q := *h
+	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !x.before(&q[parent]) {
 			break
 		}
-		h.swap(i, parent)
+		q[i] = q[parent]
 		i = parent
 	}
-}
-
-// siftDown restores the heap property after the element at index i shrank
-// in priority. It reports whether the element moved.
-//
-//simlint:hotpath
-func (h eventHeap) siftDown(i int) bool {
-	start := i
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n || left < 0 { // left < 0 after int overflow
-			break
-		}
-		child := left
-		if right := left + 1; right < n && h.less(right, left) {
-			child = right
-		}
-		if !h.less(child, i) {
-			break
-		}
-		h.swap(i, child)
-		i = child
-	}
-	return i > start
-}
-
-// push inserts ev, maintaining heap order.
-//
-//simlint:hotpath
-func (h *eventHeap) push(ev *event) {
-	ev.index = len(*h)
-	*h = append(*h, ev)
-	h.siftUp(ev.index)
+	q[i] = x
 }
 
 // pop removes and returns the earliest event.
 //
 //simlint:hotpath
-func (h *eventHeap) pop() *event {
-	old := *h
-	n := len(old) - 1
-	old.swap(0, n)
-	ev := old[n]
-	old[n] = nil
-	ev.index = -1
-	*h = old[:n]
-	h.siftDown(0)
-	return ev
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top, x := q[0], q[n]
+	q[n] = event{} // drop the owner and label references
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n || child < 0 { // child < 0 after int overflow
+			break
+		}
+		if right := child + 1; right < n && q[right].before(&q[child]) {
+			child = right
+		}
+		if !q[child].before(&x) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = x
+	return top
 }
 
-// remove deletes the event at index i (container/heap.Remove, inlined).
-func (h *eventHeap) remove(i int) {
-	old := *h
-	n := len(old) - 1
-	if i != n {
-		old.swap(i, n)
-	}
-	old[n].index = -1
-	old[n] = nil
-	*h = old[:n]
-	if i < n && !(*h).siftDown(i) {
-		(*h).siftUp(i)
-	}
+// Slab holds an owner's per-event payloads, indexed by the slot the owner
+// posts with each event. Fired slots go onto a free stack and are reused, so
+// a steady-state event stream allocates nothing once the slab has grown to
+// the peak number of the owner's pending events.
+type Slab[T any] struct {
+	items []T
+	free  []uint32
 }
+
+// Put stores v and returns its slot.
+//
+//simlint:hotpath
+func (s *Slab[T]) Put(v T) uint32 {
+	if n := len(s.free); n > 0 {
+		slot := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.items[slot] = v
+		return slot
+	}
+	s.items = append(s.items, v)
+	return uint32(len(s.items) - 1)
+}
+
+// Take returns the payload in slot and frees the slot.
+//
+//simlint:hotpath
+func (s *Slab[T]) Take(slot uint32) T {
+	v := s.items[slot]
+	var zero T
+	s.items[slot] = zero
+	s.free = append(s.free, slot)
+	return v
+}
+
+// Get returns the payload in a live slot without freeing it.
+func (s *Slab[T]) Get(slot uint32) T { return s.items[slot] }
 
 // Engine is a discrete-event simulation engine. The zero value is ready to
 // use and starts at virtual time zero.
@@ -173,40 +184,12 @@ type Engine struct {
 	now       float64
 	seq       uint64
 	queue     eventHeap
-	free      []*event // recycled event records; see alloc/recycle
-	firing    EventID  // ID of the event whose handler is running; 0 between events
-	pending   map[EventID]*event
 	fired     uint64
 	stopped   bool
 	tracer    Tracer
 	spans     SpanTracer // tracer's SpanTracer side, cached; nil when absent
 	watch     *Watch     // live ops view; nil when no observer is attached
 	lastLabel string     // label of the most recently fired event
-}
-
-// alloc returns a zeroed event record, reusing a recycled one when
-// available so steady-state scheduling allocates nothing.
-//
-//simlint:hotpath
-func (e *Engine) alloc() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		*ev = event{}
-		return ev
-	}
-	return &event{} //simlint:allow hotalloc -- freelist grow path: runs once per peak-queue-depth slot, then never again
-}
-
-// recycle returns a popped event record to the freelist. The caller must
-// hold the only reference: records are recycled after their handler ran or
-// after cancellation, and EventIDs never dangle because identity lives in
-// the pending map, not the record.
-//
-//simlint:hotpath
-func (e *Engine) recycle(ev *event) {
-	e.free = append(e.free, ev)
 }
 
 // SetTracer installs (or, with nil, removes) the engine's activity tracer.
@@ -231,15 +214,7 @@ func (e *Engine) EmitSpan(label string, start, end float64) {
 func (e *Engine) SetWatch(w *Watch) { e.watch = w }
 
 // New returns an engine with its clock at zero.
-func New() *Engine {
-	return &Engine{pending: make(map[EventID]*event)}
-}
-
-func (e *Engine) ensure() {
-	if e.pending == nil {
-		e.pending = make(map[EventID]*event)
-	}
-}
+func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -247,95 +222,72 @@ func (e *Engine) Now() float64 { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of scheduled, not-yet-fired, not-canceled
-// events.
-func (e *Engine) Pending() int { return len(e.pending) }
+// Pending returns the number of scheduled, not-yet-fired events. Every
+// scheduled event fires or stays pending, so Seq() == Fired() + Pending()
+// between events; a restored engine keeps it once FinishRestore has run.
+func (e *Engine) Pending() int { return len(e.queue) }
+
+// Post schedules an event for owner o at absolute virtual time t, which
+// must not be in the past. When it fires, the engine calls o.Fire with the
+// same slot. Labels should be constant strings ("arrival", "service", ...):
+// they name the event in traces and stall reports. Post is the kernel's
+// scheduling hot path, one call per simulated event, and allocates nothing
+// once the queue has grown to its peak depth.
+//
+//simlint:hotpath
+func (e *Engine) Post(t float64, label string, o Owner, slot uint32) error {
+	if t < e.now || math.IsNaN(t) {
+		return fmt.Errorf("des: schedule time %v is before now %v", t, e.now) //simlint:allow hotalloc -- error branch: fires once on a caller bug, never in steady state
+	}
+	if o == nil {
+		return errNilOwner
+	}
+	e.seq++
+	e.queue.push(event{time: t, seq: e.seq, owner: o, slot: slot, label: label})
+	if e.tracer != nil {
+		e.tracer.EventScheduled(e.seq, label, t, e.now)
+	}
+	return nil
+}
 
 // Schedule arranges for h to run delay seconds after the current virtual
 // time. A negative delay is an error because it would rewind causality;
 // a zero delay fires at the current instant, after all events already
 // scheduled for that instant.
-func (e *Engine) Schedule(delay float64, h Handler) (EventID, error) {
-	return e.ScheduleLabeled(delay, "", h)
-}
-
-// ScheduleLabeled is Schedule with a tracer label attached to the event.
-// Labels should be constant strings ("arrival", "service", ...): attaching
-// one costs nothing and gives the event trace readable handler names.
-func (e *Engine) ScheduleLabeled(delay float64, label string, h Handler) (EventID, error) {
-	if delay < 0 || math.IsNaN(delay) {
-		return 0, fmt.Errorf("des: negative or NaN delay %v", delay)
-	}
-	return e.AtLabeled(e.now+delay, label, h)
+func (e *Engine) Schedule(delay float64, h Handler) error {
+	return e.scheduleLabeled(delay, "", h)
 }
 
 // MustSchedule is Schedule for delays the caller has already validated;
 // it panics on a negative or NaN delay, which always indicates a programming
 // error in the model rather than bad input.
-func (e *Engine) MustSchedule(delay float64, h Handler) EventID {
-	return e.MustScheduleLabeled(delay, "", h)
+func (e *Engine) MustSchedule(delay float64, h Handler) {
+	e.MustScheduleLabeled(delay, "", h)
 }
 
 // MustScheduleLabeled is MustSchedule with a tracer label.
-func (e *Engine) MustScheduleLabeled(delay float64, label string, h Handler) EventID {
-	id, err := e.ScheduleLabeled(delay, label, h)
-	if err != nil {
+func (e *Engine) MustScheduleLabeled(delay float64, label string, h Handler) {
+	if err := e.scheduleLabeled(delay, label, h); err != nil {
 		panic(err)
 	}
-	return id
+}
+
+func (e *Engine) scheduleLabeled(delay float64, label string, h Handler) error {
+	if delay < 0 || math.IsNaN(delay) {
+		return fmt.Errorf("des: negative or NaN delay %v", delay)
+	}
+	return e.atLabeled(e.now+delay, label, h)
 }
 
 // At arranges for h to run at absolute virtual time t, which must not be in
 // the past.
-func (e *Engine) At(t float64, h Handler) (EventID, error) {
-	return e.AtLabeled(t, "", h)
-}
+func (e *Engine) At(t float64, h Handler) error { return e.atLabeled(t, "", h) }
 
-// AtLabeled is At with a tracer label. It is the kernel's scheduling hot
-// path: one call per simulated event, allocation-free in steady state
-// thanks to the event freelist.
-//
-//simlint:hotpath
-func (e *Engine) AtLabeled(t float64, label string, h Handler) (EventID, error) {
+func (e *Engine) atLabeled(t float64, label string, h Handler) error {
 	if h == nil {
-		return 0, errors.New("des: nil handler")
+		return errNilOwner
 	}
-	if t < e.now || math.IsNaN(t) {
-		return 0, fmt.Errorf("des: schedule time %v is before now %v", t, e.now) //simlint:allow hotalloc -- error branch: fires once on a caller bug, never in steady state
-	}
-	e.ensure()
-	e.seq++
-	ev := e.alloc()
-	ev.time, ev.seq, ev.handler, ev.label = t, e.seq, h, label
-	e.queue.push(ev)
-	id := EventID(ev.seq)
-	e.pending[id] = ev
-	if e.tracer != nil {
-		e.tracer.EventScheduled(ev.seq, label, t, e.now)
-	}
-	return id, nil
-}
-
-// Cancel removes a scheduled event. Canceling an event that already fired,
-// was already canceled, or never existed reports false.
-func (e *Engine) Cancel(id EventID) bool {
-	ev, ok := e.pending[id]
-	if !ok {
-		return false
-	}
-	delete(e.pending, id)
-	ev.canceled = true
-	if e.tracer != nil {
-		e.tracer.EventCanceled(ev.seq, ev.label, e.now)
-	}
-	// A pending event is always still queued (index >= 0); the guard only
-	// protects against a record popped concurrently, which cannot happen
-	// on this single-threaded engine.
-	if ev.index >= 0 {
-		e.queue.remove(ev.index)
-		e.recycle(ev)
-	}
-	return true
+	return e.Post(t, label, h, 0)
 }
 
 // Stop makes the current Run call return after the in-flight event handler
@@ -343,43 +295,26 @@ func (e *Engine) Cancel(id EventID) bool {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Step fires the single earliest pending event, advancing the clock to its
-// timestamp. It reports false when the queue is empty. While the handler
-// runs, FiringID reports the event's ID; the record itself is recycled to
-// the freelist once the handler (and tracer) are done with it.
+// timestamp. It reports false when the queue is empty.
 //
 //simlint:hotpath
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
-		if ev.canceled {
-			e.recycle(ev)
-			continue
-		}
-		id := EventID(ev.seq)
-		delete(e.pending, id)
-		e.now = ev.time
-		e.fired++
-		e.lastLabel = ev.label
-		e.firing = id
-		if tr := e.tracer; tr != nil {
-			start := time.Now() //simlint:allow detrand -- wall-clock handler timing feeds the trace file only, never simulation state
-			ev.handler(e)
-			tr.EventFired(ev.seq, ev.label, ev.time, time.Since(start).Nanoseconds()) //simlint:allow detrand -- see above
-		} else {
-			ev.handler(e)
-		}
-		e.firing = 0
-		e.recycle(ev)
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := e.queue.pop()
+	e.now = ev.time
+	e.fired++
+	e.lastLabel = ev.label
+	if tr := e.tracer; tr != nil {
+		start := time.Now() //simlint:allow detrand -- wall-clock handler timing feeds the trace file only, never simulation state
+		ev.owner.Fire(e, ev.slot)
+		tr.EventFired(ev.seq, ev.label, ev.time, time.Since(start).Nanoseconds()) //simlint:allow detrand -- see above
+	} else {
+		ev.owner.Fire(e, ev.slot)
+	}
+	return true
 }
-
-// FiringID returns the ID of the event whose handler is currently running,
-// or 0 between events. Dispatchers that demultiplex one shared handler over
-// many scheduled events key their lookup on it, which lets them schedule a
-// single cached closure instead of allocating one closure per event.
-func (e *Engine) FiringID() EventID { return e.firing }
 
 // Run fires events until the queue drains or Stop is called.
 func (e *Engine) Run() {
@@ -405,7 +340,7 @@ func (e *Engine) RunGuarded(stallLimit uint64) error {
 	last := math.Inf(-1)
 	for !e.stopped {
 		if !e.Step() {
-			e.watch.publish(e.now, e.fired, uint64(len(e.pending)), streak, e.lastLabel)
+			e.watch.publish(e.now, e.fired, uint64(len(e.queue)), e.seq, streak, e.lastLabel)
 			return nil
 		}
 		if e.now != last {
@@ -415,14 +350,14 @@ func (e *Engine) RunGuarded(stallLimit uint64) error {
 			streak++
 		}
 		if w := e.watch; w != nil {
-			w.publish(e.now, e.fired, uint64(len(e.pending)), streak, e.lastLabel)
+			w.publish(e.now, e.fired, uint64(len(e.queue)), e.seq, streak, e.lastLabel)
 		}
 		if streak >= stallLimit {
 			serr := &StallError{
 				Streak:    streak,
 				SimTime:   e.now,
 				Fired:     e.fired,
-				Pending:   len(e.pending),
+				Pending:   len(e.queue),
 				LastLabel: e.lastLabel,
 			}
 			e.watch.setStall(serr)
@@ -465,35 +400,36 @@ func (e *Engine) RunUntil(end float64) error {
 // its deterministic trajectory, which is what checkpoint/restore preserves.
 func (e *Engine) Seq() uint64 { return e.seq }
 
-// PendingIDs returns the IDs of all live (scheduled, not fired, not
-// canceled) events in ascending sequence order — i.e. the order they were
-// originally scheduled. A checkpoint serializes pending events in this order
-// so a restore can re-schedule them with identical FIFO tie-breaking.
-func (e *Engine) PendingIDs() []EventID {
-	ids := make([]EventID, 0, len(e.pending))
-	for id := range e.pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+// PendingEvent is one scheduled, not-yet-fired event as PendingEvents
+// reports it.
+type PendingEvent struct {
+	Seq   uint64
+	Time  float64
+	Owner Owner
+	Slot  uint32
 }
 
-// EventTime returns the absolute virtual time a pending event will fire at.
-func (e *Engine) EventTime(id EventID) (float64, bool) {
-	ev, ok := e.pending[id]
-	if !ok {
-		return 0, false
+// PendingEvents returns every pending event in ascending sequence order —
+// the order they were scheduled — by one walk over the queue. A checkpoint
+// serializes its owner's events in this order (skipping those whose Owner
+// is not itself) so a restore can re-schedule them with identical FIFO
+// tie-breaking.
+func (e *Engine) PendingEvents() []PendingEvent {
+	out := make([]PendingEvent, len(e.queue))
+	for i, ev := range e.queue {
+		out[i] = PendingEvent{Seq: ev.seq, Time: ev.time, Owner: ev.owner, Slot: ev.slot}
 	}
-	return ev.time, true
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
 }
 
 // BeginRestore prepares a fresh engine to be reloaded from a checkpoint
 // taken at virtual time now. It is only valid on an engine that has never
 // scheduled or fired anything; the caller then re-schedules the snapshot's
 // pending events (in their original sequence order, at their original
-// absolute times, via At/AtLabeled) and calls FinishRestore.
+// absolute times, via Post) and calls FinishRestore.
 func (e *Engine) BeginRestore(now float64) error {
-	if e.seq != 0 || e.fired != 0 || len(e.pending) != 0 {
+	if e.seq != 0 || e.fired != 0 || len(e.queue) != 0 {
 		return errors.New("des: BeginRestore requires a fresh engine")
 	}
 	if now < 0 || math.IsNaN(now) {
@@ -516,14 +452,10 @@ func (e *Engine) FinishRestore(seq, fired uint64) error {
 	return nil
 }
 
-// peek returns the timestamp of the earliest live event.
+// peek returns the timestamp of the earliest pending event.
 func (e *Engine) peek() (float64, bool) {
-	for len(e.queue) > 0 {
-		if e.queue[0].canceled {
-			e.recycle(e.queue.pop())
-			continue
-		}
-		return e.queue[0].time, true
+	if len(e.queue) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return e.queue[0].time, true
 }

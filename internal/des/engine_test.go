@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -11,7 +12,7 @@ import (
 func TestZeroValueReady(t *testing.T) {
 	var e Engine
 	ran := false
-	if _, err := e.Schedule(1, func(*Engine) { ran = true }); err != nil {
+	if err := e.Schedule(1, func(*Engine) { ran = true }); err != nil {
 		t.Fatalf("Schedule on zero value: %v", err)
 	}
 	e.Run()
@@ -73,20 +74,20 @@ func TestZeroDelayFiresAfterCurrentInstant(t *testing.T) {
 
 func TestNegativeDelayRejected(t *testing.T) {
 	e := New()
-	if _, err := e.Schedule(-1, func(*Engine) {}); err == nil {
+	if err := e.Schedule(-1, func(*Engine) {}); err == nil {
 		t.Fatal("negative delay accepted")
 	}
-	if _, err := e.Schedule(math.NaN(), func(*Engine) {}); err == nil {
+	if err := e.Schedule(math.NaN(), func(*Engine) {}); err == nil {
 		t.Fatal("NaN delay accepted")
 	}
-	if _, err := e.At(-0.5, func(*Engine) {}); err == nil {
+	if err := e.At(-0.5, func(*Engine) {}); err == nil {
 		t.Fatal("past absolute time accepted")
 	}
 }
 
 func TestNilHandlerRejected(t *testing.T) {
 	e := New()
-	if _, err := e.At(1, nil); err == nil {
+	if err := e.At(1, nil); err == nil {
 		t.Fatal("nil handler accepted")
 	}
 }
@@ -98,48 +99,6 @@ func TestMustSchedulePanicsOnNegative(t *testing.T) {
 		}
 	}()
 	New().MustSchedule(-1, func(*Engine) {})
-}
-
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	id := e.MustSchedule(1, func(*Engine) { fired = true })
-	if !e.Cancel(id) {
-		t.Fatal("Cancel reported false for live event")
-	}
-	if e.Cancel(id) {
-		t.Fatal("double Cancel reported true")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after cancel+run, want 0", e.Pending())
-	}
-}
-
-func TestCancelFromWithinHandler(t *testing.T) {
-	e := New()
-	fired := false
-	var victim EventID
-	victim = e.MustSchedule(2, func(*Engine) { fired = true })
-	e.MustSchedule(1, func(en *Engine) {
-		if !en.Cancel(victim) {
-			t.Error("in-handler cancel failed")
-		}
-	})
-	e.Run()
-	if fired {
-		t.Fatal("event canceled from a handler still fired")
-	}
-}
-
-func TestCancelUnknownID(t *testing.T) {
-	e := New()
-	if e.Cancel(12345) {
-		t.Fatal("Cancel of unknown id reported true")
-	}
 }
 
 func TestRunUntilAdvancesClockToEnd(t *testing.T) {
@@ -239,15 +198,10 @@ func TestDeterminism(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := New()
 		var trace []float64
-		var ids []EventID
 		for i := 0; i < 500; i++ {
-			id := e.MustSchedule(rng.Float64()*100, func(en *Engine) {
+			e.MustSchedule(rng.Float64()*100, func(en *Engine) {
 				trace = append(trace, en.Now())
 			})
-			ids = append(ids, id)
-		}
-		for i := 0; i < 100; i++ {
-			e.Cancel(ids[rng.Intn(len(ids))])
 		}
 		e.Run()
 		return trace
@@ -297,33 +251,80 @@ func TestPropertyFireTimesAreSortedDelays(t *testing.T) {
 	}
 }
 
-// Property: canceling a random subset leaves exactly the complement firing.
-func TestPropertyCancelComplement(t *testing.T) {
-	f := func(n uint8, mask uint64) bool {
-		e := New()
-		total := int(n%64) + 1
-		fired := make([]bool, total)
-		ids := make([]EventID, total)
-		for i := 0; i < total; i++ {
-			i := i
-			ids[i] = e.MustSchedule(float64(i), func(*Engine) { fired[i] = true })
-		}
-		for i := 0; i < total; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				e.Cancel(ids[i])
-			}
-		}
-		e.Run()
-		for i := 0; i < total; i++ {
-			wantFired := mask&(1<<uint(i)) == 0
-			if fired[i] != wantFired {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+// recOwner is a minimal Slab-backed owner: it records the payload of each
+// event it fires.
+type recOwner struct {
+	name  string
+	recs  Slab[int]
+	fired []int
+}
+
+func (o *recOwner) post(t *testing.T, e *Engine, at float64, v int) {
+	t.Helper()
+	if err := e.Post(at, o.name, o, o.recs.Put(v)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func (o *recOwner) Fire(_ *Engine, slot uint32) { o.fired = append(o.fired, o.recs.Take(slot)) }
+
+// TestPendingEventsSharedEngineSeqOrder checks the checkpoint view of a
+// shared engine: two owners' interleaved events come back in global
+// scheduling order (not heap or time order), each tagged with its owner and
+// the slot that resolves its payload, and firing them keeps the
+// conservation ledger Seq == Fired + Pending.
+func TestPendingEventsSharedEngineSeqOrder(t *testing.T) {
+	e := New()
+	a, b := &recOwner{name: "a"}, &recOwner{name: "b"}
+	times := []float64{5, 1, 3, 1, 4, 2}
+	for i, at := range times {
+		o := a
+		if i%2 == 1 {
+			o = b
+		}
+		o.post(t, e, at, 100+i)
+	}
+	pend := e.PendingEvents()
+	if len(pend) != len(times) {
+		t.Fatalf("PendingEvents returned %d events, want %d", len(pend), len(times))
+	}
+	for i, pe := range pend {
+		want := Owner(a)
+		if i%2 == 1 {
+			want = b
+		}
+		if pe.Seq != uint64(i+1) || pe.Time != times[i] || pe.Owner != want {
+			t.Fatalf("pending[%d] = seq %d t=%v owner %v, want seq %d t=%v owner %v",
+				i, pe.Seq, pe.Time, pe.Owner, i+1, times[i], want)
+		}
+		if got := pe.Owner.(*recOwner).recs.Get(pe.Slot); got != 100+i {
+			t.Fatalf("pending[%d] slot resolves to %d, want %d", i, got, 100+i)
+		}
+	}
+	for e.Step() {
+		if e.Seq() != e.Fired()+uint64(e.Pending()) {
+			t.Fatalf("ledger: seq %d != fired %d + pending %d", e.Seq(), e.Fired(), e.Pending())
+		}
+	}
+	// Time order, FIFO among the two t=1 events.
+	if got, want := fmt.Sprint(a.fired, b.fired), "[102 104 100] [101 103 105]"; got != want {
+		t.Fatalf("fired payloads a, b = %s, want %s", got, want)
+	}
+}
+
+// TestSlabReusesFreedSlots checks that a fired slot is recycled, so a
+// steady event stream keeps the slab at its peak size.
+func TestSlabReusesFreedSlots(t *testing.T) {
+	var s Slab[string]
+	x, y := s.Put("x"), s.Put("y")
+	if got := s.Take(x); got != "x" {
+		t.Fatalf("Take = %q, want x", got)
+	}
+	if z := s.Put("z"); z != x {
+		t.Fatalf("Put after Take used slot %d, want freed slot %d", z, x)
+	}
+	if s.Get(y) != "y" || len(s.items) != 2 {
+		t.Fatalf("slab grew to %d items or lost y", len(s.items))
 	}
 }
 

@@ -115,19 +115,15 @@ func TestRestorePreservesOrdering(t *testing.T) {
 		t.Fatal("no event fired")
 	}
 
-	// Snapshot: pending IDs in scheduling order with their absolute times.
+	// Snapshot: pending events in scheduling order with their absolute times.
 	type saved struct {
 		t    float64
 		name string
 	}
-	names := map[EventID]string{2: "b1", 3: "b2", 4: "c"}
+	names := map[uint64]string{2: "b1", 3: "b2", 4: "c"}
 	var snap []saved
-	for _, id := range orig.PendingIDs() {
-		at, ok := orig.EventTime(id)
-		if !ok {
-			t.Fatalf("pending event %d has no time", id)
-		}
-		snap = append(snap, saved{at, names[id]})
+	for _, pe := range orig.PendingEvents() {
+		snap = append(snap, saved{pe.Time, names[pe.Seq]})
 	}
 	savedNow, savedSeq, savedFired := orig.Now(), orig.Seq(), orig.Fired()
 
@@ -138,7 +134,7 @@ func TestRestorePreservesOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range snap {
-		if _, err := re.At(s.t, record(&restoredOrder, s.name)); err != nil {
+		if err := re.At(s.t, record(&restoredOrder, s.name)); err != nil {
 			t.Fatal(err)
 		}
 	}

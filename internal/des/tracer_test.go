@@ -8,7 +8,6 @@ import (
 type recordingTracer struct {
 	scheduled []string
 	fired     []string
-	canceled  []string
 	wallNanos []int64
 }
 
@@ -21,22 +20,17 @@ func (t *recordingTracer) EventFired(id uint64, label string, at float64, wallNa
 	t.wallNanos = append(t.wallNanos, wallNanos)
 }
 
-func (t *recordingTracer) EventCanceled(id uint64, label string, now float64) {
-	t.canceled = append(t.canceled, label)
-}
-
 func TestTracerObservesLifecycle(t *testing.T) {
 	e := New()
 	tr := &recordingTracer{}
 	e.SetTracer(tr)
 
 	e.MustScheduleLabeled(1, "arrival", func(*Engine) {})
-	id := e.MustScheduleLabeled(2, "idle-timer", func(*Engine) {})
-	if _, err := e.AtLabeled(3, "epoch", func(*Engine) {}); err != nil {
+	e.MustScheduleLabeled(2, "idle-timer", func(*Engine) {})
+	if err := e.Post(3, "epoch", Handler(func(*Engine) {}), 0); err != nil {
 		t.Fatal(err)
 	}
 	e.MustSchedule(4, func(*Engine) {}) // unlabeled
-	e.Cancel(id)
 	e.Run()
 
 	wantScheduled := []string{"arrival", "idle-timer", "epoch", ""}
@@ -48,7 +42,7 @@ func TestTracerObservesLifecycle(t *testing.T) {
 			t.Fatalf("scheduled = %v, want %v", tr.scheduled, wantScheduled)
 		}
 	}
-	wantFired := []string{"arrival", "epoch", ""}
+	wantFired := wantScheduled
 	if len(tr.fired) != len(wantFired) {
 		t.Fatalf("fired = %v, want %v", tr.fired, wantFired)
 	}
@@ -56,9 +50,6 @@ func TestTracerObservesLifecycle(t *testing.T) {
 		if tr.fired[i] != wantFired[i] {
 			t.Fatalf("fired = %v, want %v", tr.fired, wantFired)
 		}
-	}
-	if len(tr.canceled) != 1 || tr.canceled[0] != "idle-timer" {
-		t.Fatalf("canceled = %v, want [idle-timer]", tr.canceled)
 	}
 	for i, ns := range tr.wallNanos {
 		if ns < 0 {
@@ -110,19 +101,19 @@ func TestSetTracerNilRemoves(t *testing.T) {
 func TestStepWithoutTracerDoesNotAllocate(t *testing.T) {
 	e := New()
 	h := func(*Engine) {}
-	// Warm up heap and pending-map capacity so growth doesn't count.
+	// Warm up the heap's capacity so growth doesn't count.
 	for i := 0; i < 1024; i++ {
 		e.MustScheduleLabeled(float64(i), "warm", h)
 	}
 	for e.Step() {
 	}
-	ids := make([]EventID, 0, 1024)
-	for i := 0; i < 1024; i++ {
-		ids = append(ids, e.MustScheduleLabeled(float64(2000+i), "hot", h))
+	const hot = 1024
+	for i := 0; i < hot; i++ {
+		e.MustScheduleLabeled(float64(2000+i), "hot", h)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		if i < len(ids) {
+		if i < hot {
 			e.Step()
 			i++
 		}
@@ -139,7 +130,6 @@ type nullTracer struct{}
 
 func (nullTracer) EventScheduled(uint64, string, float64, float64) {}
 func (nullTracer) EventFired(uint64, string, float64, int64)       {}
-func (nullTracer) EventCanceled(uint64, string, float64)           {}
 
 func BenchmarkHotLoopTraced(b *testing.B) {
 	e := New()

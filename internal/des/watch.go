@@ -56,6 +56,7 @@ type Watch struct {
 	simTime atomic.Uint64 // math.Float64bits
 	fired   atomic.Uint64
 	pending atomic.Uint64
+	sched   atomic.Uint64
 	streak  atomic.Uint64
 	limit   atomic.Uint64
 	label   atomic.Pointer[string]
@@ -70,9 +71,13 @@ type Watch struct {
 
 // WatchSnapshot is one consistent reading of a Watch.
 type WatchSnapshot struct {
-	SimTime    float64
-	Fired      uint64
-	Pending    uint64
+	SimTime float64
+	Fired   uint64
+	Pending uint64
+	// Scheduled is the number of events ever scheduled (Engine.Seq). Every
+	// scheduled event fires or stays pending, so Scheduled == Fired +
+	// Pending: the engine's conservation ledger.
+	Scheduled  uint64
 	Streak     uint64
 	StallLimit uint64
 	LastLabel  string
@@ -87,7 +92,7 @@ func NewWatch() *Watch {
 
 // publish records the engine's position after one fired event. Called only
 // from the engine goroutine.
-func (w *Watch) publish(simTime float64, fired, pending, streak uint64, label string) {
+func (w *Watch) publish(simTime float64, fired, pending, scheduled, streak uint64, label string) {
 	if w == nil {
 		return
 	}
@@ -101,6 +106,7 @@ func (w *Watch) publish(simTime float64, fired, pending, streak uint64, label st
 	w.simTime.Store(math.Float64bits(simTime))
 	w.fired.Store(fired)
 	w.pending.Store(pending)
+	w.sched.Store(scheduled)
 	w.streak.Store(streak)
 	w.label.Store(lp)
 	w.seq.Add(1) // even: snapshot consistent
@@ -147,6 +153,7 @@ func (w *Watch) Snapshot() WatchSnapshot {
 		snap.SimTime = math.Float64frombits(w.simTime.Load())
 		snap.Fired = w.fired.Load()
 		snap.Pending = w.pending.Load()
+		snap.Scheduled = w.sched.Load()
 		snap.Streak = w.streak.Load()
 		if w.seq.Load() == s1 {
 			break

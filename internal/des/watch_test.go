@@ -23,6 +23,10 @@ func TestWatchPublishesEnginePosition(t *testing.T) {
 	if snap.Fired != e.Fired() {
 		t.Fatalf("snapshot fired %d, engine fired %d", snap.Fired, e.Fired())
 	}
+	if snap.Scheduled != e.Seq() || snap.Scheduled != snap.Fired+snap.Pending {
+		t.Fatalf("snapshot scheduled %d, engine seq %d, fired+pending %d",
+			snap.Scheduled, e.Seq(), snap.Fired+snap.Pending)
+	}
 	if snap.SimTime != e.Now() {
 		t.Fatalf("snapshot sim time %v, engine now %v", snap.SimTime, e.Now())
 	}
@@ -124,7 +128,7 @@ func TestWatchSnapshotConsistentUnderConcurrentReads(t *testing.T) {
 // telemetry handles, a nil watch is a valid no-op sink.
 func TestWatchNilSafe(t *testing.T) {
 	var w *Watch
-	w.publish(1, 2, 3, 4, "x")
+	w.publish(1, 2, 3, 5, 4, "x")
 	w.setLimit(10)
 	w.setStall(&StallError{})
 	w.MarkDone()

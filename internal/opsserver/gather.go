@@ -49,6 +49,9 @@ func (s *Server) families(opts Options) []Family {
 			Family{Name: "sim_epoch", Type: "gauge",
 				Help:    "Policy epochs completed.",
 				Samples: []Sample{{Value: float64(ls.Epoch)}}},
+			Family{Name: "sim_checkpoints_skipped", Type: "counter",
+				Help:    "Checkpoint ticks skipped while a policy callback was in flight.",
+				Samples: []Sample{{Value: float64(ls.CheckpointsSkipped)}}},
 			Family{Name: "sim_disks_spinning", Type: "gauge",
 				Help: "Disks by spin speed (epoch-fresh).",
 				Samples: []Sample{

@@ -16,7 +16,7 @@ import (
 //   - Fired events are complete ("X") slices on tid 1 whose dur is the
 //     handler's WALL-clock execution time in microseconds (floored at 1 so
 //     slices stay visible), which makes hot handlers literally wider.
-//   - Schedules and cancellations are instant ("i") events on tids 2 and 3.
+//   - Schedules are instant ("i") events on tid 2.
 //   - Logical spans (request lifetimes) are complete ("X") slices on tid 4
 //     whose dur is VIRTUAL elapsed time — a request's slice spans arrival
 //     to completion on the simulation clock.
@@ -35,7 +35,7 @@ type ChromeTracer struct {
 
 	written int
 	dropped uint64
-	seen    [4]uint64 // per-kind observation counts for sampling
+	seen    [3]uint64 // per-kind observation counts for sampling
 	closed  bool
 }
 
@@ -43,7 +43,6 @@ type ChromeTracer struct {
 const (
 	kindFired = iota
 	kindScheduled
-	kindCanceled
 	kindSpan
 )
 
@@ -65,7 +64,6 @@ func NewChromeTracer(w io.Writer, sampleEvery, maxEvents int) *ChromeTracer {
 	t.meta(`{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"arraysim (virtual time)"}}`)
 	t.meta(`{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"fired"}}`)
 	t.meta(`{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"scheduled"}}`)
-	t.meta(`{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"canceled"}}`)
 	t.meta(`{"name":"thread_name","ph":"M","pid":1,"tid":4,"args":{"name":"spans"}}`)
 	return t
 }
@@ -123,15 +121,6 @@ func (t *ChromeTracer) EventScheduled(id uint64, l string, at, now float64) {
 		label(l), now*1e6, id, at*1e6)
 }
 
-// EventCanceled records a cancellation at virtual time now.
-func (t *ChromeTracer) EventCanceled(id uint64, l string, now float64) {
-	if !t.admit(kindCanceled) {
-		return
-	}
-	fmt.Fprintf(t.w, `{"name":%q,"ph":"i","s":"t","pid":1,"tid":3,"ts":%.3f,"args":{"seq":%d}}`+",\n",
-		label(l), now*1e6, id)
-}
-
 // Span records a logical interval [start, end] in virtual seconds as a
 // complete slice; dur is virtual elapsed time (floored at 1 µs so slices
 // stay visible). It implements the des.SpanTracer extension structurally.
@@ -165,8 +154,8 @@ func (t *ChromeTracer) Close() error {
 	// Final metadata record: how much of the stream this trace covers.
 	// No trailing comma — it is the last element of the JSON array.
 	fmt.Fprintf(t.w,
-		`{"name":"trace_coverage","ph":"M","pid":1,"tid":0,"args":{"fired_seen":%d,"scheduled_seen":%d,"canceled_seen":%d,"spans_seen":%d,"records_written":%d,"dropped_at_cap":%d,"sample_every":%d}}`+"\n",
-		t.seen[kindFired], t.seen[kindScheduled], t.seen[kindCanceled], t.seen[kindSpan], t.written, t.dropped, t.sampleEvery)
+		`{"name":"trace_coverage","ph":"M","pid":1,"tid":0,"args":{"fired_seen":%d,"scheduled_seen":%d,"spans_seen":%d,"records_written":%d,"dropped_at_cap":%d,"sample_every":%d}}`+"\n",
+		t.seen[kindFired], t.seen[kindScheduled], t.seen[kindSpan], t.written, t.dropped, t.sampleEvery)
 	t.w.WriteString("]\n")
 	return t.w.Flush()
 }

@@ -36,9 +36,9 @@ func TestChromeTracerValidJSONUnderCap(t *testing.T) {
 	if tr.Written() != 3 {
 		t.Fatalf("Written() = %d, want 3", tr.Written())
 	}
-	// 5 metadata headers + 3 events + 1 coverage trailer.
-	if len(events) != 9 {
-		t.Fatalf("got %d records, want 9", len(events))
+	// 4 metadata headers + 3 events + 1 coverage trailer.
+	if len(events) != 8 {
+		t.Fatalf("got %d records, want 8", len(events))
 	}
 }
 
@@ -52,15 +52,14 @@ func TestChromeTracerSampling(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tr.EventScheduled(uint64(i), "s", float64(i+1), float64(i))
 	}
-	tr.EventCanceled(0, "c", 1)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 	events := parseTrace(t, buf.Bytes())
 	cov := coverage(t, events)
-	// fired: indices 0,3,6 → 3; scheduled: 0,3 → 2; canceled: 0 → 1.
-	if cov["records_written"] != 6.0 {
-		t.Fatalf("sampled records = %v, want 6", cov["records_written"])
+	// fired: indices 0,3,6 → 3; scheduled: 0,3 → 2.
+	if cov["records_written"] != 5.0 {
+		t.Fatalf("sampled records = %v, want 5", cov["records_written"])
 	}
 	if cov["sample_every"] != 3.0 {
 		t.Fatalf("sample_every = %v", cov["sample_every"])
@@ -138,7 +137,6 @@ func TestChromeTracerNilSafe(t *testing.T) {
 	var tr *ChromeTracer
 	tr.EventFired(1, "x", 1, 1)
 	tr.EventScheduled(1, "x", 2, 1)
-	tr.EventCanceled(1, "x", 1)
 	if tr.Written() != 0 {
 		t.Fatal("nil tracer wrote records")
 	}

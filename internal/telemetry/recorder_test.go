@@ -92,7 +92,6 @@ func TestChromeTracerEmitsValidTrace(t *testing.T) {
 	tr := NewChromeTracer(&buf, 1, 0)
 	tr.EventScheduled(1, "arrival", 2.5, 0)
 	tr.EventFired(1, "arrival", 2.5, 1800)
-	tr.EventCanceled(7, "idle-timer", 3)
 	tr.EventFired(2, "", 4, 100) // empty label falls back to "event"
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -103,8 +102,8 @@ func TestChromeTracerEmitsValidTrace(t *testing.T) {
 	for _, r := range records {
 		byPhase[r["ph"].(string)]++
 	}
-	if byPhase["X"] != 2 || byPhase["i"] != 2 {
-		t.Fatalf("phases = %v, want 2 X and 2 i", byPhase)
+	if byPhase["X"] != 2 || byPhase["i"] != 1 {
+		t.Fatalf("phases = %v, want 2 X and 1 i", byPhase)
 	}
 
 	var fired map[string]any
@@ -128,7 +127,7 @@ func TestChromeTracerEmitsValidTrace(t *testing.T) {
 		t.Fatalf("final record = %v, want trace_coverage metadata", last)
 	}
 	args := last["args"].(map[string]any)
-	if args["fired_seen"].(float64) != 2 || args["records_written"].(float64) != 4 {
+	if args["fired_seen"].(float64) != 2 || args["records_written"].(float64) != 3 {
 		t.Fatalf("coverage = %v", args)
 	}
 }
@@ -167,7 +166,6 @@ func TestChromeTracerNilAndClosed(t *testing.T) {
 	var tr *ChromeTracer
 	tr.EventFired(1, "x", 0, 0)
 	tr.EventScheduled(1, "x", 0, 0)
-	tr.EventCanceled(1, "x", 0)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
