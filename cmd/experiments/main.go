@@ -32,128 +32,61 @@ import (
 // logg is the command-wide leveled logger (level set from -quiet/-v).
 var logg = telemetry.NewLogger("experiments", nil, telemetry.LogInfo)
 
-// recordSweep writes one sweep condition's manifest into the run store,
-// stamping wall time. No-op when the store is nil (-runs-dir unset).
-func recordSweep(store *runstore.Store, name string, cfg experiment.SweepConfig,
-	res *experiment.SweepResult, start time.Time, pc runstore.PerfCapture) {
-	if store == nil {
-		return
-	}
-	m, err := experiment.SweepManifest(name, cfg, res)
-	if err != nil {
-		logg.Fatal(err)
-	}
-	m.CreatedAt = start.UTC().Format(time.RFC3339)
-	m.WallSeconds = time.Since(start).Seconds()
-	// The sweep-level perf sample aggregates every cell: total virtual time
-	// and events over the sweep's wall-clock and runtime deltas.
-	var simSeconds float64
-	var events uint64
-	for _, c := range res.Cells {
-		if c.Result != nil {
-			simSeconds += c.Result.Duration
-			events += c.Result.EventsFired
-		}
-	}
-	run := pc.Sample(simSeconds, events, false)
-	if m.Perf == nil {
-		m.Perf = &runstore.Perf{}
-	}
-	m.Perf.Run = &run
-	dir, err := store.Write(m)
-	if err != nil {
-		logg.Fatal(err)
-	}
-	writeDecisionLogs(dir, res)
-	logg.Infof("run %s recorded in %s", name, dir)
+// harness carries what every sweep condition shares: the run store, the ops
+// server, the execution flags, and the count of failed cells that becomes
+// the exit code.
+type harness struct {
+	store  *runstore.Store
+	srv    *opsserver.Server
+	exec   experiment.Exec // -workers, -retries, -progress, -trace-decisions
+	resume bool
+	failed int
 }
 
-// writeDecisionLogs persists each traced cell's decision log next to the
-// sweep manifest as decisions-<policy>[-<raid>]-<disks>.ndjson. No-op when
-// the sweep ran without TraceDecisions.
-func writeDecisionLogs(dir string, res *experiment.SweepResult) {
-	for _, cell := range res.Cells {
-		if cell.Decisions == nil {
-			continue
-		}
-		name := fmt.Sprintf("decisions-%s-%d.ndjson", cell.Policy, cell.Disks)
-		if cell.RAID != "" {
-			name = fmt.Sprintf("decisions-%s-%s-%d.ndjson", cell.Policy, cell.RAID, cell.Disks)
-		}
-		f, err := atomicio.Create(filepath.Join(dir, name))
-		if err != nil {
-			logg.Fatal(err)
-		}
-		if err := cell.Decisions.WriteNDJSON(f); err != nil {
-			f.Close()
-			logg.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			logg.Fatal(err)
+// sweep runs one sweep condition of either kind; x is cfg's embedded Exec,
+// id and run are the kind's ManifestID and Run functions. It skips the
+// condition when -resume finds it already recorded, attaches a fresh ops
+// tracker, runs it, records it, and counts its failed cells. It returns the
+// result and the condition's wall time, or nil when the condition was
+// skipped.
+func sweep[C, R any, P interface {
+	*R
+	experiment.Finished
+}](h *harness, name string, cfg *C, x *experiment.Exec, keys []string,
+	id func(string, C) (string, error), run func(C) (P, error)) (P, time.Duration) {
+	*x = h.exec
+	if h.resume {
+		if rid, err := id(name, *cfg); err == nil && h.recorded(name, rid) {
+			return nil, 0
 		}
 	}
-}
-
-// recordFleetSweep writes one fleet sweep condition's manifest into the run
-// store, mirroring recordSweep.
-func recordFleetSweep(store *runstore.Store, name string, cfg experiment.FleetSweepConfig,
-	res *experiment.FleetSweepResult, start time.Time, pc runstore.PerfCapture) {
-	if store == nil {
-		return
+	if h.srv != nil {
+		par := x.Parallelism
+		if par <= 0 {
+			par = runtime.NumCPU()
+		}
+		x.Track = telemetry.NewSweepTracker(keys, par)
+		h.srv.SetSweep(x.Track)
+		h.srv.SetRun(name, nil, nil)
 	}
-	m, err := experiment.FleetManifest(name, cfg, res)
-	if err != nil {
+	start := time.Now()
+	pc := runstore.StartPerf()
+	res, err := run(*cfg)
+	if res == nil {
 		logg.Fatal(err)
 	}
-	m.CreatedAt = start.UTC().Format(time.RFC3339)
-	m.WallSeconds = time.Since(start).Seconds()
-	var simSeconds float64
-	var events uint64
-	for _, c := range res.Cells {
-		if c.Result != nil {
-			simSeconds += c.Result.Duration
-			events += c.Result.EventsFired
-		}
-	}
-	run := pc.Sample(simSeconds, events, false)
-	if m.Perf == nil {
-		m.Perf = &runstore.Perf{}
-	}
-	m.Perf.Run = &run
-	dir, err := store.Write(m)
 	if err != nil {
-		logg.Fatal(err)
+		logg.Errorf("sweep %s: %v", name, err)
 	}
-	for _, cell := range res.Cells {
-		if cell.Decisions == nil {
-			continue
-		}
-		name := fmt.Sprintf("decisions-fleet-%s-%s-%d.ndjson", cell.Policy, cell.Routing, cell.Arrays)
-		f, err := atomicio.Create(filepath.Join(dir, name))
-		if err != nil {
-			logg.Fatal(err)
-		}
-		if err := cell.Decisions.WriteNDJSON(f); err != nil {
-			f.Close()
-			logg.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			logg.Fatal(err)
-		}
-	}
-	logg.Infof("run %s recorded in %s", name, dir)
+	h.record(name, res, start, pc)
+	return res, time.Since(start)
 }
 
-// skipRecordedFleet mirrors skipRecorded for fleet sweep conditions.
-func skipRecordedFleet(store *runstore.Store, name string, cfg experiment.FleetSweepConfig) bool {
-	if store == nil {
-		return false
-	}
-	id, err := experiment.FleetManifestID(name, cfg)
-	if err != nil {
-		return false
-	}
-	m, err := runstore.ReadManifest(filepath.Join(store.Root(), id))
+// recorded reports whether the store already holds the manifest id for
+// this sweep condition — same name, same config digest — with a status
+// other than "failed".
+func (h *harness) recorded(name, id string) bool {
+	m, err := runstore.ReadManifest(filepath.Join(h.store.Root(), id))
 	if err != nil || m.Status == string(experiment.CellFailed) {
 		return false
 	}
@@ -161,24 +94,61 @@ func skipRecordedFleet(store *runstore.Store, name string, cfg experiment.FleetS
 	return true
 }
 
-// skipRecorded reports whether the store already holds a manifest for this
-// sweep condition — same name, same config digest — whose status is not
-// "failed". A -resume driver uses it to skip work a previous (possibly
-// killed) invocation already completed.
-func skipRecorded(store *runstore.Store, name string, cfg experiment.SweepConfig) bool {
-	if store == nil {
-		return false
+// record counts a finished sweep's failed cells and writes its manifest,
+// stamped with wall time and the sweep's perf sample, into the run store,
+// with each traced cell's decision log next to it as
+// decisions-<cell key, dots as dashes>.ndjson (e.g.
+// decisions-read-raid5-12.ndjson, decisions-fleet-read-round-robin-2.ndjson).
+// Writes nothing when the store is nil (-runs-dir unset).
+func (h *harness) record(name string, res experiment.Finished, start time.Time, pc runstore.PerfCapture) {
+	cells := res.Outcomes()
+	// The sweep-level perf sample aggregates every completed cell: total
+	// virtual time and events over the sweep's wall-clock and runtime deltas.
+	var simSeconds float64
+	var events uint64
+	for _, c := range cells {
+		if c.Status == experiment.CellFailed {
+			h.failed++
+		} else {
+			simSeconds += c.Perf.SimSeconds
+			events += uint64(c.Perf.Events)
+		}
 	}
-	id, err := experiment.SweepManifestID(name, cfg)
+	if h.store == nil {
+		return
+	}
+	m, err := res.Manifest(name)
 	if err != nil {
-		return false
+		logg.Fatal(err)
 	}
-	m, err := runstore.ReadManifest(filepath.Join(store.Root(), id))
-	if err != nil || m.Status == string(experiment.CellFailed) {
-		return false
+	m.CreatedAt = start.UTC().Format(time.RFC3339)
+	m.WallSeconds = time.Since(start).Seconds()
+	run := pc.Sample(simSeconds, events, false)
+	if m.Perf == nil {
+		m.Perf = &runstore.Perf{}
 	}
-	logg.Infof("resume: skipping %s (already recorded as %s)", name, id)
-	return true
+	m.Perf.Run = &run
+	dir, err := h.store.Write(m)
+	if err != nil {
+		logg.Fatal(err)
+	}
+	for _, c := range cells {
+		if c.Decisions == nil {
+			continue
+		}
+		f, err := atomicio.Create(filepath.Join(dir, "decisions-"+strings.ReplaceAll(c.Key, ".", "-")+".ndjson"))
+		if err != nil {
+			logg.Fatal(err)
+		}
+		if err := c.Decisions.WriteNDJSON(f); err != nil {
+			f.Close()
+			logg.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			logg.Fatal(err)
+		}
+	}
+	logg.Infof("run %s recorded in %s", name, dir)
 }
 
 // validFigures is the closed set -fig accepts; "all" runs everything except
@@ -313,21 +283,20 @@ func run() int {
 		}
 		defer srv.Close()
 	}
-	// runSweep attaches a fresh tracker (when the ops plane is up) and runs
-	// the condition.
-	runSweep := func(name string, cfg *experiment.SweepConfig) (*experiment.SweepResult, error) {
-		cfg.Parallelism = *workers
-		if srv != nil {
-			par := cfg.Parallelism
-			if par <= 0 {
-				par = runtime.NumCPU()
-			}
-			track := telemetry.NewSweepTracker(cfg.CellKeys(), par)
-			cfg.Track = track
-			srv.SetSweep(track)
-			srv.SetRun(name, nil, nil)
-		}
-		return experiment.RunSweep(*cfg)
+	h := &harness{
+		store:  store,
+		srv:    srv,
+		resume: *resume,
+		exec: experiment.Exec{
+			Parallelism:    *workers,
+			CellAttempts:   1 + *retries,
+			Progress:       prog,
+			TraceDecisions: *traceDec,
+		},
+	}
+	load := "light"
+	if *heavy {
+		load = "heavy"
 	}
 
 	var csvW io.Writer
@@ -343,7 +312,6 @@ func run() int {
 	}
 
 	model := reliability.NewModel()
-	failedCells := 0
 	want := func(names ...string) bool {
 		if *fig == "all" {
 			return true
@@ -424,56 +392,29 @@ func run() int {
 	}
 
 	if want("7", "7a", "7b", "7c") {
-		conditions := []struct {
+		type condition struct {
 			name      string
 			intensity float64
-		}{}
+		}
+		light := condition{"light", experiment.LightIntensity}
+		heavyCond := condition{"heavy", experiment.HeavyIntensity}
+		conditions := []condition{light}
 		switch {
 		case *both:
-			conditions = append(conditions,
-				struct {
-					name      string
-					intensity float64
-				}{"light", experiment.LightIntensity},
-				struct {
-					name      string
-					intensity float64
-				}{"heavy", experiment.HeavyIntensity})
+			conditions = []condition{light, heavyCond}
 		case *heavy:
-			conditions = append(conditions, struct {
-				name      string
-				intensity float64
-			}{"heavy", experiment.HeavyIntensity})
-		default:
-			conditions = append(conditions, struct {
-				name      string
-				intensity float64
-			}{"light", experiment.LightIntensity})
+			conditions = []condition{heavyCond}
 		}
 		for _, cond := range conditions {
 			cfg := experiment.DefaultSweepConfig()
 			cfg.Scale = *scale
 			cfg.Intensity = cond.intensity
-			cfg.MaxAttempts = 1 + *retries
-			cfg.Progress = prog
-			cfg.TraceDecisions = *traceDec
-			condName := "fig7-" + cond.name
-			if *resume && skipRecorded(store, condName, cfg) {
+			res, took := sweep(h, "fig7-"+cond.name, &cfg, &cfg.Exec, cfg.CellKeys(), experiment.SweepManifestID, experiment.RunSweep)
+			if res == nil {
 				continue
 			}
-			start := time.Now()
-			pc := runstore.StartPerf()
-			res, err := runSweep(condName, &cfg)
-			if res == nil {
-				logg.Fatal(err)
-			}
-			if err != nil {
-				logg.Errorf("sweep %s: %v", condName, err)
-				failedCells += len(res.FailedCells())
-			}
-			recordSweep(store, condName, cfg, res, start, pc)
 			fmt.Printf("Figure 7 — %s workload (scale %.3g, %s)\n\n",
-				cond.name, *scale, time.Since(start).Round(time.Millisecond))
+				cond.name, *scale, took.Round(time.Millisecond))
 			panels := []struct {
 				id     string
 				metric experiment.Metric
@@ -510,27 +451,9 @@ func run() int {
 		if *heavy {
 			cfg.Intensity = experiment.HeavyIntensity
 		}
-		cfg.MaxAttempts = 1 + *retries
-		cfg.Progress = prog
-		cfg.TraceDecisions = *traceDec
-		faultsName := "faults-light"
-		if *heavy {
-			faultsName = "faults-heavy"
-		}
-		if !*resume || !skipRecorded(store, faultsName, cfg) {
-			start := time.Now()
-			pc := runstore.StartPerf()
-			res, err := runSweep(faultsName, &cfg)
-			if res == nil {
-				logg.Fatal(err)
-			}
-			if err != nil {
-				logg.Errorf("sweep %s: %v", faultsName, err)
-				failedCells += len(res.FailedCells())
-			}
-			recordSweep(store, faultsName, cfg, res, start, pc)
+		if res, took := sweep(h, "faults-"+load, &cfg, &cfg.Exec, cfg.CellKeys(), experiment.SweepManifestID, experiment.RunSweep); res != nil {
 			fmt.Printf("Fault sweep — energy vs observed data loss (scale %.3g, accel %.0g, %d spare(s), %s)\n\n",
-				*scale, experiment.FaultSweepAcceleration, cfg.Spares, time.Since(start).Round(time.Millisecond))
+				*scale, experiment.FaultSweepAcceleration, cfg.Spares, took.Round(time.Millisecond))
 			experiment.RenderFaultSummary(os.Stdout, res,
 				"Observed reliability — Weibull failures under live PRESS hazard scaling")
 			fmt.Println()
@@ -549,27 +472,9 @@ func run() int {
 		if *heavy {
 			cfg.Intensity = experiment.HeavyIntensity
 		}
-		cfg.MaxAttempts = 1 + *retries
-		cfg.Progress = prog
-		cfg.TraceDecisions = *traceDec
-		raidName := "raidloss-light"
-		if *heavy {
-			raidName = "raidloss-heavy"
-		}
-		if !*resume || !skipRecorded(store, raidName, cfg) {
-			start := time.Now()
-			pc := runstore.StartPerf()
-			res, err := runSweep(raidName, &cfg)
-			if res == nil {
-				logg.Fatal(err)
-			}
-			if err != nil {
-				logg.Errorf("sweep %s: %v", raidName, err)
-				failedCells += len(res.FailedCells())
-			}
-			recordSweep(store, raidName, cfg, res, start, pc)
+		if res, took := sweep(h, "raidloss-"+load, &cfg, &cfg.Exec, cfg.CellKeys(), experiment.SweepManifestID, experiment.RunSweep); res != nil {
 			fmt.Printf("RAID-loss sweep — MTTDL per RAID organization × energy policy (scale %.3g, accel %.0g, %d spare(s), %s)\n\n",
-				*scale, experiment.RAIDLossAcceleration, cfg.Spares, time.Since(start).Round(time.Millisecond))
+				*scale, experiment.RAIDLossAcceleration, cfg.Spares, took.Round(time.Millisecond))
 			experiment.RenderRAIDLoss(os.Stdout, res,
 				"Data-loss combinations — latent sector errors, scrubbing, Weibull rebuilds")
 			fmt.Println()
@@ -626,38 +531,9 @@ func run() int {
 		if *heavy {
 			cfg.Intensity = experiment.HeavyIntensity
 		}
-		cfg.CellAttempts = 1 + *retries
-		cfg.Parallelism = *workers
-		cfg.Progress = prog
-		cfg.TraceDecisions = *traceDec
-		fleetName := "fleet-light"
-		if *heavy {
-			fleetName = "fleet-heavy"
-		}
-		if !*resume || !skipRecordedFleet(store, fleetName, cfg) {
-			if srv != nil {
-				par := cfg.Parallelism
-				if par <= 0 {
-					par = runtime.NumCPU()
-				}
-				track := telemetry.NewSweepTracker(cfg.CellKeys(), par)
-				cfg.Track = track
-				srv.SetSweep(track)
-				srv.SetRun(fleetName, nil, nil)
-			}
-			start := time.Now()
-			pc := runstore.StartPerf()
-			res, err := experiment.RunFleetSweep(cfg)
-			if res == nil {
-				logg.Fatal(err)
-			}
-			if err != nil {
-				logg.Errorf("sweep %s: %v", fleetName, err)
-				failedCells += len(res.FailedCells())
-			}
-			recordFleetSweep(store, fleetName, cfg, res, start, pc)
+		if res, took := sweep(h, "fleet-"+load, &cfg, &cfg.Exec, cfg.CellKeys(), experiment.FleetManifestID, experiment.RunFleetSweep); res != nil {
 			fmt.Printf("Fleet sweep — routing × policy over fleet sizes (scale %.3g, replicas %d, %s)\n\n",
-				*scale, cfg.Replicas, time.Since(start).Round(time.Millisecond))
+				*scale, cfg.Replicas, took.Round(time.Millisecond))
 			experiment.RenderFleetSummary(os.Stdout, res,
 				"Fleet resilience — deadlines, retries, hedging, failover")
 			fmt.Println()
@@ -673,9 +549,9 @@ func run() int {
 	if srv != nil {
 		srv.MarkDone()
 	}
-	if failedCells > 0 {
-		logg.Errorf("%d sweep cell(s) failed after all retries", failedCells)
-		return min(failedCells, 125)
+	if h.failed > 0 {
+		logg.Errorf("%d sweep cell(s) failed after all retries", h.failed)
+		return min(h.failed, 125)
 	}
 	return 0
 }

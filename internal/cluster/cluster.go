@@ -364,6 +364,10 @@ type Result struct {
 
 	// ShocksInjected counts rack power events that fired.
 	ShocksInjected int
+	// CheckpointsSkipped counts checkpoint ticks that wrote no snapshot
+	// because a member had an opaque policy callback in flight; zero
+	// without Config.Checkpoint.
+	CheckpointsSkipped int `json:",omitempty"`
 
 	// Fleet roll-ups over members.
 	EnergyJ      float64
@@ -431,6 +435,8 @@ func (c *clusterSim) collect() (*Result, error) {
 		Shed:           c.shed,
 		Failed:         c.failed,
 		ShocksInjected: c.shocks,
+
+		CheckpointsSkipped: c.checkpointsSkipped,
 	}
 	if c.hist.N() > 0 {
 		for _, q := range []struct {

@@ -44,31 +44,6 @@ func (c *AblationConfig) setDefaults() {
 	}
 }
 
-// prepare builds the trace and epoch length for an ablation.
-func (c AblationConfig) prepare() (*workload.Trace, float64, error) {
-	wl := c.Workload
-	var err error
-	if c.Intensity != 1 {
-		wl, err = wl.WithIntensity(c.Intensity)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	if c.Scale != 1 {
-		wl, err = wl.Scaled(c.Scale)
-		if err != nil {
-			return nil, 0, err
-		}
-		wl.PhaseSeconds *= c.Scale
-	}
-	trace, err := workload.Generate(wl)
-	if err != nil {
-		return nil, 0, err
-	}
-	duration := float64(wl.NumRequests) * wl.MeanInterarrival
-	return trace, duration / float64(c.EpochsPerTrace), nil
-}
-
 // VariantResult is one ablation cell: a named policy variant's outcome.
 type VariantResult struct {
 	Label  string
@@ -81,7 +56,7 @@ func runVariants(cfg AblationConfig, variants []struct {
 	make  func() array.Policy
 }) ([]VariantResult, error) {
 	cfg.setDefaults()
-	trace, epoch, err := cfg.prepare()
+	trace, epoch, err := sweepTrace(cfg.Workload, cfg.Intensity, cfg.Scale, 0, cfg.EpochsPerTrace)
 	if err != nil {
 		return nil, err
 	}

@@ -10,12 +10,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/array"
 	"repro/internal/des"
@@ -93,8 +88,6 @@ type SweepConfig struct {
 	EpochSeconds float64
 	// EpochsPerTrace is used when EpochSeconds is zero; zero means 24.
 	EpochsPerTrace int
-	// Parallelism bounds concurrent simulations; zero means NumCPU.
-	Parallelism int
 	// Press overrides the reliability model used for AFRs (nil = default).
 	// Used for robustness checks, e.g. swapping in the literal OCR reading
 	// of Equation 3.
@@ -125,31 +118,9 @@ type SweepConfig struct {
 	// RunGuarded watchdog aborts a cell whose event loop fires that many
 	// events without advancing virtual time. Zero uses the array default.
 	StallLimit uint64
-	// MaxAttempts bounds how many times a failed cell is retried before it
-	// is recorded as failed (total attempts, not extra retries). Zero or
-	// one means no retry. Retries are mostly useful against transient
-	// environmental failures; a deterministic simulation bug fails the
-	// same way every attempt and is recorded after MaxAttempts tries.
-	MaxAttempts int
-	// RetryBaseDelay is the first retry's backoff; each further retry
-	// doubles it. Zero means 500ms.
-	RetryBaseDelay time.Duration
-	// Progress, when non-nil, receives structured phase and per-cell
-	// completion lines while the sweep runs. It is rate-limited and
-	// goroutine-safe, so a large sweep logs a steady trickle rather than a
-	// burst per cell.
-	Progress *telemetry.Progress
-	// TraceDecisions attaches a decision log to every cell, filling
-	// Cell.Decisions and Result.Attribution. Tracing is observational — it
-	// never changes a cell's results — so like Progress it is an execution
-	// knob, deliberately excluded from the sweep's manifest digest.
-	TraceDecisions bool
-	// Track, when non-nil, receives the sweep's live per-cell state for the
-	// ops plane (pending/running/done/failed/retried, watchdog positions,
-	// ETA). Build it with telemetry.NewSweepTracker(cfg.CellKeys(), ...).
-	// Like Progress it is observation-only and excluded from the digest;
-	// results are bit-identical with or without it.
-	Track *telemetry.SweepTracker
+	// Exec holds the execution knobs (workers, cell retries, progress,
+	// ops tracking, decision tracing), none of which enters the digest.
+	Exec
 }
 
 // DefaultSweepConfig returns the paper's light-workload sweep at a reduced
@@ -205,42 +176,18 @@ func (c *SweepConfig) setDefaults() {
 	if c.EpochsPerTrace <= 0 {
 		c.EpochsPerTrace = 24
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.NumCPU()
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 1
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 500 * time.Millisecond
-	}
+	c.Exec.setDefaults()
 }
 
 // Validate reports the first invalid sweep parameter.
 func (c *SweepConfig) Validate() error {
-	if c.Scale <= 0 || c.Scale > 1 {
-		return fmt.Errorf("experiment: scale %v outside (0,1]", c.Scale)
-	}
-	if c.Intensity <= 0 {
-		return fmt.Errorf("experiment: intensity %v must be positive", c.Intensity)
+	if err := validateGrid(c.Scale, c.Intensity, c.Policies, c.Faults, c.Spares); err != nil {
+		return err
 	}
 	for _, n := range c.DiskCounts {
 		if n < 2 {
 			return fmt.Errorf("experiment: disk count %d too small", n)
 		}
-	}
-	for _, k := range c.Policies {
-		if _, err := NewPolicy(k); err != nil {
-			return err
-		}
-	}
-	if c.Faults != nil {
-		if err := c.Faults.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.Spares < 0 {
-		return fmt.Errorf("experiment: negative spare count %d", c.Spares)
 	}
 	if c.RebuildMBps < 0 {
 		return fmt.Errorf("experiment: negative rebuild rate %v", c.RebuildMBps)
@@ -261,18 +208,29 @@ func (c *SweepConfig) Validate() error {
 	return c.Workload.Validate()
 }
 
-// CellStatus records how a sweep cell finished.
-type CellStatus string
-
-// The cell outcomes a sweep manifest records.
-const (
-	// CellOK: the cell succeeded on its first attempt.
-	CellOK CellStatus = "ok"
-	// CellRetried: the cell succeeded after at least one failed attempt.
-	CellRetried CellStatus = "retried"
-	// CellFailed: every attempt failed; Result is nil and Err explains.
-	CellFailed CellStatus = "failed"
-)
+// validateGrid checks the parameters both sweep kinds share.
+func validateGrid(scale, intensity float64, policies []PolicyKind, fc *faults.Config, spares int) error {
+	if scale <= 0 || scale > 1 {
+		return fmt.Errorf("experiment: scale %v outside (0,1]", scale)
+	}
+	if intensity <= 0 {
+		return fmt.Errorf("experiment: intensity %v must be positive", intensity)
+	}
+	for _, k := range policies {
+		if _, err := NewPolicy(k); err != nil {
+			return err
+		}
+	}
+	if fc != nil {
+		if err := fc.Validate(); err != nil {
+			return err
+		}
+	}
+	if spares < 0 {
+		return fmt.Errorf("experiment: negative spare count %d", spares)
+	}
+	return nil
+}
 
 // Cell is one sweep cell result. Result is nil exactly when Status is
 // CellFailed.
@@ -283,56 +241,58 @@ type Cell struct {
 	// no RAID axis.
 	RAID   array.RAIDLevel
 	Result *array.Result
-	// Status is CellOK, CellRetried, or CellFailed.
-	Status CellStatus
-	// Attempts is how many times the cell ran (1 when it succeeded
-	// immediately).
-	Attempts int
-	// Err holds the final attempt's error when Status is CellFailed.
-	Err string
-	// Stall is the structured watchdog record when the final attempt died
-	// to the event-loop stall detector; nil for any other failure (and for
-	// successes). It carries the stalling event's label, virtual time, and
-	// queue depth — the /healthz payload and the sweep manifest's failure
-	// markers both read it.
-	Stall *des.StallError
-	// Perf is the cell's self-performance sample (wall-clock, events/s,
-	// allocation and GC deltas of the successful attempt). It feeds the
-	// manifest's perf section, never the diffed metric set.
-	Perf *runstore.PerfSample
-	// Decisions is the cell's decision log when the sweep ran with
-	// TraceDecisions; nil otherwise.
-	Decisions *telemetry.DecisionLog
+	Outcome
 }
 
 // Key is the cell's ops-plane and manifest identity:
 // "<policy>[.<raid>].<disks>" — the same segments the manifest's
 // "cell.<...>.<metric>" Summary.Extra keys use.
-func (c Cell) Key() string { return cellKey(c.Policy, c.RAID, c.Disks) }
-
-func cellKey(p PolicyKind, raid array.RAIDLevel, disks int) string {
-	if raid != "" {
-		return fmt.Sprintf("%s.%s.%d", p, raid, disks)
+func (c Cell) Key() string {
+	if c.RAID != "" {
+		return fmt.Sprintf("%s.%s.%d", c.Policy, c.RAID, c.Disks)
 	}
-	return fmt.Sprintf("%s.%d", p, disks)
+	return fmt.Sprintf("%s.%d", c.Policy, c.Disks)
 }
 
-// CellKeys enumerates the sweep's cell identities in execution-grid order,
-// for building a telemetry.SweepTracker before the sweep starts. The order
-// matches RunSweep's job grid (disks-major, then RAID level, then policy).
-func (c SweepConfig) CellKeys() []string {
-	c.setDefaults()
+func (c *Cell) desc() string {
+	if c.RAID != "" {
+		return fmt.Sprintf("disks=%d policy=%s raid=%s", c.Disks, c.Policy, c.RAID)
+	}
+	return fmt.Sprintf("disks=%d policy=%s", c.Disks, c.Policy)
+}
+
+func (c *Cell) cost() (float64, uint64) { return c.Result.Duration, c.Result.EventsFired }
+
+// cells lays out the sweep grid, disks-major, then RAID level, then policy.
+// With no RAID axis the single empty level keeps the grid — and therefore
+// cell ordering and manifest keys — identical to a pre-RAID sweep.
+func (c *SweepConfig) cells() []Cell {
 	raids := c.RAIDLevels
 	if len(raids) == 0 {
 		raids = []array.RAIDLevel{""}
 	}
-	keys := make([]string, 0, len(c.DiskCounts)*len(raids)*len(c.Policies))
+	cells := make([]Cell, 0, len(c.DiskCounts)*len(raids)*len(c.Policies))
 	for _, n := range c.DiskCounts {
 		for _, r := range raids {
 			for _, p := range c.Policies {
-				keys = append(keys, cellKey(p, r, n))
+				cells = append(cells, Cell{Disks: n, Policy: p, RAID: r})
 			}
 		}
+	}
+	return cells
+}
+
+// CellKeys enumerates the sweep's cell identities in grid order, for
+// building a telemetry.SweepTracker before the sweep starts.
+func (c SweepConfig) CellKeys() []string {
+	c.setDefaults()
+	return cellKeys(c.cells())
+}
+
+func cellKeys[C any, P cellPtr[C]](cells []C) []string {
+	keys := make([]string, len(cells))
+	for i := range cells {
+		keys[i] = P(&cells[i]).Key()
 	}
 	return keys
 }
@@ -340,45 +300,26 @@ func (c SweepConfig) CellKeys() []string {
 // SweepResult is the full policy × array-size grid.
 type SweepResult struct {
 	Config SweepConfig
-	Cells  []Cell // sorted by (Disks, Policy order in Config)
+	Cells  []Cell // in grid order (see SweepConfig.cells)
 }
 
-// FailedCells returns the cells whose every attempt failed.
-func (s *SweepResult) FailedCells() []Cell {
-	var out []Cell
-	for _, c := range s.Cells {
-		if c.Status == CellFailed {
-			out = append(out, c)
-		}
-	}
-	return out
+// Outcomes lists every cell's outcome in grid order.
+func (s *SweepResult) Outcomes() []KeyedOutcome { return keyedOutcomes(s.Cells) }
+
+// Manifest is SweepManifest over the sweep's own configuration.
+func (s *SweepResult) Manifest(name string) (*runstore.Manifest, error) {
+	return SweepManifest(name, s.Config, s)
 }
 
-// testCellHook, when non-nil, runs at the start of every cell attempt
-// (inside the panic-recovery scope). Tests use it to make chosen cells
-// panic and verify the sweep survives.
-var testCellHook func(kind PolicyKind, disks int)
-
-// runCellOnce executes a single sweep cell attempt. A panic anywhere in the
-// cell — the policy, the simulator, the hook — is converted into an error
-// with the stack attached, so one broken cell cannot take down the sweep's
-// worker pool.
-func runCellOnce(cfg *SweepConfig, trace *workload.Trace, epoch float64, disks int, kind PolicyKind, raid array.RAIDLevel, live *telemetry.Live, watch *des.Watch) (res *array.Result, dlog *telemetry.DecisionLog, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, dlog = nil, nil
-			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
-		}
-	}()
-	if testCellHook != nil {
-		testCellHook(kind, disks)
-	}
-	pol, err := NewPolicy(kind)
+// runCellOnce executes a single array sweep cell attempt under the
+// runner-supplied observers.
+func runCellOnce(cfg *SweepConfig, trace *workload.Trace, epoch float64, c *Cell, rec *telemetry.Recorder, watch *des.Watch) (*array.Result, error) {
+	pol, err := NewPolicy(c.Policy)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	acfg := array.Config{
-		Disks:        disks,
+		Disks:        c.Disks,
 		Trace:        trace,
 		Policy:       pol,
 		EpochSeconds: epoch,
@@ -386,224 +327,44 @@ func runCellOnce(cfg *SweepConfig, trace *workload.Trace, epoch float64, disks i
 		Spares:       cfg.Spares,
 		RebuildMBps:  cfg.RebuildMBps,
 		StallLimit:   cfg.StallLimit,
+		Telemetry:    rec,
 		Watch:        watch,
-	}
-	if cfg.TraceDecisions {
-		// An in-memory recorder carrying only the decision log: the cell's
-		// metrics artifacts are unchanged, and the caller drains the log.
-		dlog = telemetry.NewDecisionLog()
-		acfg.Telemetry = &telemetry.Recorder{Decisions: dlog}
-	}
-	if live != nil {
-		// The ops plane wants this cell's live counters. Reuse the decision
-		// recorder when tracing is also on; both are observation-only, so
-		// results stay bit-identical either way.
-		if acfg.Telemetry == nil {
-			acfg.Telemetry = &telemetry.Recorder{}
-		}
-		acfg.Telemetry.Live = live
 	}
 	if cfg.Faults != nil {
 		fc := *cfg.Faults
-		fc.Seed += int64(disks)
+		fc.Seed += int64(c.Disks)
 		acfg.Faults = &fc
 	}
-	if raid != "" {
-		acfg.RAID = array.RAIDConfig{Level: raid, StripeWidth: cfg.RAIDStripeWidth}
+	if c.RAID != "" {
+		acfg.RAID = array.RAIDConfig{Level: c.RAID, StripeWidth: cfg.RAIDStripeWidth}
 	}
-	res, err = array.Run(acfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, dlog, nil
+	return array.Run(acfg)
 }
 
 // RunSweep generates the workload once and replays it through every
-// (policy, array size) cell in parallel.
+// (policy, array size[, RAID level]) cell on the shared sweep runner.
 //
-// Cells are isolated: a cell that returns an error or panics is retried up
-// to MaxAttempts times with exponential backoff, and if it still fails it is
-// recorded as CellFailed while every other cell runs to completion. When any
-// cell ultimately fails, RunSweep returns the complete SweepResult alongside
-// a non-nil error summarizing the failures — callers that want the partial
-// grid (e.g. to write a manifest with per-cell status) inspect the result;
-// callers that treat any failure as fatal keep the old error contract.
+// When any cell ultimately fails, RunSweep returns the complete SweepResult
+// alongside a non-nil error summarizing the failures — callers that want
+// the partial grid (e.g. to write a manifest with per-cell status) inspect
+// the result; callers that treat any failure as fatal keep the old error
+// contract.
 func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	cfg.setDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.Progress.Phase("sweep: generate workload")
-	wl := cfg.Workload
-	var err error
-	if cfg.Intensity != 1 {
-		wl, err = wl.WithIntensity(cfg.Intensity)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Scale != 1 {
-		wl, err = wl.Scaled(cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		// Preserve the number of popularity phases across the shortened
-		// trace so churn-driven behaviour is scale-invariant.
-		wl.PhaseSeconds *= cfg.Scale
-	}
-	trace, err := workload.Generate(wl)
+	trace, epoch, err := sweepTrace(cfg.Workload, cfg.Intensity, cfg.Scale, cfg.EpochSeconds, cfg.EpochsPerTrace)
 	if err != nil {
 		return nil, err
 	}
-	epoch := cfg.EpochSeconds
-	if epoch == 0 {
-		duration := float64(wl.NumRequests) * wl.MeanInterarrival
-		epoch = duration / float64(cfg.EpochsPerTrace)
-	}
-
-	// With no RAID axis the single empty level keeps the job grid — and
-	// therefore cell ordering and manifest keys — identical to a pre-RAID
-	// sweep.
-	raids := cfg.RAIDLevels
-	if len(raids) == 0 {
-		raids = []array.RAIDLevel{""}
-	}
-	var jobs []sweepJob
-	for _, n := range cfg.DiskCounts {
-		for _, r := range raids {
-			for _, p := range cfg.Policies {
-				jobs = append(jobs, sweepJob{idx: len(jobs), disks: n, policy: p, raid: r})
-			}
-		}
-	}
-	cells := make([]Cell, len(jobs))
-	cfg.Progress.Phase(fmt.Sprintf("sweep: run %d cells", len(jobs)))
-	var done atomic.Int64
-
-	// Bounded worker pool: exactly min(Parallelism, len(jobs)) goroutines
-	// drain a job channel. Each worker owns one cell end-to-end (engine,
-	// RNG, telemetry are constructed inside runSweepCell), results land at
-	// the cell's own grid index, and the grid — and therefore the manifest
-	// — is bit-identical to a -workers=1 run; only the interleaving of
-	// progress lines varies.
-	workers := cfg.Parallelism
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	jobCh := make(chan sweepJob)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				cells[j.idx] = runSweepCell(&cfg, trace, epoch, j, len(jobs), &done)
-			}
-		}()
-	}
-	for _, j := range jobs {
-		jobCh <- j
-	}
-	close(jobCh)
-	wg.Wait()
-	res := &SweepResult{Config: cfg, Cells: cells}
-	if failed := res.FailedCells(); len(failed) > 0 {
-		return res, fmt.Errorf("experiment: %d of %d cells failed; first: %s",
-			len(failed), len(cells), failed[0].Err)
-	}
-	return res, nil
-}
-
-// sweepJob identifies one cell of the sweep grid: its grid index and the
-// (disks, policy, raid) coordinates.
-type sweepJob struct {
-	idx    int
-	disks  int
-	policy PolicyKind
-	raid   array.RAIDLevel
-}
-
-// runSweepCell runs one sweep cell to completion on the calling goroutine,
-// retrying per the sweep's attempt policy. The cell owns its engine, RNG,
-// and telemetry end-to-end — runCellOnce constructs all three fresh per
-// attempt — so concurrent cells share only the read-only config and trace,
-// plus the mutex/seqlock-mediated progress and tracker handles.
-func runSweepCell(cfg *SweepConfig, trace *workload.Trace, epoch float64, j sweepJob, total int, done *atomic.Int64) Cell {
-	cell := Cell{Disks: j.disks, Policy: j.policy, RAID: j.raid}
-	key := cell.Key()
-	shared := cfg.Parallelism > 1
-	var lastErr error
-	var lastWall float64
-	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
-		cell.Attempts = attempt
-		if attempt > 1 {
-			time.Sleep(retryDelay(cfg.RetryBaseDelay, cfg.Workload.Seed, j.idx, attempt))
-			cfg.Progress.Stepf("sweep: retrying disks=%d policy=%s%s (attempt %d/%d)",
-				j.disks, j.policy, raidSuffix(j.raid), attempt, cfg.MaxAttempts)
-		}
-		// Fresh per-attempt ops handles (nil when no tracker): the
-		// array publishes its live position through them, and the
-		// /progress and /healthz endpoints read them concurrently.
-		live, watch := cfg.Track.StartCell(key)
-		pc := runstore.StartPerf()
-		res, dlog, err := runCellOnce(cfg, trace, epoch, j.disks, j.policy, j.raid, live, watch)
-		if err != nil {
-			lastErr = err
-			lastWall = pc.Sample(0, 0, shared).WallSeconds
-			cell.Err = fmt.Sprintf("disks=%d policy=%s%s: %v", j.disks, j.policy, raidSuffix(j.raid), err)
-			if attempt < cfg.MaxAttempts {
-				cfg.Track.CellRetrying(key, err)
-			}
-			continue
-		}
-		perf := pc.Sample(res.Duration, res.EventsFired, shared)
-		cell.Perf = &perf
-		cell.Result = res
-		cell.Decisions = dlog
-		cell.Err = ""
-		cell.Stall = nil
-		cell.Status = CellOK
-		if attempt > 1 {
-			cell.Status = CellRetried
-		}
-		cfg.Track.CellDone(key, perf.WallSeconds, res.EventsFired)
-		break
-	}
-	if cell.Result == nil {
-		cell.Status = CellFailed
-		var serr *des.StallError
-		if errors.As(lastErr, &serr) {
-			cell.Stall = serr
-		}
-		cfg.Track.CellFailed(key, lastErr, lastWall)
-	}
-	if cell.Status == CellFailed {
-		cfg.Progress.Stepf("sweep: cell %d/%d FAILED (disks=%d policy=%s%s, %d attempts)",
-			done.Add(1), total, j.disks, j.policy, raidSuffix(j.raid), cell.Attempts)
-	} else {
-		cfg.Progress.Stepf("sweep: cell %d/%d done (disks=%d policy=%s%s, %d events)",
-			done.Add(1), total, j.disks, j.policy, raidSuffix(j.raid), cell.Result.EventsFired)
-	}
-	return cell
-}
-
-// retryDelay computes the backoff before a cell's attempt-th try (attempt ≥
-// 2): exponential doubling from base, spread to [0.5×, 1.5×) by a pure hash
-// of (seed, cell index, attempt). No RNG state exists, so the retry schedule
-// is a function of the sweep configuration alone — identical on every run of
-// the same sweep, including a run resumed after a crash.
-func retryDelay(base time.Duration, seed int64, cell, attempt int) time.Duration {
-	d := base << uint(attempt-2)
-	return time.Duration(float64(d) * (0.5 + faults.Jitter01(seed, uint64(cell), uint64(attempt))))
-}
-
-// raidSuffix renders a RAID level for progress/error lines: empty when the
-// sweep has no RAID axis, " raid=<level>" otherwise.
-func raidSuffix(r array.RAIDLevel) string {
-	if r == "" {
-		return ""
-	}
-	return fmt.Sprintf(" raid=%s", r)
+	cells := cfg.cells()
+	err = runGrid(&cfg.Exec, "sweep", cfg.Workload.Seed, cells, func(c *Cell, rec *telemetry.Recorder, watch *des.Watch) (err error) {
+		c.Result, err = runCellOnce(&cfg, trace, epoch, c, rec, watch)
+		return err
+	})
+	return &SweepResult{Config: cfg, Cells: cells}, err
 }
 
 // Metric selects which scalar a figure plots.

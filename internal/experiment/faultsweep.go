@@ -11,7 +11,6 @@ import (
 	"io"
 
 	"repro/internal/faults"
-	"repro/internal/workload"
 )
 
 // FaultSweepAcceleration compresses the reliability timescale for the
@@ -72,28 +71,4 @@ func RenderFaultSummary(w io.Writer, s *SweepResult, title string) {
 		})
 	}
 	writeAligned(w, rows)
-}
-
-// TraceStatsOf is a small convenience for callers that need the trace
-// duration a sweep's workload implies (e.g. to report failures per
-// simulated hour).
-func TraceStatsOf(cfg SweepConfig) (workload.Stats, error) {
-	cfg.setDefaults()
-	wl := cfg.Workload
-	var err error
-	if cfg.Intensity != 1 {
-		if wl, err = wl.WithIntensity(cfg.Intensity); err != nil {
-			return workload.Stats{}, err
-		}
-	}
-	if cfg.Scale != 1 {
-		if wl, err = wl.Scaled(cfg.Scale); err != nil {
-			return workload.Stats{}, err
-		}
-	}
-	tr, err := workload.Generate(wl)
-	if err != nil {
-		return workload.Stats{}, err
-	}
-	return tr.ComputeStats()
 }

@@ -8,9 +8,8 @@ import (
 )
 
 // FleetManifestConfig is the digested configuration block of one fleet sweep
-// condition. Execution knobs (Parallelism, CellAttempts, RetryBaseDelay,
-// Progress, Track, TraceDecisions) are deliberately excluded: they never
-// change results.
+// condition. The execution knobs (Exec) are deliberately excluded: they
+// never change results.
 type FleetManifestConfig struct {
 	ArrayCounts       []int                   `json:"array_counts"`
 	Routings          []cluster.RoutingPolicy `json:"routings"`
@@ -51,105 +50,29 @@ func FleetManifest(name string, cfg FleetSweepConfig, res *FleetSweepResult) (*r
 	if err != nil {
 		return nil, err
 	}
-	cfg.setDefaults()
-
 	faultsOn := cfg.Faults != nil && cfg.Faults.Enabled
-	var sum runstore.Summary
-	sum.Extra = make(map[string]float64, 8*len(res.Cells))
-	status := string(CellOK)
-	okCells := 0
-	perfCells := make(map[string]runstore.PerfSample)
-	for _, c := range res.Cells {
-		prefix := "cell." + c.Key() + "."
-		if c.Perf != nil {
-			perfCells[c.Key()] = *c.Perf
-		}
-		if c.Attempts > 0 {
-			sum.Extra[prefix+"attempts"] = float64(c.Attempts)
-		}
-		if c.Status == CellFailed || c.Result == nil {
-			sum.Extra[prefix+"failed"] = 1
-			status = string(CellFailed)
-			continue
-		}
-		if c.Status == CellRetried && status != string(CellFailed) {
-			status = string(CellRetried)
-		}
-		okCells++
+	gridManifest(m, res.Cells, func(c *FleetCell, prefix string, extra map[string]float64) runstore.Summary {
 		cs := FleetSummary(c.Result, faultsOn)
-		sum.EnergyJ += cs.EnergyJ
-		sum.ArrayAFRPct += cs.ArrayAFRPct
-		sum.MeanResponseS += cs.MeanResponseS
-		sum.P50ResponseS += cs.P50ResponseS
-		sum.P95ResponseS += cs.P95ResponseS
-		sum.P99ResponseS += cs.P99ResponseS
-		sum.P999ResponseS += cs.P999ResponseS
-		if cs.MaxResponseS > sum.MaxResponseS {
-			sum.MaxResponseS = cs.MaxResponseS
-		}
-		sum.TransitionsPerDay += cs.TransitionsPerDay
-		sum.Requests += cs.Requests
-		sum.EventsFired += cs.EventsFired
-		sum.FleetOn = true
-		sum.FleetArrays += cs.FleetArrays
-		sum.FleetServed += cs.FleetServed
-		sum.FleetRetries += cs.FleetRetries
-		sum.FleetHedges += cs.FleetHedges
-		sum.FleetHedgeWins += cs.FleetHedgeWins
-		sum.FleetFailovers += cs.FleetFailovers
-		sum.FleetTimeouts += cs.FleetTimeouts
-		sum.FleetDeferred += cs.FleetDeferred
-		sum.FleetShed += cs.FleetShed
-		sum.FleetFailedRequests += cs.FleetFailedRequests
-		sum.FleetShocks += cs.FleetShocks
-		sum.FleetLostRequests += cs.FleetLostRequests
-		if faultsOn {
-			sum.FaultsOn = true
-			sum.DiskFailures += cs.DiskFailures
-			sum.DataLossEvents += cs.DataLossEvents
-		}
-		sum.Extra[prefix+"energy_j"] = cs.EnergyJ
-		sum.Extra[prefix+"worst_afr_pct"] = cs.ArrayAFRPct
-		sum.Extra[prefix+"mean_response_s"] = cs.MeanResponseS
-		sum.Extra[prefix+"p99_response_s"] = cs.P99ResponseS
-		sum.Extra[prefix+"events_fired"] = cs.EventsFired
-		sum.Extra[prefix+"served"] = cs.FleetServed
-		sum.Extra[prefix+"retries"] = cs.FleetRetries
-		sum.Extra[prefix+"hedges"] = cs.FleetHedges
-		sum.Extra[prefix+"hedge_wins"] = cs.FleetHedgeWins
-		sum.Extra[prefix+"failovers"] = cs.FleetFailovers
-		sum.Extra[prefix+"timeouts"] = cs.FleetTimeouts
-		sum.Extra[prefix+"deferred"] = cs.FleetDeferred
-		sum.Extra[prefix+"shed"] = cs.FleetShed
-		sum.Extra[prefix+"failed_requests"] = cs.FleetFailedRequests
-		sum.Extra[prefix+"shocks"] = cs.FleetShocks
-		sum.Extra[prefix+"lost_requests"] = cs.FleetLostRequests
-		if faultsOn {
-			sum.Extra[prefix+"disk_failures"] = cs.DiskFailures
-			sum.Extra[prefix+"data_loss_events"] = cs.DataLossEvents
-		}
-	}
-	// Intensive metrics average over completed cells; energy, requests,
-	// events, and every counter stay extensive (sums).
-	if n := float64(okCells); n > 0 {
-		sum.ArrayAFRPct /= n
-		sum.MeanResponseS /= n
-		sum.P50ResponseS /= n
-		sum.P95ResponseS /= n
-		sum.P99ResponseS /= n
-		sum.P999ResponseS /= n
-		sum.TransitionsPerDay /= n
-	}
-	m.Summary = sum
-	m.Status = status
-	if len(perfCells) > 0 {
-		m.Perf = &runstore.Perf{Cells: perfCells}
-	}
+		extra[prefix+"worst_afr_pct"] = cs.ArrayAFRPct
+		extra[prefix+"p99_response_s"] = cs.P99ResponseS
+		extra[prefix+"served"] = cs.FleetServed
+		extra[prefix+"retries"] = cs.FleetRetries
+		extra[prefix+"hedges"] = cs.FleetHedges
+		extra[prefix+"hedge_wins"] = cs.FleetHedgeWins
+		extra[prefix+"failovers"] = cs.FleetFailovers
+		extra[prefix+"timeouts"] = cs.FleetTimeouts
+		extra[prefix+"deferred"] = cs.FleetDeferred
+		extra[prefix+"shed"] = cs.FleetShed
+		extra[prefix+"failed_requests"] = cs.FleetFailedRequests
+		extra[prefix+"shocks"] = cs.FleetShocks
+		extra[prefix+"lost_requests"] = cs.FleetLostRequests
+		return cs
+	})
 	return m, nil
 }
 
-// newFleetManifest builds the manifest shell — digested config, seed, axes —
-// without the summary block, shared by FleetManifest and FleetManifestID.
+// newFleetManifest builds the fleet sweep's manifest shell; see
+// newManifest.
 func newFleetManifest(name string, cfg FleetSweepConfig) (*runstore.Manifest, error) {
 	cfg.setDefaults()
 	mc := FleetManifestConfig{
@@ -183,23 +106,13 @@ func newFleetManifest(name string, cfg FleetSweepConfig) (*runstore.Manifest, er
 	if cfg.Faults != nil {
 		mc.Faults = asMap(*cfg.Faults)
 	}
-	m, err := runstore.New("experiments", name, mc)
-	if err != nil {
-		return nil, err
-	}
-	m.Seed = cfg.Workload.Seed
-	m.Policy = policyList(cfg.Policies)
-	m.Workload = fmt.Sprintf("fleet scale %g intensity %g", cfg.Scale, cfg.Intensity)
-	return m, nil
+	return newManifest(name, mc, cfg.Workload.Seed, cfg.Policies,
+		fmt.Sprintf("fleet scale %g intensity %g", cfg.Scale, cfg.Intensity))
 }
 
 // FleetManifestID computes the run-store ID a fleet sweep condition would be
 // recorded under, without running it; the resumable driver uses it to skip
 // already-recorded conditions.
 func FleetManifestID(name string, cfg FleetSweepConfig) (string, error) {
-	m, err := newFleetManifest(name, cfg)
-	if err != nil {
-		return "", err
-	}
-	return m.ID(), nil
+	return manifestID(newFleetManifest(name, cfg))
 }

@@ -9,14 +9,8 @@ package experiment
 // resilience machinery.
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/array"
 	"repro/internal/cluster"
@@ -83,29 +77,16 @@ type FleetSweepConfig struct {
 	// default.
 	StallLimit uint64
 
-	// Execution knobs — excluded from the manifest digest.
-	Parallelism int
-	// CellAttempts bounds how many times a failed cell is retried (total
-	// attempts). Zero or one means no retry.
-	CellAttempts int
-	// RetryBaseDelay is the first cell retry's backoff. Zero means 500ms.
-	RetryBaseDelay time.Duration
-	// Progress, Track, and TraceDecisions behave as in SweepConfig:
-	// observation only, never part of the digest.
-	Progress       *telemetry.Progress
-	Track          *telemetry.SweepTracker
-	TraceDecisions bool
+	// Exec holds the execution knobs, as in SweepConfig; none enters the
+	// digest.
+	Exec
 }
 
 // DefaultFleetSweepConfig returns an interactive-scale fleet comparison:
 // fleets of 2 and 4 arrays under every routing policy, READ members,
 // replication factor 2, deadlines with two retries, and hedging at 3× the
-// running p99.
+// running p99, replaying DefaultSweepConfig's churning workload.
 func DefaultFleetSweepConfig() FleetSweepConfig {
-	wl := workload.DefaultGenConfig()
-	wl.PhaseSeconds = 7200
-	wl.PhaseRotate = 0.10
-	wl.DiurnalProfile = workload.DefaultDiurnalProfile()
 	return FleetSweepConfig{
 		ArrayCounts:       []int{2, 4},
 		Routings:          cluster.RoutingPolicies(),
@@ -113,7 +94,7 @@ func DefaultFleetSweepConfig() FleetSweepConfig {
 		Replicas:          2,
 		Racks:             2,
 		Disks:             8,
-		Workload:          wl,
+		Workload:          DefaultSweepConfig().Workload,
 		Scale:             0.05,
 		Intensity:         LightIntensity,
 		DeadlineSeconds:   5,
@@ -158,26 +139,15 @@ func (c *FleetSweepConfig) setDefaults() {
 	if c.EpochsPerTrace <= 0 {
 		c.EpochsPerTrace = 24
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.NumCPU()
-	}
-	if c.CellAttempts <= 0 {
-		c.CellAttempts = 1
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 500 * time.Millisecond
-	}
+	c.Exec.setDefaults()
 }
 
 // Validate reports the first invalid sweep parameter. Per-cell cluster
 // parameters are validated again by cluster.Run; the checks here catch the
 // cross-cell constraints a single cell cannot see.
 func (c *FleetSweepConfig) Validate() error {
-	if c.Scale <= 0 || c.Scale > 1 {
-		return fmt.Errorf("experiment: scale %v outside (0,1]", c.Scale)
-	}
-	if c.Intensity <= 0 {
-		return fmt.Errorf("experiment: intensity %v must be positive", c.Intensity)
+	if err := validateGrid(c.Scale, c.Intensity, c.Policies, c.Faults, c.Spares); err != nil {
+		return err
 	}
 	if c.Disks < 2 {
 		return fmt.Errorf("experiment: disk count %d too small", c.Disks)
@@ -202,66 +172,54 @@ func (c *FleetSweepConfig) Validate() error {
 			return fmt.Errorf("experiment: unknown routing policy %q", r)
 		}
 	}
-	for _, k := range c.Policies {
-		if _, err := NewPolicy(k); err != nil {
-			return err
-		}
-	}
 	if err := c.Shocks.Validate(); err != nil {
 		return err
-	}
-	if c.Faults != nil {
-		if err := c.Faults.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.Spares < 0 {
-		return fmt.Errorf("experiment: negative spare count %d", c.Spares)
 	}
 	return c.Workload.Validate()
 }
 
 // FleetCell is one fleet sweep cell result. Result is nil exactly when
-// Status is CellFailed.
+// Status is CellFailed; the outcome fields follow the Cell contract, with
+// Decisions holding the fleet decision log (retry/hedge/failover
+// attribution).
 type FleetCell struct {
 	Arrays  int
 	Routing cluster.RoutingPolicy
 	Policy  PolicyKind
 	Result  *cluster.Result
-	// Status, Attempts, Err, Stall, and Perf follow the Cell contract.
-	Status   CellStatus
-	Attempts int
-	Err      string
-	Stall    *des.StallError
-	Perf     *runstore.PerfSample
-	// Decisions is the fleet decision log (retry/hedge/failover attribution)
-	// when the sweep ran with TraceDecisions; nil otherwise.
-	Decisions *telemetry.DecisionLog
+	Outcome
 }
 
 // Key is the cell's ops-plane and manifest identity:
 // "fleet.<policy>.<routing>.<arrays>" — the "fleet." prefix keeps the keys
 // disjoint from single-array sweep cells in any shared namespace.
-func (c FleetCell) Key() string { return fleetCellKey(c.Policy, c.Routing, c.Arrays) }
+func (c FleetCell) Key() string { return fmt.Sprintf("fleet.%s.%s.%d", c.Policy, c.Routing, c.Arrays) }
 
-func fleetCellKey(p PolicyKind, r cluster.RoutingPolicy, arrays int) string {
-	return fmt.Sprintf("fleet.%s.%s.%d", p, r, arrays)
+func (c *FleetCell) desc() string {
+	return fmt.Sprintf("arrays=%d routing=%s policy=%s", c.Arrays, c.Routing, c.Policy)
 }
 
-// CellKeys enumerates the sweep's cell identities in execution-grid order
-// (fleet-size-major, then routing, then policy), for building a
-// telemetry.SweepTracker before the sweep starts.
-func (c FleetSweepConfig) CellKeys() []string {
-	c.setDefaults()
-	keys := make([]string, 0, len(c.ArrayCounts)*len(c.Routings)*len(c.Policies))
+func (c *FleetCell) cost() (float64, uint64) { return c.Result.Duration, c.Result.EventsFired }
+
+// cells lays out the fleet grid: fleet-size-major, then routing, then
+// policy.
+func (c *FleetSweepConfig) cells() []FleetCell {
+	cells := make([]FleetCell, 0, len(c.ArrayCounts)*len(c.Routings)*len(c.Policies))
 	for _, n := range c.ArrayCounts {
 		for _, r := range c.Routings {
 			for _, p := range c.Policies {
-				keys = append(keys, fleetCellKey(p, r, n))
+				cells = append(cells, FleetCell{Arrays: n, Routing: r, Policy: p})
 			}
 		}
 	}
-	return keys
+	return cells
+}
+
+// CellKeys enumerates the sweep's cell identities in grid order, for
+// building a telemetry.SweepTracker before the sweep starts.
+func (c FleetSweepConfig) CellKeys() []string {
+	c.setDefaults()
+	return cellKeys(c.cells())
 }
 
 // FleetSweepResult is the full fleet-size × routing × policy grid.
@@ -270,22 +228,20 @@ type FleetSweepResult struct {
 	Cells  []FleetCell
 }
 
-// FailedCells returns the cells whose every attempt failed.
-func (s *FleetSweepResult) FailedCells() []FleetCell {
-	var out []FleetCell
-	for _, c := range s.Cells {
-		if c.Status == CellFailed {
-			out = append(out, c)
-		}
-	}
-	return out
+// Outcomes lists every cell's outcome in grid order.
+func (s *FleetSweepResult) Outcomes() []KeyedOutcome { return keyedOutcomes(s.Cells) }
+
+// Manifest is FleetManifest over the sweep's own configuration.
+func (s *FleetSweepResult) Manifest(name string) (*runstore.Manifest, error) {
+	return FleetManifest(name, s.Config, s)
 }
 
-// fleetCellConfig assembles one cell's cluster configuration. Policies are
-// stateful, so MakePolicy constructs a fresh member instance per call.
-func (c *FleetSweepConfig) fleetCellConfig(trace *workload.Trace, epoch float64, arrays int, routing cluster.RoutingPolicy, kind PolicyKind, watch *des.Watch) cluster.Config {
+// fleetCellConfig assembles one cell's cluster configuration under the
+// runner-supplied observers. Policies are stateful, so MakePolicy
+// constructs a fresh member instance per call.
+func (c *FleetSweepConfig) fleetCellConfig(trace *workload.Trace, epoch float64, cell *FleetCell, rec *telemetry.Recorder, watch *des.Watch) cluster.Config {
 	cc := cluster.Config{
-		Arrays:   arrays,
+		Arrays:   cell.Arrays,
 		Replicas: c.Replicas,
 		Topology: cluster.Topology{Racks: c.Racks, EnclosuresPerRack: c.EnclosuresPerRack},
 		Trace:    trace,
@@ -294,8 +250,8 @@ func (c *FleetSweepConfig) fleetCellConfig(trace *workload.Trace, epoch float64,
 			EpochSeconds: epoch,
 			Spares:       c.Spares,
 		},
-		MakePolicy:           func(int) (array.Policy, error) { return NewPolicy(kind) },
-		Routing:              routing,
+		MakePolicy:           func(int) (array.Policy, error) { return NewPolicy(cell.Policy) },
+		Routing:              cell.Routing,
 		DeadlineSeconds:      c.DeadlineSeconds,
 		MaxAttempts:          c.MaxAttempts,
 		RetryBaseSeconds:     c.RetryBaseSeconds,
@@ -307,184 +263,38 @@ func (c *FleetSweepConfig) fleetCellConfig(trace *workload.Trace, epoch float64,
 		Seed:                 c.Seed,
 		Shocks:               c.Shocks,
 		StallLimit:           c.StallLimit,
+		Telemetry:            rec,
 		Watch:                watch,
 	}
 	if c.Faults != nil {
 		// Same seed offset across routings and policies at a given fleet
 		// size: the comparison is down to the machinery, not sampling luck.
 		fc := *c.Faults
-		fc.Seed += int64(arrays)
+		fc.Seed += int64(cell.Arrays)
 		cc.Proto.Faults = &fc
-	}
-	if c.TraceDecisions {
-		cc.Telemetry = &telemetry.Recorder{Decisions: telemetry.NewDecisionLog()}
 	}
 	return cc
 }
 
-// runFleetCellOnce executes one cell attempt with panic containment, exactly
-// like runCellOnce for single-array sweeps.
-func runFleetCellOnce(cfg *FleetSweepConfig, trace *workload.Trace, epoch float64, arrays int, routing cluster.RoutingPolicy, kind PolicyKind, watch *des.Watch) (res *cluster.Result, dlog *telemetry.DecisionLog, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, dlog = nil, nil
-			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
-		}
-	}()
-	cc := cfg.fleetCellConfig(trace, epoch, arrays, routing, kind, watch)
-	if cc.Telemetry != nil {
-		dlog = cc.Telemetry.Decisions
-	}
-	res, err = cluster.Run(cc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, dlog, nil
-}
-
 // RunFleetSweep generates the fleet workload once and replays it through
-// every (fleet size, routing, policy) cell in parallel. Cell isolation,
-// retry, and partial-result semantics follow RunSweep.
+// every (fleet size, routing, policy) cell on the shared sweep runner.
+// Cell isolation, retry, and partial-result semantics follow RunSweep.
 func RunFleetSweep(cfg FleetSweepConfig) (*FleetSweepResult, error) {
 	cfg.setDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.Progress.Phase("fleet: generate workload")
-	wl := cfg.Workload
-	var err error
-	if cfg.Intensity != 1 {
-		wl, err = wl.WithIntensity(cfg.Intensity)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Scale != 1 {
-		wl, err = wl.Scaled(cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		wl.PhaseSeconds *= cfg.Scale
-	}
-	trace, err := workload.Generate(wl)
+	trace, epoch, err := sweepTrace(cfg.Workload, cfg.Intensity, cfg.Scale, cfg.EpochSeconds, cfg.EpochsPerTrace)
 	if err != nil {
 		return nil, err
 	}
-	epoch := cfg.EpochSeconds
-	if epoch == 0 {
-		duration := float64(wl.NumRequests) * wl.MeanInterarrival
-		epoch = duration / float64(cfg.EpochsPerTrace)
-	}
-
-	var jobs []fleetJob
-	for _, n := range cfg.ArrayCounts {
-		for _, r := range cfg.Routings {
-			for _, p := range cfg.Policies {
-				jobs = append(jobs, fleetJob{idx: len(jobs), arrays: n, routing: r, policy: p})
-			}
-		}
-	}
-	cells := make([]FleetCell, len(jobs))
-	cfg.Progress.Phase(fmt.Sprintf("fleet: run %d cells", len(jobs)))
-	var done atomic.Int64
-
-	// Bounded worker pool, mirroring RunSweep: min(Parallelism, len(jobs))
-	// workers drain a job channel, each cell owns its engine/RNG/telemetry
-	// end-to-end inside runFleetSweepCell, and results land at the cell's
-	// own grid index so the manifest is independent of worker count.
-	workers := cfg.Parallelism
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	jobCh := make(chan fleetJob)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				cells[j.idx] = runFleetSweepCell(&cfg, trace, epoch, j, len(jobs), &done)
-			}
-		}()
-	}
-	for _, j := range jobs {
-		jobCh <- j
-	}
-	close(jobCh)
-	wg.Wait()
-	res := &FleetSweepResult{Config: cfg, Cells: cells}
-	if failed := res.FailedCells(); len(failed) > 0 {
-		return res, fmt.Errorf("experiment: %d of %d fleet cells failed; first: %s",
-			len(failed), len(cells), failed[0].Err)
-	}
-	return res, nil
-}
-
-// fleetJob identifies one cell of the fleet sweep grid.
-type fleetJob struct {
-	idx     int
-	arrays  int
-	routing cluster.RoutingPolicy
-	policy  PolicyKind
-}
-
-// runFleetSweepCell runs one fleet cell to completion on the calling
-// goroutine, retrying per the sweep's attempt policy; see runSweepCell for
-// the ownership contract.
-func runFleetSweepCell(cfg *FleetSweepConfig, trace *workload.Trace, epoch float64, j fleetJob, total int, done *atomic.Int64) FleetCell {
-	cell := FleetCell{Arrays: j.arrays, Routing: j.routing, Policy: j.policy}
-	key := cell.Key()
-	shared := cfg.Parallelism > 1
-	var lastErr error
-	var lastWall float64
-	for attempt := 1; attempt <= cfg.CellAttempts; attempt++ {
-		cell.Attempts = attempt
-		if attempt > 1 {
-			time.Sleep(retryDelay(cfg.RetryBaseDelay, cfg.Seed, j.idx, attempt))
-			cfg.Progress.Stepf("fleet: retrying arrays=%d routing=%s policy=%s (attempt %d/%d)",
-				j.arrays, j.routing, j.policy, attempt, cfg.CellAttempts)
-		}
-		_, watch := cfg.Track.StartCell(key)
-		pc := runstore.StartPerf()
-		res, dlog, err := runFleetCellOnce(cfg, trace, epoch, j.arrays, j.routing, j.policy, watch)
-		if err != nil {
-			lastErr = err
-			lastWall = pc.Sample(0, 0, shared).WallSeconds
-			cell.Err = fmt.Sprintf("arrays=%d routing=%s policy=%s: %v", j.arrays, j.routing, j.policy, err)
-			if attempt < cfg.CellAttempts {
-				cfg.Track.CellRetrying(key, err)
-			}
-			continue
-		}
-		perf := pc.Sample(res.Duration, res.EventsFired, shared)
-		cell.Perf = &perf
-		cell.Result = res
-		cell.Decisions = dlog
-		cell.Err = ""
-		cell.Stall = nil
-		cell.Status = CellOK
-		if attempt > 1 {
-			cell.Status = CellRetried
-		}
-		cfg.Track.CellDone(key, perf.WallSeconds, res.EventsFired)
-		break
-	}
-	if cell.Result == nil {
-		cell.Status = CellFailed
-		var serr *des.StallError
-		if errors.As(lastErr, &serr) {
-			cell.Stall = serr
-		}
-		cfg.Track.CellFailed(key, lastErr, lastWall)
-	}
-	if cell.Status == CellFailed {
-		cfg.Progress.Stepf("fleet: cell %d/%d FAILED (arrays=%d routing=%s policy=%s, %d attempts)",
-			done.Add(1), total, j.arrays, j.routing, j.policy, cell.Attempts)
-	} else {
-		cfg.Progress.Stepf("fleet: cell %d/%d done (arrays=%d routing=%s policy=%s, %d events)",
-			done.Add(1), total, j.arrays, j.routing, j.policy, cell.Result.EventsFired)
-	}
-	return cell
+	cells := cfg.cells()
+	err = runGrid(&cfg.Exec, "fleet", cfg.Workload.Seed, cells, func(c *FleetCell, rec *telemetry.Recorder, watch *des.Watch) (err error) {
+		c.Result, err = cluster.Run(cfg.fleetCellConfig(trace, epoch, c, rec, watch))
+		return err
+	})
+	return &FleetSweepResult{Config: cfg, Cells: cells}, err
 }
 
 // FleetSummary condenses one cluster result into the manifest summary block,

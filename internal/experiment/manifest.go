@@ -41,38 +41,63 @@ func SweepManifest(name string, cfg SweepConfig, res *SweepResult) (*runstore.Ma
 	if err != nil {
 		return nil, err
 	}
-	cfg.setDefaults()
-
 	faultsOn := cfg.Faults != nil && cfg.Faults.Enabled
-	var sum runstore.Summary
-	sum.Extra = make(map[string]float64, 4*len(res.Cells))
-	status := string(CellOK)
-	okCells := 0
-	perfCells := make(map[string]runstore.PerfSample)
-	for _, c := range res.Cells {
+	gridManifest(m, res.Cells, func(c *Cell, prefix string, extra map[string]float64) runstore.Summary {
+		cs := runstore.SummaryFromResult(c.Result, faultsOn)
+		extra[prefix+"array_afr_pct"] = cs.ArrayAFRPct
+		if faultsOn && c.Result.LSEModeled {
+			extra[prefix+"lse_errors"] = float64(c.Result.LSEErrors)
+			extra[prefix+"lse_cleared"] = float64(c.Result.LSECleared)
+			extra[prefix+"scrubs"] = float64(c.Result.Scrubs)
+		}
 		// The RAID segment appears only on RAID-axis sweeps, so the cell
 		// keys (and therefore diffs against pre-RAID manifests) of plain
 		// sweeps are unchanged.
+		if c.RAID != "" && c.Result.RAIDLevel != "" {
+			extra[prefix+"raid_loss_events"] = float64(c.Result.RAIDDataLossEvents)
+			extra[prefix+"mttdl_est_hours"] = c.Result.MTTDLEstHours
+		}
+		return cs
+	})
+	m.Attribution = aggregateAttribution(res.Cells)
+	return m, nil
+}
+
+// gridManifest fills m's summary, status, and per-cell perf section from a
+// finished grid of either kind. summarize returns a completed cell's
+// summary and adds the cell kind's own metrics to extra under prefix
+// ("cell.<key>."); this loop adds the keys every kind shares, the attempts
+// and failed markers, and the aggregate: energy, requests, events, and
+// every counter summed, intensive metrics averaged over completed cells.
+func gridManifest[C any, P cellPtr[C]](m *runstore.Manifest, cells []C, summarize func(c P, prefix string, extra map[string]float64) runstore.Summary) {
+	var sum runstore.Summary
+	sum.Extra = make(map[string]float64, 8*len(cells))
+	status := CellOK
+	okCells := 0
+	perfCells := make(map[string]runstore.PerfSample)
+	for i := range cells {
+		c := P(&cells[i])
+		o := c.outcome()
 		prefix := "cell." + c.Key() + "."
-		if c.Perf != nil {
-			perfCells[c.Key()] = *c.Perf
+		if o.Perf != nil {
+			perfCells[c.Key()] = *o.Perf
 		}
-		if c.Attempts > 0 {
-			sum.Extra[prefix+"attempts"] = float64(c.Attempts)
+		if o.Attempts > 0 {
+			sum.Extra[prefix+"attempts"] = float64(o.Attempts)
 		}
-		if c.Status == CellFailed || c.Result == nil {
+		if o.Status == CellFailed {
 			// A failed cell contributes a marker instead of metrics, so the
 			// diff toolchain flags it as a metric-set mismatch rather than
 			// comparing against silent zeros.
 			sum.Extra[prefix+"failed"] = 1
-			status = string(CellFailed)
+			status = CellFailed
 			continue
 		}
-		if c.Status == CellRetried && status != string(CellFailed) {
-			status = string(CellRetried)
+		if o.Status == CellRetried && status != CellFailed {
+			status = CellRetried
 		}
 		okCells++
-		cs := runstore.SummaryFromResult(c.Result, faultsOn)
+		cs := summarize(c, prefix, sum.Extra)
 		sum.EnergyJ += cs.EnergyJ
 		sum.ArrayAFRPct += cs.ArrayAFRPct
 		sum.MeanResponseS += cs.MeanResponseS
@@ -86,31 +111,32 @@ func SweepManifest(name string, cfg SweepConfig, res *SweepResult) (*runstore.Ma
 		sum.TransitionsPerDay += cs.TransitionsPerDay
 		sum.Requests += cs.Requests
 		sum.EventsFired += cs.EventsFired
-		if faultsOn {
+		sum.Extra[prefix+"energy_j"] = cs.EnergyJ
+		sum.Extra[prefix+"mean_response_s"] = cs.MeanResponseS
+		sum.Extra[prefix+"events_fired"] = cs.EventsFired
+		if cs.FleetOn {
+			sum.FleetOn = true
+			sum.FleetArrays += cs.FleetArrays
+			sum.FleetServed += cs.FleetServed
+			sum.FleetRetries += cs.FleetRetries
+			sum.FleetHedges += cs.FleetHedges
+			sum.FleetHedgeWins += cs.FleetHedgeWins
+			sum.FleetFailovers += cs.FleetFailovers
+			sum.FleetTimeouts += cs.FleetTimeouts
+			sum.FleetDeferred += cs.FleetDeferred
+			sum.FleetShed += cs.FleetShed
+			sum.FleetFailedRequests += cs.FleetFailedRequests
+			sum.FleetShocks += cs.FleetShocks
+			sum.FleetLostRequests += cs.FleetLostRequests
+		}
+		if cs.FaultsOn {
 			sum.FaultsOn = true
 			sum.DiskFailures += cs.DiskFailures
 			sum.DataLossEvents += cs.DataLossEvents
-		}
-		sum.Extra[prefix+"energy_j"] = cs.EnergyJ
-		sum.Extra[prefix+"array_afr_pct"] = cs.ArrayAFRPct
-		sum.Extra[prefix+"mean_response_s"] = cs.MeanResponseS
-		sum.Extra[prefix+"events_fired"] = cs.EventsFired
-		if faultsOn {
 			sum.Extra[prefix+"disk_failures"] = cs.DiskFailures
 			sum.Extra[prefix+"data_loss_events"] = cs.DataLossEvents
 		}
-		if faultsOn && c.Result.LSEModeled {
-			sum.Extra[prefix+"lse_errors"] = float64(c.Result.LSEErrors)
-			sum.Extra[prefix+"lse_cleared"] = float64(c.Result.LSECleared)
-			sum.Extra[prefix+"scrubs"] = float64(c.Result.Scrubs)
-		}
-		if c.RAID != "" && c.Result.RAIDLevel != "" {
-			sum.Extra[prefix+"raid_loss_events"] = float64(c.Result.RAIDDataLossEvents)
-			sum.Extra[prefix+"mttdl_est_hours"] = c.Result.MTTDLEstHours
-		}
 	}
-	// Intensive metrics average over the cells that completed; energy,
-	// requests, events, and the fault counts stay extensive (sums).
 	if n := float64(okCells); n > 0 {
 		sum.ArrayAFRPct /= n
 		sum.MeanResponseS /= n
@@ -121,15 +147,13 @@ func SweepManifest(name string, cfg SweepConfig, res *SweepResult) (*runstore.Ma
 		sum.TransitionsPerDay /= n
 	}
 	m.Summary = sum
-	m.Status = status
-	m.Attribution = aggregateAttribution(res.Cells)
+	m.Status = string(status)
 	if len(perfCells) > 0 {
 		// Per-cell self-performance rides outside Summary (like
 		// Attribution): wall-clocks differ run to run by construction and
 		// must never join the diffed metric set. The caller fills Perf.Run.
 		m.Perf = &runstore.Perf{Cells: perfCells}
 	}
-	return m, nil
 }
 
 // aggregateAttribution rolls the per-cell attribution reports into one
@@ -160,9 +184,7 @@ func aggregateAttribution(cells []Cell) *telemetry.AttributionReport {
 	return out
 }
 
-// newSweepManifest builds the manifest shell — digested config, seed, policy
-// list — without the summary block. Both SweepManifest and SweepManifestID
-// derive from it, so the resume-skip ID always matches the recorded one.
+// newSweepManifest builds the sweep's manifest shell; see newManifest.
 func newSweepManifest(name string, cfg SweepConfig) (*runstore.Manifest, error) {
 	cfg.setDefaults()
 	mc := SweepManifestConfig{
@@ -182,13 +204,22 @@ func newSweepManifest(name string, cfg SweepConfig) (*runstore.Manifest, error) 
 	if cfg.Faults != nil {
 		mc.Faults = asMap(*cfg.Faults)
 	}
+	return newManifest(name, mc, cfg.Workload.Seed, cfg.Policies,
+		fmt.Sprintf("scale %g intensity %g", cfg.Scale, cfg.Intensity))
+}
+
+// newManifest builds the manifest shell both sweep kinds share — digested
+// config block mc, workload seed, policy list, workload line — without the
+// summary block. A sweep's manifest and its ManifestID both derive from it,
+// so the resume-skip ID always matches the recorded one.
+func newManifest(name string, mc any, seed int64, policies []PolicyKind, workload string) (*runstore.Manifest, error) {
 	m, err := runstore.New("experiments", name, mc)
 	if err != nil {
 		return nil, err
 	}
-	m.Seed = cfg.Workload.Seed
-	m.Policy = policyList(cfg.Policies)
-	m.Workload = fmt.Sprintf("scale %g intensity %g", cfg.Scale, cfg.Intensity)
+	m.Seed = seed
+	m.Policy = policyList(policies)
+	m.Workload = workload
 	return m, nil
 }
 
@@ -196,7 +227,10 @@ func newSweepManifest(name string, cfg SweepConfig) (*runstore.Manifest, error) 
 // recorded under, without running the sweep. A resumable driver uses it to
 // skip conditions whose store entry already exists with an ok status.
 func SweepManifestID(name string, cfg SweepConfig) (string, error) {
-	m, err := newSweepManifest(name, cfg)
+	return manifestID(newSweepManifest(name, cfg))
+}
+
+func manifestID(m *runstore.Manifest, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}

@@ -109,3 +109,31 @@ func TestSweepManifestDigestIgnoresExecutionKnobs(t *testing.T) {
 		t.Fatal("parallelism changed the config digest")
 	}
 }
+
+// TestManifestIDsGolden pins the run IDs the four recorded sweep
+// conditions get at -scale 0.02 (as cmd/experiments builds them). An ID is
+// the condition name plus a config digest prefix, so a change here means a
+// digest moved: every recorded baseline and resume skip keyed on it breaks.
+// Such a change belongs in a re-baseline of its own, never as a side effect.
+func TestManifestIDsGolden(t *testing.T) {
+	const scale = 0.02
+	fig7, faults, raid, fleet := DefaultSweepConfig(), DefaultFaultSweepConfig(), DefaultRAIDLossSweepConfig(), DefaultFleetSweepConfig()
+	fig7.Scale, faults.Scale, raid.Scale, fleet.Scale = scale, scale, scale, scale
+	for _, tc := range []struct {
+		name, want string
+		id         func(string) (string, error)
+	}{
+		{"fig7-light", "fig7-light-a7c51ead1313", func(n string) (string, error) { return SweepManifestID(n, fig7) }},
+		{"faults-light", "faults-light-97ec376d7e83", func(n string) (string, error) { return SweepManifestID(n, faults) }},
+		{"raidloss-light", "raidloss-light-4412b4c15ee1", func(n string) (string, error) { return SweepManifestID(n, raid) }},
+		{"fleet-light", "fleet-light-fbc6a732e585", func(n string) (string, error) { return FleetManifestID(n, fleet) }},
+	} {
+		got, err := tc.id(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s recorded as %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}

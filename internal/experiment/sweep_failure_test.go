@@ -1,136 +1,8 @@
 package experiment
 
 import (
-	"strings"
-	"sync"
 	"testing"
-	"time"
 )
-
-// withCellHook installs testCellHook for one test and restores it after.
-func withCellHook(t *testing.T, hook func(PolicyKind, int)) {
-	t.Helper()
-	testCellHook = hook
-	t.Cleanup(func() { testCellHook = nil })
-}
-
-// TestSweepSurvivesPanickingCell is the sweep half of the issue's
-// acceptance: one cell panics on every attempt, every other cell completes,
-// the failure lands in the manifest, and only the broken cell is failed.
-func TestSweepSurvivesPanickingCell(t *testing.T) {
-	withCellHook(t, func(kind PolicyKind, disks int) {
-		if kind == KindMAID && disks == 4 {
-			panic("injected cell panic")
-		}
-	})
-	cfg := tinySweep()
-	cfg.MaxAttempts = 2
-	cfg.RetryBaseDelay = time.Millisecond
-	res, err := RunSweep(cfg)
-	if err == nil {
-		t.Fatal("want a failure-summary error")
-	}
-	if res == nil {
-		t.Fatal("want the partial sweep result alongside the error")
-	}
-	if !strings.Contains(err.Error(), "1 of") {
-		t.Fatalf("error should count failed cells, got: %v", err)
-	}
-
-	failed := res.FailedCells()
-	if len(failed) != 1 {
-		t.Fatalf("failed cells = %d, want 1", len(failed))
-	}
-	f := failed[0]
-	if f.Policy != KindMAID || f.Disks != 4 {
-		t.Fatalf("wrong cell failed: %s/%d", f.Policy, f.Disks)
-	}
-	if f.Result != nil || f.Status != CellFailed || f.Attempts != 2 {
-		t.Fatalf("failed cell = %+v", f)
-	}
-	if !strings.Contains(f.Err, "injected cell panic") {
-		t.Fatalf("cell error lost the panic message: %q", f.Err)
-	}
-	for _, c := range res.Cells {
-		if c.Policy == KindMAID && c.Disks == 4 {
-			continue
-		}
-		if c.Status != CellOK || c.Result == nil || c.Attempts != 1 {
-			t.Fatalf("healthy cell damaged by the panicking one: %+v", c)
-		}
-	}
-
-	// The failure is recorded in the manifest: overall status, a per-cell
-	// marker instead of metrics, and attempts for the post-mortem.
-	m, err := SweepManifest("panicking", cfg, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Status != string(CellFailed) {
-		t.Fatalf("manifest status = %q, want failed", m.Status)
-	}
-	if m.Summary.Extra["cell.maid.4.failed"] != 1 {
-		t.Fatal("manifest lacks the failed-cell marker")
-	}
-	if _, ok := m.Summary.Extra["cell.maid.4.energy_j"]; ok {
-		t.Fatal("failed cell contributed metrics")
-	}
-	if m.Summary.Extra["cell.maid.4.attempts"] != 2 {
-		t.Fatalf("attempts marker = %v, want 2", m.Summary.Extra["cell.maid.4.attempts"])
-	}
-
-	// Rendering a partial sweep must not panic either.
-	var sb strings.Builder
-	if err := RenderSweepTable(&sb, res, MetricEnergy, "partial"); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSweepCSV(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSweepRetriesTransientFailure makes one cell panic only on its first
-// attempt: the retry succeeds, the cell (and the manifest) records
-// "retried", and the sweep as a whole succeeds.
-func TestSweepRetriesTransientFailure(t *testing.T) {
-	var mu sync.Mutex
-	tripped := false
-	withCellHook(t, func(kind PolicyKind, disks int) {
-		if kind == KindPDC && disks == 6 {
-			mu.Lock()
-			first := !tripped
-			tripped = true
-			mu.Unlock()
-			if first {
-				panic("transient fault")
-			}
-		}
-	})
-	cfg := tinySweep()
-	cfg.MaxAttempts = 3
-	cfg.RetryBaseDelay = time.Millisecond
-	res, err := RunSweep(cfg)
-	if err != nil {
-		t.Fatalf("retried sweep should succeed, got: %v", err)
-	}
-	var retried *Cell
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		if c.Policy == KindPDC && c.Disks == 6 {
-			retried = c
-		}
-	}
-	if retried == nil || retried.Status != CellRetried || retried.Attempts != 2 || retried.Result == nil {
-		t.Fatalf("retried cell = %+v", retried)
-	}
-	m, err := SweepManifest("retried", cfg, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Status != string(CellRetried) {
-		t.Fatalf("manifest status = %q, want retried", m.Status)
-	}
-}
 
 // TestSweepManifestIDIsStable checks the resume-skip ID matches the ID the
 // recorded manifest actually gets.
