@@ -259,11 +259,12 @@ type raidCkptState struct {
 // snapshot is never written while an opaque continuation is live), live is
 // observation-only (re-cached from cfg.Telemetry on restore), failure
 // aborts the run before a checkpoint could be taken, ctx is a stateless
-// singleton rebuilt by newSimOn (it carries only the sim pointer), and recs —
+// singleton rebuilt by newSimOn (it carries only the sim pointer), recs —
 // the pending events' records — travels inside Events and is refilled as
-// restore re-schedules them.
+// restore re-schedules them, and freeConts holds only released
+// continuations that nothing references.
 //
-//simlint:checkpoint-for sim ignore=cfg,eng,files,opaqueLive,failure,live,host,ctx,recs alias=met:Metrics,flt:Faults,trc:Trace
+//simlint:checkpoint-for sim ignore=cfg,eng,files,opaqueLive,failure,live,host,ctx,recs,freeConts alias=met:Metrics,flt:Faults,trc:Trace
 type simState struct {
 	Clock         float64                     `json:"clock"`
 	Seq           uint64                      `json:"seq"`

@@ -214,7 +214,7 @@ func (c *Context) EnqueueWrite(d int, sizeMB float64, onDone func()) error {
 		// A policy callback is opaque to the checkpoint subsystem: it
 		// cannot be serialized, so snapshot writes are skipped while one is
 		// in flight (tracked by opaqueLive, released on run or drop).
-		done = &cont{kind: contOpaque, fn: func(float64) { onDone() }}
+		done = c.s.newCont(cont{kind: contOpaque, fn: func(float64) { onDone() }})
 		c.s.opaqueLive++
 	}
 	c.s.enqueue(d, op{kind: opBackground, sizeMB: sizeMB, done: done})

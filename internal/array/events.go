@@ -251,11 +251,36 @@ func (s *sim) startMigration(fileID, from, to int, sizeMB float64) {
 		fileID: fileID,
 		sizeMB: sizeMB,
 		mig:    true,
-		done:   &cont{kind: contMigrateRead, fileID: fileID, to: to, sizeMB: sizeMB},
+		done:   s.newCont(cont{kind: contMigrateRead, fileID: fileID, to: to, sizeMB: sizeMB}),
 	})
 }
 
-// runCont executes an op's completion continuation at virtual time now.
+// newCont returns a continuation holding v, reusing a released one when the
+// free list has any. Every field is overwritten, so nothing of an earlier
+// use (a stale sizeMB, say) can reach a checkpoint.
+//
+//simlint:hotpath
+func (s *sim) newCont(v cont) *cont {
+	var c *cont
+	if n := len(s.freeConts); n > 0 {
+		c = s.freeConts[n-1]
+		s.freeConts = s.freeConts[:n-1]
+	} else {
+		c = new(cont) //simlint:allow hotalloc -- freelist growth
+	}
+	*c = v
+	return c
+}
+
+// releaseCont returns a continuation that has run (or was dropped) to the
+// free list. Nothing may reference c afterwards: its op has resolved.
+func (s *sim) releaseCont(c *cont) {
+	*c = cont{} // drop an opaque callback for the collector
+	s.freeConts = append(s.freeConts, c)
+}
+
+// runCont executes an op's completion continuation at virtual time now and
+// releases it; a fleet continuation is released by hostDone.
 func (s *sim) runCont(c *cont, now float64) {
 	switch c.kind {
 	case contMigrateRead:
@@ -264,7 +289,7 @@ func (s *sim) runCont(c *cont, now float64) {
 			fileID: c.fileID,
 			sizeMB: c.sizeMB,
 			mig:    true,
-			done:   &cont{kind: contMigrateWrite, fileID: c.fileID, to: c.to},
+			done:   s.newCont(cont{kind: contMigrateWrite, fileID: c.fileID, to: c.to}),
 		})
 	case contMigrateWrite:
 		s.place[c.fileID] = c.to
@@ -289,24 +314,31 @@ func (s *sim) runCont(c *cont, now float64) {
 		c.fn(now)
 	case contFleet:
 		s.hostDone(c, now, false)
+		return
 	default:
 		s.fail(fmt.Errorf("array: unknown continuation kind %q", c.kind))
+		return
 	}
+	s.releaseCont(c)
 }
 
-// hostDone reports a cluster-submitted request's resolution to the host.
+// hostDone reports a cluster-submitted request's resolution to the host and
+// releases its continuation. Every contFleet path ends here: completion
+// (runCont), a lost request (loseOp) and a lost stripe.
 func (s *sim) hostDone(c *cont, now float64, lost bool) {
 	if s.host == nil {
 		s.fail(fmt.Errorf("array: fleet continuation without a host"))
 		return
 	}
 	s.host.RequestDone(c.reqID, c.attempt, now, lost)
+	s.releaseCont(c)
 }
 
-// dropCont releases bookkeeping for a continuation whose op was discarded
-// without completing (a background transfer on a failed disk). A dropped
-// scrub pass must still reschedule the disk's scrub cycle — the pass found
-// no readable media, but the replacement drive will need scrubbing again.
+// dropCont releases a continuation whose op was discarded without
+// completing (a background transfer on a failed disk), with its bookkeeping.
+// A dropped scrub pass must still reschedule the disk's scrub cycle — the
+// pass found no readable media, but the replacement drive will need
+// scrubbing again.
 func (s *sim) dropCont(c *cont) {
 	if c == nil {
 		return
@@ -319,4 +351,5 @@ func (s *sim) dropCont(c *cont) {
 			s.schedule(s.flt.inj.SampleScrubIntervalSeconds(), eventRecord{Kind: evScrub, Disk: c.disk})
 		}
 	}
+	s.releaseCont(c)
 }

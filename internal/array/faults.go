@@ -165,7 +165,7 @@ func (s *sim) onScrubTick(d int) {
 	s.enqueue(d, op{
 		kind:   opBackground,
 		sizeMB: size,
-		done:   &cont{kind: contScrub, disk: d, sizeMB: size},
+		done:   s.newCont(cont{kind: contScrub, disk: d, sizeMB: size}),
 	})
 }
 
@@ -420,13 +420,13 @@ func (s *sim) issueRebuild(d int, remainingMB float64) {
 	s.enqueue(d, op{
 		kind:   opBackground,
 		sizeMB: size,
-		done: &cont{
+		done: s.newCont(cont{
 			kind:        contRebuild,
 			disk:        d,
 			sizeMB:      size,
 			nextIssue:   nextIssue,
 			remainingMB: remainingMB,
-		},
+		}),
 	})
 }
 

@@ -131,6 +131,8 @@ func NewMember(cfg Config, eng *des.Engine, host Host, firstArrival func() error
 // arrival is the latency reference point for the member's own response
 // statistics: the fleet arrival time for first attempts, the retry/hedge
 // issue time for later ones.
+//
+//simlint:hotpath
 func (m *Member) Submit(reqID uint64, attempt, fileID int, arrival float64) {
 	s := m.s
 	if s.failure != nil {
@@ -138,7 +140,7 @@ func (m *Member) Submit(reqID uint64, attempt, fileID int, arrival float64) {
 	}
 	f, ok := s.files[fileID]
 	if !ok {
-		s.fail(fmt.Errorf("array: request for unknown file %d", fileID))
+		s.fail(fmt.Errorf("array: request for unknown file %d", fileID)) //simlint:allow hotalloc -- error branch: fails the run once
 		return
 	}
 	s.counts[fileID]++
@@ -147,7 +149,7 @@ func (m *Member) Submit(reqID uint64, attempt, fileID int, arrival float64) {
 	s.setHook(hookArrival)
 	defer s.endHook()
 
-	done := &cont{kind: contFleet, reqID: reqID, attempt: attempt}
+	done := s.newCont(cont{kind: contFleet, reqID: reqID, attempt: attempt}) //simlint:allow hotalloc -- freelist growth inside the inlined newCont
 	if sp, ok := s.cfg.Policy.(StripePolicy); ok {
 		targets := sp.StripeTargets(ctx, fileID)
 		if len(targets) >= 2 {
@@ -157,7 +159,7 @@ func (m *Member) Submit(reqID uint64, attempt, fileID int, arrival float64) {
 	}
 	target := s.cfg.Policy.TargetDisk(ctx, fileID)
 	if target < 0 || target >= len(s.disks) {
-		s.fail(fmt.Errorf("array: policy %q targeted invalid disk %d", s.cfg.Policy.Name(), target))
+		s.fail(fmt.Errorf("array: policy %q targeted invalid disk %d", s.cfg.Policy.Name(), target)) //simlint:allow hotalloc -- error branch: fails the run once
 		return
 	}
 	s.enqueue(target, op{kind: opUser, fileID: fileID, sizeMB: f.SizeMB, arrival: arrival, done: done})

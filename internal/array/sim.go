@@ -450,6 +450,9 @@ type sim struct {
 	// only the sim pointer, so a single cached instance replaces a heap
 	// allocation at every callback site.
 	ctx *Context
+	// freeConts holds released continuations for newCont to reuse, so an
+	// op's continuation allocates nothing in steady state.
+	freeConts []*cont
 	// opaqueLive counts in-flight non-serializable continuations (policy
 	// callbacks from Context.EnqueueWrite); checkpoint writes are skipped
 	// while it is nonzero, and checkpointsSkipped counts those skips.

@@ -60,9 +60,11 @@ type savedRouterEvent struct {
 // a checkpoint could be written, and recs — the pending router events'
 // records — travels inside Events and is refilled as restore re-schedules
 // them. checkpointsSkipped travels as CheckpointsSkipped, so a resumed run
-// keeps counting from the snapshot's tally.
+// keeps counting from the snapshot's tally. freeReqs holds only settled
+// request states and healthy is a buffer reused by every attempt; neither
+// carries state between events.
 //
-//simlint:checkpoint-for clusterSim ignore=cfg,eng,members,racks,traceEnd,failure,recs
+//simlint:checkpoint-for clusterSim ignore=cfg,eng,members,racks,traceEnd,failure,recs,freeReqs,healthy
 type clusterState struct {
 	Clock float64 `json:"clock"`
 	Seq   uint64  `json:"seq"`
@@ -141,7 +143,7 @@ func (c *clusterSim) buildState() (*clusterState, error) {
 		rec := c.recs.Get(pe.Slot)
 		st.Events = append(st.Events, savedRouterEvent{
 			Time: pe.Time, Seq: pe.Seq,
-			Kind: rec.Kind, Req: rec.Req, Attempt: rec.Attempt,
+			Kind: rec.Kind.String(), Req: rec.Req, Attempt: rec.Attempt,
 			Rack: rec.Rack, Shock: rec.Shock, Cause: rec.Cause,
 		})
 	}
@@ -236,12 +238,16 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 	if err := json.Unmarshal(stateJSON, &st); err != nil {
 		return nil, fmt.Errorf("cluster: resume: parse state: %w", err)
 	}
-	if cfg.Checkpoint == nil {
-		for _, se := range st.Events {
-			if se.Kind == revCheckpoint {
-				return nil, fmt.Errorf("cluster: resume: snapshot has pending checkpoint ticks; set Config.Checkpoint to the original interval")
-			}
+	kinds := make([]revKind, len(st.Events))
+	for i, se := range st.Events {
+		k, err := parseRevKind(se.Kind)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: resume: %w", err)
 		}
+		if k == revCheckpoint && cfg.Checkpoint == nil {
+			return nil, fmt.Errorf("cluster: resume: snapshot has pending checkpoint ticks; set Config.Checkpoint to the original interval")
+		}
+		kinds[i] = k
 	}
 	if len(st.Members) != cfg.Arrays {
 		return nil, fmt.Errorf("cluster: resume: checkpoint has %d arrays, config has %d", len(st.Members), cfg.Arrays)
@@ -302,9 +308,9 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 				desc: fmt.Sprintf("array %d event seq %d", i, re.Seq)})
 		}
 	}
-	for _, se := range st.Events {
+	for i, se := range st.Events {
 		se := se
-		rec := routerRecord{Kind: se.Kind, Req: se.Req, Attempt: se.Attempt,
+		rec := routerRecord{Kind: kinds[i], Req: se.Req, Attempt: se.Attempt,
 			Rack: se.Rack, Shock: se.Shock, Cause: se.Cause}
 		merged = append(merged, mergeEvent{seq: se.Seq,
 			schedule: func() error { return c.ratErr(se.Time, rec) },

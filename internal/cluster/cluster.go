@@ -267,17 +267,14 @@ func (c *Config) Validate() error {
 	return c.Trace.Validate()
 }
 
-// replicaArrays returns the arrays holding file f, primary first.
-func (c *Config) replicaArrays(f int) []int {
-	out := make([]int, c.Replicas)
-	for j := 0; j < c.Replicas; j++ {
-		a := (f + j) % c.Arrays
-		if a < 0 {
-			a += c.Arrays
-		}
-		out[j] = a
+// replicaArray returns the array holding replica j of file f; replica 0 is
+// the primary.
+func (c *Config) replicaArray(f, j int) int {
+	a := (f + j) % c.Arrays
+	if a < 0 {
+		a += c.Arrays
 	}
-	return out
+	return a
 }
 
 // memberTrace builds array a's trace: the fleet files placed on it (in fleet
@@ -285,8 +282,8 @@ func (c *Config) replicaArrays(f int) []int {
 func (c *Config) memberTrace(a int) *workload.Trace {
 	t := &workload.Trace{}
 	for _, f := range c.Trace.Files {
-		for _, r := range c.replicaArrays(f.ID) {
-			if r == a {
+		for j := 0; j < c.Replicas; j++ {
+			if c.replicaArray(f.ID, j) == a {
 				t.Files = append(t.Files, f)
 				break
 			}

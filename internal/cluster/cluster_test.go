@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -377,6 +378,61 @@ func TestFleetLivePublishing(t *testing.T) {
 	for i, a := range snap.PerArray {
 		if a.Health != telemetry.ArrayHealthy {
 			t.Errorf("array %d health %q at end of a clean run", i, a.Health)
+		}
+	}
+}
+
+// TestFleetLiveOnOffIdentical: the ops-plane fleet view is observation-only.
+// Attaching it changes neither the result nor a byte of the decision log,
+// under the routing that reads backlog and under the one that reads PRESS
+// AFR, and the attached view still carries every health-row field.
+func TestFleetLiveOnOffIdentical(t *testing.T) {
+	tr := fleetTrace(t, 40, 4000, 0.002)
+	for _, rp := range []RoutingPolicy{LeastLoaded, AFRAware} {
+		run := func(fl *telemetry.FleetLive) (*Result, []byte, uint64) {
+			cfg := resilientConfig(tr)
+			cfg.Routing = rp
+			cfg.DeadlineSeconds = 0.02
+			cfg.RetryBaseSeconds = 0.002
+			cfg.HedgeAfterP99Mult = 1
+			cfg.FleetLive = fl
+			rec := &telemetry.Recorder{Decisions: telemetry.NewDecisionLog()}
+			cfg.Telemetry = rec
+			// The checkpoint sink doubles as a mid-run probe of the view.
+			var maxBacklog uint64
+			cfg.Checkpoint = &CheckpointSpec{EverySimSeconds: 0.25, Sink: func([]byte) error {
+				for _, a := range fl.Snapshot().PerArray {
+					maxBacklog = max(maxBacklog, a.Backlog)
+				}
+				return nil
+			}}
+			res := runLedgered(t, cfg)
+			var log bytes.Buffer
+			if err := rec.Decisions.WriteNDJSON(&log); err != nil {
+				t.Fatal(err)
+			}
+			return res, log.Bytes(), maxBacklog
+		}
+		off, offLog, _ := run(nil)
+		fl := telemetry.NewFleetLive(off.Arrays)
+		on, onLog, maxBacklog := run(fl)
+		if !reflect.DeepEqual(off, on) {
+			t.Errorf("%s: attaching FleetLive changed the result:\noff %+v\non  %+v", rp, off, on)
+		}
+		if len(offLog) == 0 || !bytes.Equal(offLog, onLog) {
+			t.Errorf("%s: decision logs differ with FleetLive attached (%d vs %d bytes)", rp, len(offLog), len(onLog))
+		}
+		rows := fl.Snapshot().PerArray
+		if len(rows) != off.Arrays {
+			t.Fatalf("%s: %d health rows for %d arrays", rp, len(rows), off.Arrays)
+		}
+		for i, a := range rows {
+			if a.Health == "" || a.WorstAFRPct <= 0 {
+				t.Errorf("%s: array %d row lacks health or worst AFR: %+v", rp, i, a)
+			}
+		}
+		if maxBacklog == 0 {
+			t.Errorf("%s: no health row ever carried a backlog", rp)
 		}
 	}
 }

@@ -24,16 +24,43 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Router event kinds.
+// revKind is a router event record's kind.
+type revKind uint8
+
 const (
-	revArrival    = "fleet-arrival"
-	revDeadline   = "fleet-deadline"
-	revRetry      = "fleet-retry"
-	revHedge      = "fleet-hedge"
-	revShockStart = "shock-start"
-	revShockEnd   = "shock-end"
-	revCheckpoint = "fleet-checkpoint"
+	revArrival revKind = iota
+	revDeadline
+	revRetry
+	revHedge
+	revShockStart
+	revShockEnd
+	revCheckpoint
+	numRevKinds
 )
+
+// revKinds gives each kind its checkpoint wire name (savedRouterEvent.Kind),
+// which is also its tracer label.
+var revKinds = [numRevKinds]string{
+	revArrival:    "fleet-arrival",
+	revDeadline:   "fleet-deadline",
+	revRetry:      "fleet-retry",
+	revHedge:      "fleet-hedge",
+	revShockStart: "shock-start",
+	revShockEnd:   "shock-end",
+	revCheckpoint: "fleet-checkpoint",
+}
+
+func (k revKind) String() string { return revKinds[k] }
+
+// parseRevKind maps a checkpoint wire name back to its kind.
+func parseRevKind(name string) (revKind, error) {
+	for k, n := range revKinds {
+		if n == name {
+			return revKind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("cluster: unknown router event %q", name)
+}
 
 // Decision causes the router declares.
 const (
@@ -56,16 +83,16 @@ const (
 // routerRecord is the serializable description of one scheduled router
 // event. One flat struct covers every kind; unused fields stay zero.
 type routerRecord struct {
-	Kind    string `json:"kind"`
-	Req     uint64 `json:"req,omitempty"`     // arrival: request ID to deliver; deadline/retry/hedge: subject
-	Attempt int    `json:"attempt,omitempty"` // deadline/hedge: attempt watched; retry: attempt to issue
-	Rack    int    `json:"rack,omitempty"`    // shocks: power domain hit
-	Shock   int    `json:"shock,omitempty"`   // shocks: ordinal within the domain
-	Cause   string `json:"cause,omitempty"`   // retry: declared cause (timeout or backpressure)
+	Kind    revKind
+	Req     uint64 // arrival: request ID to deliver; deadline/retry/hedge: subject
+	Attempt int    // deadline/hedge: attempt watched; retry: attempt to issue
+	Rack    int    // shocks: power domain hit
+	Shock   int    // shocks: ordinal within the domain
+	Cause   string // retry: declared cause (timeout or backpressure)
 }
 
 // reqState tracks one fleet request from arrival to settlement. A request is
-// settled (and its state dropped) when it is done — served, failed, or shed
+// settled (and its state recycled) when it is done — served, failed, or shed
 // — AND no attempt remains in flight on any member; until then late
 // completions must still be attributable.
 type reqState struct {
@@ -89,6 +116,11 @@ type clusterSim struct {
 	racks   [][]int // arrays per rack, in index order
 
 	reqs map[uint64]*reqState
+	// freeReqs holds settled request states for reuse by the next arrival.
+	freeReqs []*reqState
+	// healthy is eligible's result buffer, reused by every attempt; pick
+	// reads it before Submit, and nothing holds it after.
+	healthy []int
 	// recs holds the records of the router's pending events, indexed by
 	// the slot each was posted with.
 	recs des.Slab[routerRecord]
@@ -126,6 +158,7 @@ func newClusterSim(cfg *Config) (*clusterSim, error) {
 		cfg:        cfg,
 		eng:        des.New(),
 		reqs:       make(map[uint64]*reqState),
+		healthy:    make([]int, 0, cfg.Replicas),
 		hist:       hist,
 		shockDepth: make([]int, cfg.Topology.Racks),
 		racks:      make([][]int, cfg.Topology.Racks),
@@ -197,7 +230,7 @@ func (c *clusterSim) fail(err error) {
 //simlint:hotpath
 func (c *clusterSim) ratErr(t float64, rec routerRecord) error {
 	slot := c.recs.Put(rec)
-	if err := c.eng.Post(t, rec.Kind, c, slot); err != nil {
+	if err := c.eng.Post(t, revKinds[rec.Kind], c, slot); err != nil {
 		c.recs.Take(slot)
 		return err
 	}
@@ -219,6 +252,9 @@ func (c *clusterSim) rat(t float64, rec routerRecord) {
 	}
 }
 
+// dispatch runs the handler for one fired router record.
+//
+//simlint:hotpath
 func (c *clusterSim) dispatch(rec routerRecord, e *des.Engine) {
 	if c.failure != nil {
 		return
@@ -240,7 +276,7 @@ func (c *clusterSim) dispatch(rec routerRecord, e *des.Engine) {
 	case revCheckpoint:
 		c.onCheckpointTick(now)
 	default:
-		c.fail(fmt.Errorf("cluster: unknown router event %q", rec.Kind))
+		c.fail(fmt.Errorf("cluster: unknown router event kind %d", rec.Kind)) //simlint:allow hotalloc -- unreachable: every revKind has a case; a new kind without one fails the run once
 	}
 }
 
@@ -321,7 +357,7 @@ func (c *clusterSim) onFleetArrival(rec routerRecord, now float64) {
 		}
 		c.rat(next, routerRecord{Kind: revArrival, Req: rec.Req + 1})
 	}
-	st := &reqState{file: r.FileID, arrival: r.Arrival, last: -1}
+	st := c.newReq(reqState{file: r.FileID, arrival: r.Arrival, last: -1})
 	c.reqs[rec.Req] = st
 	c.issueAttempt(rec.Req, 1, attemptFirst, "", now)
 	c.publishLive()
@@ -445,10 +481,29 @@ func (c *clusterSim) failRequest(id uint64, st *reqState) {
 	c.settle(id, st)
 }
 
-// settle drops a request's state once it is done and fully drained.
+// newReq returns a request state holding v, recycled from a settled request
+// when one is free.
+func (c *clusterSim) newReq(v reqState) *reqState {
+	var st *reqState
+	if n := len(c.freeReqs); n > 0 {
+		st = c.freeReqs[n-1]
+		c.freeReqs = c.freeReqs[:n-1]
+	} else {
+		st = new(reqState)
+	}
+	*st = v
+	return st
+}
+
+// settle drops a request's state once it is done and fully drained, and
+// recycles it: the table lookup is the only way back to a request, so a
+// stale event for id finds nothing.
+//
+//simlint:hotpath
 func (c *clusterSim) settle(id uint64, st *reqState) {
 	if st.done && st.outstanding == 0 {
 		delete(c.reqs, id)
+		c.freeReqs = append(c.freeReqs, st)
 	}
 }
 
@@ -482,24 +537,32 @@ func (c *clusterSim) hedgeDelay() float64 {
 
 // --- health gating and replica choice ---
 
-// eligible partitions a file's replica set into healthy candidates and a
-// draining count (ejected members appear in neither), publishing each
-// evaluated member's health row to the ops plane.
+// eligible partitions a file's replica set, arrays (file + j) % Arrays for
+// j < Replicas, into healthy candidates and a draining count (ejected
+// members appear in neither). The candidates live in c.healthy, which the
+// next call overwrites.
+//
+//simlint:hotpath
 func (c *clusterSim) eligible(file int) (healthy []int, draining int) {
-	for _, a := range c.cfg.replicaArrays(file) {
-		switch c.evalHealth(a) {
+	healthy = c.healthy[:0]
+	for j := 0; j < c.cfg.Replicas; j++ {
+		switch a := c.cfg.replicaArray(file, j); c.evalHealth(a) {
 		case telemetry.ArrayHealthy:
 			healthy = append(healthy, a)
 		case telemetry.ArrayDraining:
 			draining++
 		}
 	}
+	c.healthy = healthy
 	return healthy, draining
 }
 
 // evalHealth gates one member: ejected on declared data loss (sticky by
 // construction — data loss never un-happens), draining while its rack is in
 // a power outage, while rebuilding, or while its backlog exceeds the limit.
+// With the ops plane attached it also publishes the member's health row;
+// the row's values (a PRESS snapshot of every disk among them) are computed
+// only then, since they decide nothing.
 func (c *clusterSim) evalHealth(a int) string {
 	m := c.members[a]
 	h := telemetry.ArrayHealthy
@@ -511,7 +574,9 @@ func (c *clusterSim) evalHealth(a int) string {
 	case c.cfg.MaxBacklog > 0 && m.Backlog() > c.cfg.MaxBacklog:
 		h = telemetry.ArrayDraining
 	}
-	c.cfg.FleetLive.PublishArray(a, h, m.Backlog(), m.FailedDisks(), m.Rebuilding(), m.PeekWorstAFR())
+	if fl := c.cfg.FleetLive; fl != nil {
+		fl.PublishArray(a, h, m.Backlog(), m.FailedDisks(), m.Rebuilding(), m.PeekWorstAFR())
+	}
 	return h
 }
 
