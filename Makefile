@@ -23,11 +23,12 @@ lint:
 	$(GO) run ./cmd/simlint ./...
 
 # fuzz exercises the trace and decision codecs from their committed seed
-# corpora (internal/{workload,telemetry}/testdata/fuzz) for a short,
-# CI-sized budget.
+# corpora (internal/{workload,telemetry}/testdata/fuzz) and the checkpoint
+# envelope from its in-code seeds for a short, CI-sized budget.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTraceCodec -fuzztime=20s ./internal/workload
 	$(GO) test -run='^$$' -fuzz=FuzzDecisionCodec -fuzztime=20s ./internal/telemetry
+	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=20s ./internal/checkpoint
 
 # bench regenerates both committed benchmark baselines:
 #   BENCH_telemetry.json — micro-benchmark trajectory (ns/op, allocs/op,

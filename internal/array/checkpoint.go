@@ -11,10 +11,13 @@ package array
 // uninterrupted run's, making the two bit-identical, not merely close.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/checkpoint"
 	"repro/internal/des"
@@ -261,10 +264,10 @@ type raidCkptState struct {
 // aborts the run before a checkpoint could be taken, ctx is a stateless
 // singleton rebuilt by newSimOn (it carries only the sim pointer), recs —
 // the pending events' records — travels inside Events and is refilled as
-// restore re-schedules them, and freeConts holds only released
-// continuations that nothing references.
+// restore re-schedules them, freeConts holds only released continuations
+// that nothing references, and wireOrder is derived from files.
 //
-//simlint:checkpoint-for sim ignore=cfg,eng,files,opaqueLive,failure,live,host,ctx,recs,freeConts alias=met:Metrics,flt:Faults,trc:Trace
+//simlint:checkpoint-for sim ignore=cfg,eng,files,opaqueLive,failure,live,host,ctx,recs,freeConts,wireOrder alias=met:Metrics,flt:Faults,trc:Trace
 type simState struct {
 	Clock         float64                     `json:"clock"`
 	Seq           uint64                      `json:"seq"`
@@ -275,8 +278,8 @@ type simState struct {
 	BackgroundOps int                         `json:"background_ops"`
 	Epochs        int                         `json:"epochs"`
 	MigsThisEpoch int                         `json:"migs_this_epoch"`
-	Place         map[int]int                 `json:"place"`
-	Counts        map[int]int                 `json:"counts,omitempty"`
+	Place         fileMap                     `json:"place"`
+	Counts        *fileMap                    `json:"counts,omitempty"`
 	Migrating     []int                       `json:"migrating,omitempty"`
 	RespStream    stats.StreamState           `json:"resp_stream"`
 	RespHist      stats.LatencyHistogramState `json:"resp_hist"`
@@ -290,6 +293,88 @@ type simState struct {
 	Trace         *traceCkptState             `json:"trace,omitempty"`
 
 	CheckpointsSkipped int `json:"checkpoints_skipped,omitempty"`
+}
+
+// fileMap is the wire form of a file-keyed map: placement, or this epoch's
+// access counts. It encodes byte for byte as encoding/json encodes a
+// map[int]int, keys in the order of their decimal strings, but walks order,
+// the run's file IDs presorted that way (sim.fileOrder), instead of
+// formatting and sorting every key on every snapshot. A key outside order,
+// which only a state decoded from elsewhere can hold, sends the whole map
+// through sortedKeys instead.
+type fileMap struct {
+	m     map[int]int
+	order []int
+}
+
+func (f fileMap) MarshalJSON() ([]byte, error) {
+	if f.m == nil {
+		return []byte("null"), nil
+	}
+	// A key and its value take at most 20 bytes each plus 4 of punctuation;
+	// file IDs and counts are short, so this is a generous first guess.
+	buf := make([]byte, 0, 2+16*len(f.m))
+	buf = append(buf, '{')
+	n := 0
+	for _, id := range f.order {
+		if v, ok := f.m[id]; ok {
+			buf = appendEntry(buf, n, id, v)
+			n++
+		}
+	}
+	if n != len(f.m) {
+		buf = buf[:1]
+		for i, id := range sortedKeys(f.m) {
+			buf = appendEntry(buf, i, id, f.m[id])
+		}
+	}
+	return append(buf, '}'), nil
+}
+
+func (f *fileMap) UnmarshalJSON(data []byte) error {
+	return json.Unmarshal(data, &f.m)
+}
+
+// appendEntry appends the i-th `"id":v` entry of a JSON object.
+func appendEntry(buf []byte, i, id, v int) []byte {
+	if i > 0 {
+		buf = append(buf, ',')
+	}
+	buf = append(buf, '"')
+	buf = strconv.AppendInt(buf, int64(id), 10)
+	buf = append(buf, '"', ':')
+	return strconv.AppendInt(buf, int64(v), 10)
+}
+
+// sortedKeys returns m's keys in the order encoding/json writes them.
+func sortedKeys(m map[int]int) []int {
+	ids := make([]int, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, compareDecimal)
+	return ids
+}
+
+// compareDecimal orders two integers by their decimal strings.
+func compareDecimal(a, b int) int {
+	var x, y [20]byte
+	return bytes.Compare(strconv.AppendInt(x[:0], int64(a), 10), strconv.AppendInt(y[:0], int64(b), 10))
+}
+
+// fileOrder returns the run's file IDs in wire order (see fileMap). It is
+// built at the first snapshot, so a run without checkpoints never pays for
+// it, and it lives on the sim because fleet members hold different files.
+func (s *sim) fileOrder() []int {
+	if s.wireOrder == nil {
+		ids := make([]int, 0, len(s.files))
+		for id := range s.files {
+			ids = append(ids, id)
+		}
+		slices.SortFunc(ids, compareDecimal)
+		s.wireOrder = ids
+	}
+	return s.wireOrder
 }
 
 // stripeTable assigns dense IDs to stripeJob pointers in the deterministic
@@ -346,6 +431,7 @@ func (q *fifo) items() []op { return q.buf[q.head:] }
 
 // buildState serializes the complete simulation state.
 func (s *sim) buildState() (*simState, error) {
+	order := s.fileOrder()
 	st := &simState{
 		Clock:         s.eng.Now(),
 		Seq:           s.eng.Seq(),
@@ -356,13 +442,15 @@ func (s *sim) buildState() (*simState, error) {
 		BackgroundOps: s.backgroundOps,
 		Epochs:        s.epochs,
 		MigsThisEpoch: s.migsThisEpoch,
-		Place:         s.place,
-		Counts:        s.counts,
+		Place:         fileMap{s.place, order},
 		RespStream:    s.respStream.State(),
 		RespHist:      s.respHist.State(),
 		Timeline:      s.timeline,
 
 		CheckpointsSkipped: s.checkpointsSkipped,
+	}
+	if len(s.counts) > 0 {
+		st.Counts = &fileMap{s.counts, order}
 	}
 	for id := range s.migrating {
 		st.Migrating = append(st.Migrating, id)
@@ -571,6 +659,16 @@ func (re RestoredEvent) Schedule() error { return re.s.at(re.Time, re.rec) }
 // freshly constructed instance with the same configuration, and its saved
 // state is loaded into it.
 func Resume(cfg Config, stateJSON []byte) (*Result, error) {
+	s, err := resume(cfg, stateJSON)
+	if err != nil {
+		return nil, err
+	}
+	return s.finish()
+}
+
+// resume is Resume up to running the restored simulation: it rebuilds the
+// sim and re-schedules its pending events.
+func resume(cfg Config, stateJSON []byte) (*sim, error) {
 	cfg.setDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -607,7 +705,7 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 	if err := s.eng.FinishRestore(st.Seq, st.Fired); err != nil {
 		return nil, fmt.Errorf("array: resume: %w", err)
 	}
-	return s.finish()
+	return s, nil
 }
 
 // restoreSim rebuilds a sim from a decoded checkpoint payload: disks,
@@ -710,11 +808,11 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 	s.backgroundOps = st.BackgroundOps
 	s.epochs = st.Epochs
 	s.migsThisEpoch = st.MigsThisEpoch
-	if st.Place != nil {
-		s.place = st.Place
+	if st.Place.m != nil {
+		s.place = st.Place.m
 	}
-	if st.Counts != nil {
-		s.counts = st.Counts
+	if st.Counts != nil && st.Counts.m != nil {
+		s.counts = st.Counts.m
 	}
 	for _, id := range st.Migrating {
 		s.migrating[id] = true

@@ -1,6 +1,7 @@
 package array
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/reliability"
+	"repro/internal/workload"
 )
 
 // ckptSpinDown is spinDownPolicy plus checkpoint support: the counters are
@@ -427,4 +429,55 @@ func mustEncode(t *testing.T, env *checkpoint.Envelope) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestFileMapMatchesEncodingJSON compares the wire-order map encoder with
+// encoding/json's map[int]int encoding, including keys outside the order
+// (the sorting fallback) and negative keys.
+func TestFileMapMatchesEncodingJSON(t *testing.T) {
+	files := &sim{files: map[int]workload.File{}}
+	for _, id := range []int{0, 1, 2, 9, 10, 11, 19, 100, 101, 1000, 4078} {
+		files.files[id] = workload.File{ID: id}
+	}
+	order := files.fileOrder()
+	if want := []int{0, 1, 10, 100, 1000, 101, 11, 19, 2, 4078, 9}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("wire order %v, want %v", order, want)
+	}
+	for _, tc := range []struct {
+		name string
+		m    map[int]int
+	}{
+		{"nil", nil},
+		{"empty", map[int]int{}},
+		{"all files", map[int]int{0: 3, 1: 0, 2: 1, 9: 2, 10: 0, 11: 5, 19: 1, 100: 2, 101: 0, 1000: 1, 4078: 7}},
+		{"some files", map[int]int{2: 1, 10: 4, 9: 12345678}},
+		{"key outside the files", map[int]int{2: 1, 10: 4, 3: 0}},
+		{"only keys outside the files", map[int]int{5000: 1, 42: 2}},
+		{"negative keys", map[int]int{-1: 1, -10: 2, 0: -3, 10: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := json.Marshal(struct {
+				M map[int]int `json:"m"`
+			}{tc.m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(struct {
+				M fileMap `json:"m"`
+			}{fileMap{tc.m, order}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("got  %s\nwant %s", got, want)
+			}
+			var back fileMap
+			if err := json.Unmarshal(got[len(`{"m":`):len(got)-1], &back); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back.m, tc.m) {
+				t.Fatalf("decoded %v, want %v", back.m, tc.m)
+			}
+		})
+	}
 }

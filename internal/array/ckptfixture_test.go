@@ -1,7 +1,9 @@
 package array_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -31,7 +33,7 @@ const fixtureEvery = 4.0
 
 // fixtureConfig is the run the fixture was captured from: a small RAID-6
 // READ array with failures, latent sector errors, scrubs and rebuilds.
-func fixtureConfig(t *testing.T) array.Config {
+func fixtureConfig(t testing.TB) array.Config {
 	t.Helper()
 	wl := workload.DefaultGenConfig()
 	wl.NumFiles = 120
@@ -119,6 +121,82 @@ func TestCheckpointFixtureV1Resumes(t *testing.T) {
 	ledger()
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("resume from the v1 fixture diverged:\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
+// TestCheckpointFixtureV1Reencodes parses the committed version-1 snapshot
+// and encodes it again: the state bytes and checksum must be the fixture's,
+// so today's encoder writes what the first one wrote.
+func TestCheckpointFixtureV1Reencodes(t *testing.T) {
+	want, err := checkpoint.Read(fixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := array.ReencodeState(fixtureConfig(t), want.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := *want
+	env.State = state
+	if _, err := checkpoint.Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Checksum != want.Checksum || !bytes.Equal(state, want.State) {
+		t.Fatalf("re-encoded fixture differs: checksum %s, fixture %s", env.Checksum, want.Checksum)
+	}
+}
+
+// BenchmarkCheckpointEncode writes one snapshot of the v1 fixture's state:
+// the state build, its JSON encoding and the envelope, as a checkpoint tick
+// does.
+func BenchmarkCheckpointEncode(b *testing.B) {
+	env, err := checkpoint.Read(fixturePath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	size := 0
+	cfg := fixtureConfig(b)
+	cfg.Checkpoint = &array.CheckpointSpec{
+		EverySimSeconds: fixtureEvery,
+		Tool:            env.Tool,
+		ConfigDigest:    env.ConfigDigest,
+		Sink: func(data []byte) error {
+			size = len(data)
+			return nil
+		},
+	}
+	write, err := array.SnapshotWriter(cfg, env.State)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := write(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(size))
+}
+
+// BenchmarkCheckpointDecode reads the v1 fixture back: the envelope's
+// integrity check and the state parse Resume starts with.
+func BenchmarkCheckpointDecode(b *testing.B) {
+	data, err := os.ReadFile(fixturePath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env, err := checkpoint.Decode(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := array.ParseState(env.State); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -453,6 +453,9 @@ type sim struct {
 	// freeConts holds released continuations for newCont to reuse, so an
 	// op's continuation allocates nothing in steady state.
 	freeConts []*cont
+	// wireOrder is the order checkpoints write file-keyed maps in, built by
+	// fileOrder at the first snapshot.
+	wireOrder []int
 	// opaqueLive counts in-flight non-serializable continuations (policy
 	// callbacks from Context.EnqueueWrite); checkpoint writes are skipped
 	// while it is nonzero, and checkpointsSkipped counts those skips.
@@ -914,8 +917,10 @@ func (s *sim) onEpoch(e *des.Engine) {
 	s.cfg.Policy.OnEpoch(ctx)
 	s.endHook()
 	// Fresh popularity window per epoch (the paper's FPT records counts
-	// "during the current epoch").
-	s.counts = make(map[int]int)
+	// "during the current epoch"). Clearing keeps the map's buckets, so the
+	// next epoch's counts do not allocate them again; policies only ever
+	// see copies (Context.AccessCounts).
+	clear(s.counts)
 	s.schedule(s.cfg.EpochSeconds, eventRecord{Kind: evEpoch})
 }
 

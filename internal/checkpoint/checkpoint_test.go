@@ -2,9 +2,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -92,6 +95,130 @@ func TestReadRejectsCorruption(t *testing.T) {
 	t.Run("missing file", func(t *testing.T) {
 		if _, err := Read(filepath.Join(t.TempDir(), "nope.json")); err == nil {
 			t.Fatal("want error for missing file")
+		}
+	})
+}
+
+// legacyEncode is how version-1 envelopes were first written: the checksum
+// of the compacted state, then json.MarshalIndent of the whole envelope.
+func legacyEncode(t testing.TB, e Envelope) []byte {
+	t.Helper()
+	var state bytes.Buffer
+	if err := json.Compact(&state, e.State); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(state.Bytes())
+	e.Checksum = hex.EncodeToString(sum[:])
+	data, err := json.MarshalIndent(&e, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(data, '\n')
+}
+
+// TestEncodeMatchesIndentedEnvelope checks that the compact envelope
+// carries the same checksum and state as the indented one for the same
+// input, and that Decode reads both.
+func TestEncodeMatchesIndentedEnvelope(t *testing.T) {
+	in := Envelope{
+		Version: Version, Tool: "t", ConfigDigest: `d"<&>`, SimTime: 0.1, EventsFired: 7,
+		State: json.RawMessage("{ \"b\": [1, 2.5e-7, {\"c\": null}],\n \"a\": \"x\\u003cy\" }"),
+	}
+	compact, err := Encode(&Envelope{
+		Version: in.Version, Tool: in.Tool, ConfigDigest: in.ConfigDigest,
+		SimTime: in.SimTime, EventsFired: in.EventsFired, State: in.State,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(compact, []byte("\n")) != 1 {
+		t.Fatalf("Encode output is not one compact line:\n%s", compact)
+	}
+	var raw bytes.Buffer
+	if err := json.Compact(&raw, compact); err != nil || !bytes.Equal(raw.Bytes(), bytes.TrimSuffix(compact, []byte("\n"))) {
+		t.Fatalf("Encode output is not compact JSON (%v):\n%s", err, compact)
+	}
+	want, err := Decode(legacyEncode(t, in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(compact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("compact and indented envelopes decode differently:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// fixtures are the committed version-1 snapshots of the array and fleet
+// packages, written indented by the first encoder.
+var fixtures = []string{
+	filepath.Join("..", "array", "testdata", "ckpt_v1_raid6_read.json"),
+	filepath.Join("..", "cluster", "testdata", "ckpt_v1_fleet.json"),
+}
+
+// TestEncodeReproducesFixtureChecksums re-encodes each committed fixture
+// and requires its checksum and state unchanged.
+func TestEncodeReproducesFixtureChecksums(t *testing.T) {
+	for _, path := range fixtures {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			env, err := Read(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, state := env.Checksum, env.State
+			data, err := Encode(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if env.Checksum != sum {
+				t.Fatalf("re-encoded checksum %s, fixture has %s", env.Checksum, sum)
+			}
+			again, err := Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.Checksum != sum || !bytes.Equal(again.State, state) {
+				t.Fatal("re-encoded fixture decodes to a different checksum or state")
+			}
+		})
+	}
+}
+
+// FuzzCheckpointDecode feeds arbitrary bytes to Decode. It must never
+// panic, and whatever it accepts must re-encode to the same checksum and
+// decode again to the same envelope.
+func FuzzCheckpointDecode(f *testing.F) {
+	seed := Envelope{
+		Version: Version, Tool: "fuzz", ConfigDigest: "abc", SimTime: 1.5, EventsFired: 3,
+		State: json.RawMessage(`{"clock":1.5,"place":{"0":1,"10":0,"2":1},"events":[{"time":2,"kind":"epoch"}]}`),
+	}
+	f.Add(legacyEncode(f, seed))
+	compact, err := Encode(&seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(compact)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		env, err := Decode(data)
+		if err != nil {
+			return
+		}
+		sum := env.Checksum
+		enc, err := Encode(env)
+		if err != nil {
+			t.Fatalf("decoded envelope does not re-encode: %v", err)
+		}
+		if env.Checksum != sum {
+			t.Fatalf("re-encoded checksum %s, decoded %s", env.Checksum, sum)
+		}
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoded envelope does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, env) {
+			t.Fatalf("round trip changed the envelope:\n%+v\n%+v", again, env)
 		}
 	})
 }

@@ -53,11 +53,12 @@ func TestFleetRunAllocationBudget(t *testing.T) {
 	perReq := allocs / float64(res.Served)
 	t.Logf("%.0f allocations per run, %.4f per request (%d retries, %d hedges)",
 		allocs, perReq, res.Retries, res.Hedges)
-	// Measured at 0.052 per request: the members' per-epoch access-count
-	// maps growing back after each reset, and set-up. The bound is about
-	// twice that; a router that allocates a request state, a continuation
-	// and two slices per request makes 5.1 here.
-	if perReq >= 0.1 {
-		t.Fatalf("%.4f allocations per routed request, want < 0.1", perReq)
+	// Measured at 0.024 per request, mostly set-up, since the members'
+	// per-epoch access-count maps keep their buckets across epochs (0.052
+	// while each epoch made a fresh map). The bound is about twice that; a
+	// router that allocates a request state, a continuation and two slices
+	// per request makes 5.1 here.
+	if perReq >= 0.05 {
+		t.Fatalf("%.4f allocations per routed request, want < 0.05", perReq)
 	}
 }
