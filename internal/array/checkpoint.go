@@ -140,9 +140,11 @@ func encodeCont(c *cont) (*contState, error) {
 // opState is the serializable form of an op. Stripe is an index into
 // simState.Stripes (-1 when the op is not a chunk), so chunks of one striped
 // request share their parent across the restore exactly as they shared the
-// pointer before it.
+// pointer before it. The embedded stampState puts the tracing stamps (op.tr)
+// at the end of the op's JSON object; they are zero, and so omitted, when
+// the op has none.
 //
-//simlint:checkpoint-for op
+//simlint:checkpoint-for op alias=tr:stampState
 type opState struct {
 	Kind     int        `json:"kind"`
 	FileID   int        `json:"file_id,omitempty"`
@@ -152,10 +154,17 @@ type opState struct {
 	Mig      bool       `json:"mig,omitempty"`
 	Rerouted bool       `json:"rerouted,omitempty"`
 	Done     *contState `json:"done,omitempty"`
-	EnqT     float64    `json:"enq_t,omitempty"`
-	SpinBase float64    `json:"spin_base,omitempty"`
-	WaitSpin float64    `json:"wait_spin,omitempty"`
-	SvcDur   float64    `json:"svc_dur,omitempty"`
+	stampState
+}
+
+// stampState is the serializable form of an op's opStamps.
+//
+//simlint:checkpoint-for opStamps
+type stampState struct {
+	EnqT     float64 `json:"enq_t,omitempty"`
+	SpinBase float64 `json:"spin_base,omitempty"`
+	WaitSpin float64 `json:"wait_spin,omitempty"`
+	SvcDur   float64 `json:"svc_dur,omitempty"`
 }
 
 // stripeState is the serializable form of a stripeJob.
@@ -176,9 +185,11 @@ type stripeState struct {
 // so a cluster restore can merge-sort the pending sets of several owners
 // (router + members) of one shared engine back into the global order. Op is
 // set on service events only: it is the disk's in-service op (diskState.svc),
-// which completes when that event fires.
+// which completes when that event fires. The record's union fields travel
+// under the named wire fields of its kind (see eventRecord); the aliases
+// name one of each union field's wire fields.
 //
-//simlint:checkpoint-for eventRecord
+//simlint:checkpoint-for eventRecord alias=N:Gen,X:Deadline,Y:Timeout
 type savedEvent struct {
 	Time        float64  `json:"time"`
 	Seq         uint64   `json:"seq,omitempty"`
@@ -194,6 +205,73 @@ type savedEvent struct {
 	To          int      `json:"to,omitempty"`
 	SizeMB      float64  `json:"size_mb,omitempty"`
 	Op          *opState `json:"op,omitempty"`
+}
+
+// toSaved writes rec, pending at time t with sequence number seq, in wire
+// form: each union field under the wire name its kind gives it.
+func (rec eventRecord) toSaved(t float64, seq uint64) savedEvent {
+	se := savedEvent{Time: t, Seq: seq, Kind: rec.Kind.String()}
+	d := int(rec.Disk)
+	switch rec.Kind {
+	case evTransition, evRepair, evScrub:
+		se.Disk = d
+	case evService:
+		se.Disk, se.Gen = d, rec.N
+	case evIdleArm:
+		se.Disk, se.Deadline, se.Timeout = d, rec.X, rec.Y
+	case evIdleRearm:
+		se.Disk, se.Timeout = d, rec.Y
+	case evSample:
+		se.LastEnergy = rec.X
+	case evMigrateStart:
+		se.From, se.To, se.FileID, se.SizeMB = d, int(rec.To), int(rec.N), rec.X
+	case evRebuildNext:
+		se.Disk, se.RemainingMB = d, rec.X
+	}
+	return se
+}
+
+// recordFromSaved is toSaved's inverse for an array of disks disks. It
+// rejects a disk index outside [0, disks) before narrowing it to the
+// record's int32, and a wire field foreign to the event's kind: the decoded
+// record must write back exactly the wire fields it was read from.
+func recordFromSaved(se *savedEvent, disks int) (eventRecord, error) {
+	kind, err := parseEvKind(se.Kind)
+	if err != nil {
+		return eventRecord{}, err
+	}
+	// An absent field reads 0, which is always a valid disk.
+	for _, f := range [...]struct {
+		name string
+		d    int
+	}{{"disk", se.Disk}, {"from", se.From}, {"to", se.To}} {
+		if f.d < 0 || f.d >= disks {
+			return eventRecord{}, fmt.Errorf("array: %s event at %v: %s %d outside [0, %d)", se.Kind, se.Time, f.name, f.d, disks)
+		}
+	}
+	rec := eventRecord{Kind: kind}
+	switch kind {
+	case evTransition, evRepair, evScrub:
+		rec = diskEvent(kind, se.Disk)
+	case evService:
+		rec = serviceEvent(se.Disk, se.Gen)
+	case evIdleArm:
+		rec = idleArmEvent(se.Disk, se.Deadline, se.Timeout)
+	case evIdleRearm:
+		rec = idleRearmEvent(se.Disk, se.Timeout)
+	case evSample:
+		rec = sampleEvent(se.LastEnergy)
+	case evMigrateStart:
+		rec = migrateStartEvent(se.FileID, se.From, se.To, se.SizeMB)
+	case evRebuildNext:
+		rec = rebuildNextEvent(se.Disk, se.RemainingMB)
+	}
+	back := rec.toSaved(se.Time, se.Seq)
+	back.Op = se.Op
+	if back != *se {
+		return eventRecord{}, fmt.Errorf("array: %s event at %v carries a wire field foreign to its kind", se.Kind, se.Time)
+	}
+	return rec, nil
 }
 
 // diskCkptState is the serializable form of a diskState. svc, the op in
@@ -264,10 +342,12 @@ type raidCkptState struct {
 // aborts the run before a checkpoint could be taken, ctx is a stateless
 // singleton rebuilt by newSimOn (it carries only the sim pointer), recs —
 // the pending events' records — travels inside Events and is refilled as
-// restore re-schedules them, freeConts holds only released continuations
-// that nothing references, and wireOrder is derived from files.
+// restore re-schedules them, freeConts and freeStamps hold only released
+// continuations and stamps that nothing references, and wireOrder is derived
+// from files. RespStream repeats RespHist.Stream: the wire format keeps both
+// copies, and restore rejects a state in which they differ.
 //
-//simlint:checkpoint-for sim ignore=cfg,eng,files,opaqueLive,failure,live,host,ctx,recs,freeConts,wireOrder alias=met:Metrics,flt:Faults,trc:Trace
+//simlint:checkpoint-for sim ignore=cfg,eng,files,opaqueLive,failure,live,host,ctx,recs,freeConts,freeStamps,wireOrder alias=met:Metrics,flt:Faults,trc:Trace
 type simState struct {
 	Clock         float64                     `json:"clock"`
 	Seq           uint64                      `json:"seq"`
@@ -413,10 +493,9 @@ func (t *stripeTable) encodeOp(o op) (opState, error) {
 		Stripe:   t.id(o.stripe),
 		Mig:      o.mig,
 		Rerouted: o.rerouted,
-		EnqT:     o.enqT,
-		SpinBase: o.spinBase,
-		WaitSpin: o.waitSpin,
-		SvcDur:   o.svcDur,
+	}
+	if tr := o.tr; tr != nil {
+		st.stampState = stampState{EnqT: tr.enqT, SpinBase: tr.spinBase, WaitSpin: tr.waitSpin, SvcDur: tr.svcDur}
 	}
 	done, err := encodeCont(o.done)
 	if err != nil {
@@ -432,6 +511,7 @@ func (q *fifo) items() []op { return q.buf[q.head:] }
 // buildState serializes the complete simulation state.
 func (s *sim) buildState() (*simState, error) {
 	order := s.fileOrder()
+	hist := s.respHist.State()
 	st := &simState{
 		Clock:         s.eng.Now(),
 		Seq:           s.eng.Seq(),
@@ -443,8 +523,8 @@ func (s *sim) buildState() (*simState, error) {
 		Epochs:        s.epochs,
 		MigsThisEpoch: s.migsThisEpoch,
 		Place:         fileMap{s.place, order},
-		RespStream:    s.respStream.State(),
-		RespHist:      s.respHist.State(),
+		RespStream:    hist.Stream,
+		RespHist:      hist,
 		Timeline:      s.timeline,
 
 		CheckpointsSkipped: s.checkpointsSkipped,
@@ -504,21 +584,7 @@ func (s *sim) buildState() (*simState, error) {
 			return nil, fmt.Errorf("array: pending event %d is not the simulator's; cannot checkpoint", pe.Seq)
 		}
 		rec := s.recs.Get(pe.Slot)
-		se := savedEvent{
-			Time:        pe.Time,
-			Seq:         pe.Seq,
-			Kind:        rec.Kind.String(),
-			Disk:        rec.Disk,
-			Gen:         rec.Gen,
-			Deadline:    rec.Deadline,
-			Timeout:     rec.Timeout,
-			LastEnergy:  rec.LastEnergy,
-			RemainingMB: rec.RemainingMB,
-			FileID:      rec.FileID,
-			From:        rec.From,
-			To:          rec.To,
-			SizeMB:      rec.SizeMB,
-		}
+		se := rec.toSaved(pe.Time, pe.Seq)
 		if rec.Kind == evService {
 			// The disk's in-service op travels with its service event.
 			os, err := table.encodeOp(s.disks[rec.Disk].svc)
@@ -751,10 +817,9 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 			arrival:  os.Arrival,
 			mig:      os.Mig,
 			rerouted: os.Rerouted,
-			enqT:     os.EnqT,
-			spinBase: os.SpinBase,
-			waitSpin: os.WaitSpin,
-			svcDur:   os.SvcDur,
+		}
+		if ts := os.stampState; s.trc != nil || ts != (stampState{}) {
+			o.tr = &opStamps{enqT: ts.EnqT, spinBase: ts.SpinBase, waitSpin: ts.WaitSpin, svcDur: ts.SvcDur}
 		}
 		if os.Stripe >= 0 {
 			if os.Stripe >= len(stripes) {
@@ -817,7 +882,9 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 	for _, id := range st.Migrating {
 		s.migrating[id] = true
 	}
-	s.respStream.SetState(st.RespStream)
+	if st.RespStream != st.RespHist.Stream {
+		return nil, nil, fmt.Errorf("array: resume: resp_stream differs from resp_hist.stream")
+	}
 	if err := s.respHist.SetState(st.RespHist); err != nil {
 		return nil, nil, fmt.Errorf("array: resume: %w", err)
 	}
@@ -892,35 +959,19 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 
 	evs := make([]RestoredEvent, 0, len(st.Events))
 	for _, se := range st.Events {
-		kind, err := parseEvKind(se.Kind)
+		rec, err := recordFromSaved(&se, len(s.disks))
 		if err != nil {
 			return nil, nil, fmt.Errorf("array: resume: %w", err)
 		}
-		rec := eventRecord{
-			Kind:        kind,
-			Disk:        se.Disk,
-			Gen:         se.Gen,
-			Deadline:    se.Deadline,
-			Timeout:     se.Timeout,
-			LastEnergy:  se.LastEnergy,
-			RemainingMB: se.RemainingMB,
-			FileID:      se.FileID,
-			From:        se.From,
-			To:          se.To,
-			SizeMB:      se.SizeMB,
-		}
-		if (kind == evService) != (se.Op != nil) {
+		if (rec.Kind == evService) != (se.Op != nil) {
 			return nil, nil, fmt.Errorf("array: resume: %s event at %v: an op travels with service events only", se.Kind, se.Time)
 		}
 		if se.Op != nil {
-			if se.Disk < 0 || se.Disk >= len(s.disks) {
-				return nil, nil, fmt.Errorf("array: resume: service event on disk %d of %d", se.Disk, len(s.disks))
-			}
 			o, err := decodeOp(*se.Op)
 			if err != nil {
 				return nil, nil, err
 			}
-			s.disks[se.Disk].svc = o
+			s.disks[rec.Disk].svc = o
 		}
 		evs = append(evs, RestoredEvent{Seq: se.Seq, Time: se.Time, s: s, rec: rec})
 	}

@@ -188,9 +188,7 @@ func (c *Context) Migrate(fileID, to int) bool {
 		s.startMigration(fileID, from, to, f.SizeMB)
 		return true
 	}
-	s.schedule(delay, eventRecord{
-		Kind: evMigrateStart, FileID: fileID, From: from, To: to, SizeMB: f.SizeMB,
-	})
+	s.schedule(delay, migrateStartEvent(fileID, from, to, f.SizeMB))
 	return true
 }
 

@@ -70,21 +70,67 @@ func parseEvKind(name string) (evKind, error) {
 	return 0, fmt.Errorf("array: unknown event kind %q", name)
 }
 
-// eventRecord is the serializable description of one scheduled event. One
-// flat struct covers every kind; unused fields stay zero. A service event's
-// op is not here: it lives in its disk's diskState.svc (see kick).
+// eventRecord is the serializable description of one scheduled event: a
+// kind plus a union of per-kind fields, 40 bytes in all, so that scheduling
+// and firing an event copies no more than that. Each kind reads the union
+// as below; a cell gives the savedEvent wire field that the union field
+// travels as in a checkpoint.
+//
+//	kind           Disk   To   N        X             Y
+//	transition     disk
+//	service        disk        gen
+//	idle-arm       disk                 deadline      timeout
+//	idle-rearm     disk                               timeout
+//	sample                              last_energy
+//	migrate-start  from   to   file_id  size_mb
+//	repair, scrub  disk
+//	rebuild-next   disk                 remaining_mb
+//
+// Arrival, epoch, fault-tick and checkpoint events carry nothing. A service
+// event's op is not here: it lives in its disk's diskState.svc (see kick).
+// The constructors below write the table down for scheduling, and toSaved
+// and recordFromSaved (checkpoint.go) for the wire.
 type eventRecord struct {
-	Kind        evKind
-	Disk        int
-	Gen         uint64  // service: diskState generation at dispatch
-	Deadline    float64 // idle-arm: absolute deadline the timer was armed for
-	Timeout     float64 // idle timers: the timeout captured at arm time
-	LastEnergy  float64 // sample: array energy at the previous sample
-	RemainingMB float64 // rebuild-next: data left to rebuild
-	FileID      int     // migrate-start
-	From        int     // migrate-start: source disk
-	To          int     // migrate-start: target disk
-	SizeMB      float64 // migrate-start
+	Kind evKind
+	Disk int32
+	To   int32
+	N    uint64
+	X    float64
+	Y    float64
+}
+
+// diskEvent is a transition, repair or scrub event for disk d.
+func diskEvent(k evKind, d int) eventRecord { return eventRecord{Kind: k, Disk: int32(d)} }
+
+// serviceEvent ends disk d's service started under generation gen.
+func serviceEvent(d int, gen uint64) eventRecord {
+	return eventRecord{Kind: evService, Disk: int32(d), N: gen}
+}
+
+// idleArmEvent is disk d's idle timer, armed for deadline with timeout.
+func idleArmEvent(d int, deadline, timeout float64) eventRecord {
+	return eventRecord{Kind: evIdleArm, Disk: int32(d), X: deadline, Y: timeout}
+}
+
+// idleRearmEvent is disk d's idle timer, re-armed with timeout.
+func idleRearmEvent(d int, timeout float64) eventRecord {
+	return eventRecord{Kind: evIdleRearm, Disk: int32(d), Y: timeout}
+}
+
+// sampleEvent is the next timeline sample; lastEnergy is the array energy
+// at the previous one.
+func sampleEvent(lastEnergy float64) eventRecord {
+	return eventRecord{Kind: evSample, X: lastEnergy}
+}
+
+// migrateStartEvent starts moving fileID (sizeMB) from disk from to disk to.
+func migrateStartEvent(fileID, from, to int, sizeMB float64) eventRecord {
+	return eventRecord{Kind: evMigrateStart, Disk: int32(from), To: int32(to), N: uint64(fileID), X: sizeMB}
+}
+
+// rebuildNextEvent issues disk d's next rebuild chunk, remainingMB to go.
+func rebuildNextEvent(d int, remainingMB float64) eventRecord {
+	return eventRecord{Kind: evRebuildNext, Disk: int32(d), X: remainingMB}
 }
 
 // Continuation kinds (op.done).
@@ -154,23 +200,23 @@ func (s *sim) dispatch(rec eventRecord, e *des.Engine) {
 	case evFaultTick:
 		s.onFaultTick(e)
 	case evTransition:
-		s.onTransitionEnd(rec.Disk)
+		s.onTransitionEnd(int(rec.Disk))
 	case evService:
-		s.onServiceEnd(rec.Disk, rec.Gen)
+		s.onServiceEnd(int(rec.Disk), rec.N)
 	case evIdleArm:
-		s.onIdleTimer(rec.Disk, rec.Deadline, rec.Timeout, false)
+		s.onIdleTimer(int(rec.Disk), rec.X, rec.Y, false)
 	case evIdleRearm:
-		s.onIdleTimer(rec.Disk, 0, rec.Timeout, true)
+		s.onIdleTimer(int(rec.Disk), 0, rec.Y, true)
 	case evSample:
-		s.onSampleTick(e, rec.LastEnergy)
+		s.onSampleTick(e, rec.X)
 	case evMigrateStart:
-		s.startMigration(rec.FileID, rec.From, rec.To, rec.SizeMB)
+		s.startMigration(int(rec.N), int(rec.Disk), int(rec.To), rec.X)
 	case evRepair:
-		s.repairDisk(rec.Disk)
+		s.repairDisk(int(rec.Disk))
 	case evRebuildNext:
-		s.issueRebuild(rec.Disk, rec.RemainingMB)
+		s.issueRebuild(int(rec.Disk), rec.X)
 	case evScrub:
-		s.onScrubTick(rec.Disk)
+		s.onScrubTick(int(rec.Disk))
 	case evCheckpoint:
 		s.onCheckpointTick(e)
 	default:
@@ -306,7 +352,7 @@ func (s *sim) runCont(c *cont, now float64) {
 		if delay < 0 {
 			delay = 0
 		}
-		s.schedule(delay, eventRecord{Kind: evRebuildNext, Disk: c.disk, RemainingMB: c.remainingMB - c.sizeMB})
+		s.schedule(delay, rebuildNextEvent(c.disk, c.remainingMB-c.sizeMB))
 	case contScrub:
 		s.completeScrub(c)
 	case contOpaque:
@@ -348,7 +394,7 @@ func (s *sim) dropCont(c *cont) {
 		s.opaqueLive--
 	case contScrub:
 		if s.scrubChainLives() {
-			s.schedule(s.flt.inj.SampleScrubIntervalSeconds(), eventRecord{Kind: evScrub, Disk: c.disk})
+			s.schedule(s.flt.inj.SampleScrubIntervalSeconds(), diskEvent(evScrub, c.disk))
 		}
 	}
 	s.releaseCont(c)

@@ -97,7 +97,7 @@ func (s *sim) installFaults() error {
 	// drawn at install time, in disk order, so the draw sequence is fixed.
 	if cfg.ScrubActive() {
 		for d := range s.disks {
-			s.schedule(inj.SampleScrubIntervalSeconds(), eventRecord{Kind: evScrub, Disk: d})
+			s.schedule(inj.SampleScrubIntervalSeconds(), diskEvent(evScrub, d))
 		}
 	}
 	return nil
@@ -158,7 +158,7 @@ func (s *sim) onScrubTick(d int) {
 	}
 	f := s.flt
 	if s.disks[d].failed {
-		s.schedule(f.inj.SampleScrubIntervalSeconds(), eventRecord{Kind: evScrub, Disk: d})
+		s.schedule(f.inj.SampleScrubIntervalSeconds(), diskEvent(evScrub, d))
 		return
 	}
 	size := f.cfg.ScrubPassMB()
@@ -178,7 +178,7 @@ func (s *sim) completeScrub(c *cont) {
 	f.scrubs++
 	f.scrubMB += c.sizeMB
 	if s.scrubChainLives() {
-		s.schedule(f.inj.SampleScrubIntervalSeconds(), eventRecord{Kind: evScrub, Disk: c.disk})
+		s.schedule(f.inj.SampleScrubIntervalSeconds(), diskEvent(evScrub, c.disk))
 	}
 }
 
@@ -265,7 +265,7 @@ func (s *sim) failDisk(d int, at float64) {
 		s.dropBackground(o)
 	}
 
-	s.schedule(f.inj.SampleRepairSeconds(), eventRecord{Kind: evRepair, Disk: d})
+	s.schedule(f.inj.SampleRepairSeconds(), diskEvent(evRepair, d))
 }
 
 // routeAroundFailure re-disposes an op whose disk d is (or just went) down:
@@ -291,10 +291,18 @@ func (s *sim) routeAroundFailure(d int, o op) {
 		// the dead disk's queue and is served by the replacement.
 		f.degraded++
 		o.rerouted = true
+		if s.trc != nil && o.tr == nil {
+			// A new arrival lands here straight from enqueue, before
+			// noteEnqueue stamped it; kick and attribution need stamps on
+			// every queued op. Zero stamps are what an unstamped op
+			// always carried.
+			o.tr = s.newStamps()
+		}
 		s.disks[d].fg.push(o)
 		s.checkQueue(d)
 		return
 	}
+	s.releaseStamps(o.tr)
 	s.loseOp(o)
 }
 
@@ -325,6 +333,7 @@ func (s *sim) loseOp(o op) {
 // any continuation accounting (an opaque policy callback that will never
 // run must stop blocking checkpoints).
 func (s *sim) dropBackground(o op) {
+	s.releaseStamps(o.tr)
 	if o.mig {
 		delete(s.migrating, o.fileID)
 		if s.trc != nil {

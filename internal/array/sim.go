@@ -300,7 +300,7 @@ type Result struct {
 	CheckpointsSkipped int `json:",omitempty"`
 }
 
-type opKind int
+type opKind uint8
 
 const (
 	opUser opKind = iota
@@ -308,18 +308,26 @@ const (
 	opChunk
 )
 
+// op is one queued or in-service disk operation. It is copied by value
+// through the queues, so it is kept to 56 bytes: the kind and the two flags
+// share one word, and the decision-tracing stamps live out of line.
 type op struct {
+	fileID  int
+	sizeMB  float64
+	arrival float64    // user request arrival time
+	done    *cont      // completion continuation (see events.go); nil = none
+	stripe  *stripeJob // for opChunk: the parent request
+	// tr holds the latency-decomposition stamps. It is set only when
+	// decision tracing is on (sim.trc != nil) and read only by trace.go.
+	tr       *opStamps
 	kind     opKind
-	fileID   int
-	sizeMB   float64
-	arrival  float64    // user request arrival time
-	done     *cont      // completion continuation (see events.go); nil = none
-	stripe   *stripeJob // for opChunk: the parent request
-	mig      bool       // background leg of a Context.Migrate transfer
-	rerouted bool       // already re-routed around a failure once
+	mig      bool // background leg of a Context.Migrate transfer
+	rerouted bool // already re-routed around a failure once
+}
 
-	// Latency-decomposition stamps, written only when decision tracing is
-	// on (sim.trc != nil) and read only by trace.go.
+// opStamps are the stamps that split an op's response time for decision
+// tracing.
+type opStamps struct {
 	enqT     float64 // when the op entered its disk's queue
 	spinBase float64 // disk's transition-busy clock at enqueue
 	waitSpin float64 // transition time that elapsed while queued
@@ -420,8 +428,9 @@ type sim struct {
 	counts  map[int]int // per-epoch access counts
 	nextReq int
 
-	respStream stats.Stream
-	respHist   *stats.LatencyHistogram
+	// respHist is the user response-time distribution; its own stream
+	// gives the exact count, mean and maximum.
+	respHist *stats.LatencyHistogram
 
 	migrations    int
 	backgroundOps int
@@ -453,6 +462,9 @@ type sim struct {
 	// freeConts holds released continuations for newCont to reuse, so an
 	// op's continuation allocates nothing in steady state.
 	freeConts []*cont
+	// freeStamps holds released decision-tracing stamps for newStamps to
+	// reuse, so a traced op's stamps allocate nothing in steady state.
+	freeStamps []*opStamps
 	// wireOrder is the order checkpoints write file-keyed maps in, built by
 	// fileOrder at the first snapshot.
 	wireOrder []int
@@ -752,7 +764,7 @@ func (s *sim) kick(d int) {
 			}
 			dur := ds.disk.BeginTransition(now, target)
 			s.met.transitions.Inc()
-			s.schedule(dur, eventRecord{Kind: evTransition, Disk: d})
+			s.schedule(dur, diskEvent(evTransition, d))
 			return
 		}
 	}
@@ -766,10 +778,10 @@ func (s *sim) kick(d int) {
 			dur = ds.disk.BeginService(now, o.sizeMB)
 		}
 		if s.trc != nil {
-			o.waitSpin = ds.transBusy - o.spinBase
-			o.svcDur = dur
+			o.tr.waitSpin = ds.transBusy - o.tr.spinBase
+			o.tr.svcDur = dur
 		}
-		s.schedule(dur, eventRecord{Kind: evService, Disk: d, Gen: ds.gen})
+		s.schedule(dur, serviceEvent(d, ds.gen))
 		return
 	}
 	// Disk idle with empty queue: arm idle timer.
@@ -781,17 +793,19 @@ func (s *sim) kick(d int) {
 //
 //simlint:hotpath
 func (s *sim) complete(d int, o op, now float64) {
-	if s.trc != nil && o.kind != opBackground {
-		s.attributeCompletion(d, &o, now)
+	if s.trc != nil {
+		if o.kind != opBackground {
+			s.attributeCompletion(d, &o, now)
+		}
+		s.releaseStamps(o.tr)
 	}
 	switch o.kind {
 	case opUser:
 		resp := now - o.arrival
-		s.respStream.Add(resp)
 		s.respHist.Add(resp)
 		s.met.completions.Inc()
 		s.met.respLatency.Observe(resp)
-		s.live.Tick(now, s.eng.Fired(), s.respStream.N(), uint64(s.nextReq))
+		s.live.Tick(now, s.eng.Fired(), s.respHist.N(), uint64(s.nextReq))
 		s.eng.EmitSpan(labelRequestSpan, o.arrival, now)
 		ctx := s.ctx
 		s.setHook(hookRequestComplete)
@@ -813,11 +827,10 @@ func (s *sim) complete(d int, o op, now float64) {
 		if o.stripe.remaining == 0 {
 			// The striped request completes with its slowest chunk.
 			resp := now - o.stripe.arrival
-			s.respStream.Add(resp)
 			s.respHist.Add(resp)
 			s.met.completions.Inc()
 			s.met.respLatency.Observe(resp)
-			s.live.Tick(now, s.eng.Fired(), s.respStream.N(), uint64(s.nextReq))
+			s.live.Tick(now, s.eng.Fired(), s.respHist.N(), uint64(s.nextReq))
 			s.eng.EmitSpan(labelRequestSpan, o.stripe.arrival, now)
 			if s.trc != nil {
 				s.attributeStripe(&o, now)
@@ -877,7 +890,7 @@ func (s *sim) armIdleTimer(d int) {
 	ds.idleArmed = true
 	timeout := ds.idleTimeout
 	deadline := s.eng.Now() + timeout
-	s.schedule(timeout, eventRecord{Kind: evIdleArm, Disk: d, Deadline: deadline, Timeout: timeout})
+	s.schedule(timeout, idleArmEvent(d, deadline, timeout))
 }
 
 func (s *sim) rearmIdleTimer(d int, delay float64) {
@@ -886,7 +899,7 @@ func (s *sim) rearmIdleTimer(d int, delay float64) {
 		return
 	}
 	ds.idleArmed = true
-	s.schedule(delay, eventRecord{Kind: evIdleRearm, Disk: d, Timeout: ds.idleTimeout})
+	s.schedule(delay, idleRearmEvent(d, ds.idleTimeout))
 }
 
 func (s *sim) onEpoch(e *des.Engine) {
@@ -954,9 +967,9 @@ func (s *sim) collect() (*Result, error) {
 		PolicyName:    s.cfg.Policy.Name(),
 		Disks:         len(s.disks),
 		Duration:      now,
-		Requests:      int(s.respStream.N()),
-		MeanResponse:  s.respStream.Mean(),
-		MaxResponse:   s.respStream.Max(),
+		Requests:      int(s.respHist.N()),
+		MeanResponse:  s.respHist.Mean(),
+		MaxResponse:   s.respHist.Max(),
 		Migrations:    s.migrations,
 		BackgroundOps: s.backgroundOps,
 		Epochs:        s.epochs,

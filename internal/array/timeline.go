@@ -32,7 +32,7 @@ func (s *sim) installSampler() {
 	if s.cfg.SampleInterval <= 0 {
 		return
 	}
-	s.schedule(s.cfg.SampleInterval, eventRecord{Kind: evSample, LastEnergy: 0})
+	s.schedule(s.cfg.SampleInterval, sampleEvent(0))
 }
 
 // onSampleTick records one timeline sample. lastEnergy is the array energy
@@ -66,10 +66,10 @@ func (s *sim) onSampleTick(e *des.Engine, lastEnergy float64) {
 		HighDisks: high,
 		Queued:    queued,
 		InService: serving,
-		Completed: s.respStream.N(),
+		Completed: s.respHist.N(),
 	})
 	if s.workRemains() {
-		s.schedule(s.cfg.SampleInterval, eventRecord{Kind: evSample, LastEnergy: energy})
+		s.schedule(s.cfg.SampleInterval, sampleEvent(energy))
 	}
 }
 

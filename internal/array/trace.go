@@ -125,7 +125,7 @@ func (t *traceState) overrideFor(seq uint64) string {
 // the transition should proceed (false under a skip override).
 func (s *sim) recordSpinDown(d int, now float64) bool {
 	t := s.trc
-	p := s.cfg.DiskParams
+	p := &s.cfg.DiskParams
 	seq := t.log.Append(telemetry.Decision{
 		T:     now,
 		Epoch: s.epochs,
@@ -216,7 +216,7 @@ func (s *sim) onTransitionDone(d int, now float64) {
 // how long the move actually took to land.
 func (s *sim) recordMigrate(fileID, from, to int, sizeMB, now float64) bool {
 	t := s.trc
-	p := s.cfg.DiskParams
+	p := &s.cfg.DiskParams
 	seq := t.log.Append(telemetry.Decision{
 		T:              now,
 		Epoch:          s.epochs,
@@ -309,16 +309,40 @@ func (s *sim) resolveRebuild(d int, now float64, finished bool) {
 	})
 }
 
+// newStamps returns zeroed stamps for an op entering a queue, reusing a
+// released set when one is free.
+func (s *sim) newStamps() *opStamps {
+	if n := len(s.freeStamps); n > 0 {
+		tr := s.freeStamps[n-1]
+		s.freeStamps = s.freeStamps[:n-1]
+		*tr = opStamps{}
+		return tr
+	}
+	return new(opStamps)
+}
+
+// releaseStamps returns a resolved op's stamps to the free list. Nothing may
+// reference tr afterwards: the op has completed, been dropped or been lost,
+// and an op is only ever moved, never duplicated, so it was the sole holder.
+func (s *sim) releaseStamps(tr *opStamps) {
+	if tr != nil {
+		s.freeStamps = append(s.freeStamps, tr)
+	}
+}
+
 // noteEnqueue stamps op o with the state needed to split its eventual
 // response time, relative to disk d right now.
 func (s *sim) noteEnqueue(d int, o *op, now float64) {
 	ds := s.disks[d]
-	o.enqT = now
-	o.spinBase = ds.transBusy
+	if o.tr == nil {
+		o.tr = s.newStamps()
+	}
+	o.tr.enqT = now
+	o.tr.spinBase = ds.transBusy
 	if ds.disk.State() == diskmodel.Transitioning {
 		// Mid-transition: the part that elapsed before this op arrived is
 		// not its wait.
-		o.spinBase += now - ds.transStart
+		o.tr.spinBase += now - ds.transStart
 	}
 }
 
@@ -329,26 +353,27 @@ func (s *sim) noteEnqueue(d int, o *op, now float64) {
 // lands.
 func (s *sim) attributeCompletion(d int, o *op, now float64) {
 	ds := s.disks[d]
-	p := s.cfg.DiskParams
+	p := &s.cfg.DiskParams
 	sp := ds.disk.Speed()
 	a := &s.trc.attr
+	tr := o.tr
 	transfer := o.sizeMB / p.TransferRate(sp)
-	seek := o.svcDur - transfer
+	seek := tr.svcDur - transfer
 	if seek < 0 {
 		seek = 0
 	}
-	queueWait := (now - o.svcDur) - o.enqT - o.waitSpin
+	queueWait := (now - tr.svcDur) - tr.enqT - tr.waitSpin
 	if queueWait < 0 {
 		queueWait = 0
 	}
 	a.QueueWaitS += queueWait
-	a.SpinupWaitS += o.waitSpin
-	if o.waitSpin > 0 {
+	a.SpinupWaitS += tr.waitSpin
+	if tr.waitSpin > 0 {
 		a.SpinupWaits++
 	}
 	a.SeekS += seek
 	a.TransferS += transfer
-	a.ServiceEnergyJ += p.ActivePower(sp) * o.svcDur
+	a.ServiceEnergyJ += p.ActivePower(sp) * tr.svcDur
 	switch o.kind {
 	case opUser:
 		a.Requests++

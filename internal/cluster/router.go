@@ -528,7 +528,7 @@ func (c *clusterSim) backoff(id uint64, attempt int) float64 {
 // the running fleet p99 once enough completions exist, else the fallback.
 func (c *clusterSim) hedgeDelay() float64 {
 	if c.hist.N() >= hedgeMinSamples {
-		if p99, err := c.hist.Quantile(0.99); err == nil && p99 > 0 {
+		if p99, err := c.hist.P99(); err == nil && p99 > 0 {
 			return c.cfg.HedgeAfterP99Mult * p99
 		}
 	}

@@ -101,10 +101,12 @@ func (d *Disk) State() State { return d.state }
 func (d *Disk) IdleSince() float64 { return d.idleSince }
 
 // accrue integrates power and residence time up to now.
+//
+//simlint:hotpath
 func (d *Disk) accrue(now float64) {
 	dt := now - d.lastAccrual
 	if dt < 0 {
-		panic(fmt.Sprintf("diskmodel: disk %d time moved backwards: %v -> %v", d.id, d.lastAccrual, now))
+		panic(fmt.Sprintf("diskmodel: disk %d time moved backwards: %v -> %v", d.id, d.lastAccrual, now)) //simlint:allow hotalloc -- a simulation bug aborts the run once
 	}
 	switch d.state {
 	case Idle:
@@ -130,6 +132,8 @@ func (d *Disk) accrue(now float64) {
 // must schedule EndService at now+duration. It panics if the disk is not
 // idle: queueing is the array's responsibility, and overlapping service is
 // a simulation bug rather than a recoverable condition.
+//
+//simlint:hotpath
 func (d *Disk) BeginService(now, sizeMB float64) float64 {
 	d.beginService(now, sizeMB)
 	return d.params.ServiceTime(sizeMB, d.speed)

@@ -311,3 +311,22 @@ func TestPropertySpeedResidencePartition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+var sinkServiceTime float64
+
+// BenchmarkDiskServiceTime is the disk model's cost per served request: one
+// BeginService/EndService pair, which accrues energy twice and computes the
+// service time.
+func BenchmarkDiskServiceTime(b *testing.B) {
+	d := New(0, DefaultParams(), High)
+	now := 0.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dur := d.BeginService(now, 0.5+float64(i&7))
+		sinkServiceTime += dur
+		now += dur
+		d.EndService(now)
+		now += 0.001
+	}
+}

@@ -101,7 +101,7 @@ func DefaultParams() Params {
 }
 
 // Validate reports the first implausibility in the parameter set.
-func (p Params) Validate() error {
+func (p *Params) Validate() error {
 	switch {
 	case p.CapacityMB <= 0:
 		return errors.New("diskmodel: capacity must be positive")
@@ -133,7 +133,7 @@ func (p Params) Validate() error {
 
 // ServiceTimeAt is ServiceTime with a distance-based seek of dist cylinders
 // (requires the Seek model; falls back to ServiceTime otherwise).
-func (p Params) ServiceTimeAt(sizeMB float64, s Speed, dist int) float64 {
+func (p *Params) ServiceTimeAt(sizeMB float64, s Speed, dist int) float64 {
 	if !p.Seek.Enabled() {
 		return p.ServiceTime(sizeMB, s)
 	}
@@ -144,7 +144,7 @@ func (p Params) ServiceTimeAt(sizeMB float64, s Speed, dist int) float64 {
 }
 
 // TransferRate returns the sustained transfer rate in MB/s at speed s.
-func (p Params) TransferRate(s Speed) float64 {
+func (p *Params) TransferRate(s Speed) float64 {
 	if s == High {
 		return p.TransferHigh
 	}
@@ -156,7 +156,7 @@ func (p Params) TransferRate(s Speed) float64 {
 
 // RotationalLatency returns the average rotational latency (half a
 // revolution) in seconds at speed s.
-func (p Params) RotationalLatency(s Speed) float64 {
+func (p *Params) RotationalLatency(s Speed) float64 {
 	rpm := p.RPMLow
 	if s == High {
 		rpm = p.RPMHigh
@@ -166,14 +166,14 @@ func (p Params) RotationalLatency(s Speed) float64 {
 
 // PositioningTime returns the average positioning overhead (seek plus
 // rotational latency) at speed s.
-func (p Params) PositioningTime(s Speed) float64 {
+func (p *Params) PositioningTime(s Speed) float64 {
 	return p.AvgSeek + p.RotationalLatency(s)
 }
 
 // ServiceTime returns the time to serve one whole-file request of sizeMB at
 // speed s: one positioning operation followed by a sequential scan, matching
 // the paper's whole-file access model (§4).
-func (p Params) ServiceTime(sizeMB float64, s Speed) float64 {
+func (p *Params) ServiceTime(sizeMB float64, s Speed) float64 {
 	if sizeMB < 0 {
 		sizeMB = 0
 	}
@@ -181,7 +181,7 @@ func (p Params) ServiceTime(sizeMB float64, s Speed) float64 {
 }
 
 // ActivePower returns the active power draw at speed s.
-func (p Params) ActivePower(s Speed) float64 {
+func (p *Params) ActivePower(s Speed) float64 {
 	if s == High {
 		return p.PowerActiveHigh
 	}
@@ -189,7 +189,7 @@ func (p Params) ActivePower(s Speed) float64 {
 }
 
 // IdlePower returns the idle power draw at speed s.
-func (p Params) IdlePower(s Speed) float64 {
+func (p *Params) IdlePower(s Speed) float64 {
 	if s == High {
 		return p.PowerIdleHigh
 	}
@@ -198,13 +198,13 @@ func (p Params) IdlePower(s Speed) float64 {
 
 // ActiveEnergyPerMB returns the paper's J/MB active energy rate (p_h, p_l in
 // §4): active power divided by transfer rate.
-func (p Params) ActiveEnergyPerMB(s Speed) float64 {
+func (p *Params) ActiveEnergyPerMB(s Speed) float64 {
 	return p.ActivePower(s) / p.TransferRate(s)
 }
 
 // TransitionTime returns the duration of a speed transition to the given
 // target speed.
-func (p Params) TransitionTime(to Speed) float64 {
+func (p *Params) TransitionTime(to Speed) float64 {
 	if to == High {
 		return p.TransitionUpTime
 	}
@@ -213,7 +213,7 @@ func (p Params) TransitionTime(to Speed) float64 {
 
 // TransitionEnergy returns the energy cost of a speed transition to the
 // given target speed.
-func (p Params) TransitionEnergy(to Speed) float64 {
+func (p *Params) TransitionEnergy(to Speed) float64 {
 	if to == High {
 		return p.TransitionUpEnergy
 	}
@@ -224,7 +224,7 @@ func (p Params) TransitionEnergy(to Speed) float64 {
 // the round-trip transition cost from high speed, the quantity a sensible
 // idleness threshold must exceed (paper §5.2: "a disk spin down can cause
 // more energy consumption if the idle time is not long enough").
-func (p Params) BreakEvenIdle() float64 {
+func (p *Params) BreakEvenIdle() float64 {
 	roundTripEnergy := p.TransitionDownEnergy + p.TransitionUpEnergy
 	roundTripTime := p.TransitionDownTime + p.TransitionUpTime
 	saving := p.PowerIdleHigh - p.PowerIdleLow

@@ -7,7 +7,8 @@ import (
 )
 
 func TestDefaultParamsValid(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
+	p := DefaultParams()
+	if err := p.Validate(); err != nil {
 		t.Fatalf("default params invalid: %v", err)
 	}
 }

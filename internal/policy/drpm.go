@@ -37,7 +37,8 @@ func (p *DRPM) Init(ctx *array.Context) error {
 	}
 	h := p.cfg.IdleThreshold
 	if h <= 0 {
-		h = ctx.DiskParams().BreakEvenIdle()
+		dp := ctx.DiskParams()
+		h = dp.BreakEvenIdle()
 	}
 	for d := 0; d < ctx.NumDisks(); d++ {
 		ctx.SetIdleTimeout(d, h)

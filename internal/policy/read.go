@@ -171,7 +171,8 @@ func (r *READ) Init(ctx *array.Context) error {
 
 	h := r.cfg.InitialIdleThreshold
 	if h <= 0 {
-		h = 2 * ctx.DiskParams().BreakEvenIdle()
+		dp := ctx.DiskParams()
+		h = 2 * dp.BreakEvenIdle()
 	}
 	for d := 0; d < n; d++ {
 		ctx.SetIdleTimeout(d, h)
