@@ -30,27 +30,22 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecisionCodec -fuzztime=20s ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=20s ./internal/checkpoint
 
-# bench regenerates both committed benchmark baselines:
-#   BENCH_telemetry.json — micro-benchmark trajectory (ns/op, allocs/op,
-#     custom metrics), via cmd/benchjson
-#   BENCH_runs.json      — run-summary trajectory the CI regression gate
-#     checks with `arrayreport check`
-# Run it after a deliberate performance or metrics change and commit the
-# diff; CI never regenerates these files.
+# bench regenerates the committed run-summary baseline, BENCH_runs.json,
+# which the CI regression gate checks with `arrayreport check`. Run it after
+# a deliberate performance or metrics change and commit the diff; CI never
+# regenerates the file.
 #
-# The guard refuses to regenerate baselines from a dirty working tree
-# (changes to the BENCH_*.json files themselves are fine): a baseline must
-# describe exactly one committed tree, or the numbers are unattributable.
-# Override with BENCH_ALLOW_DIRTY=1 for local experiments you won't commit.
+# The guard refuses to regenerate the baseline from a dirty working tree
+# (changes to BENCH_runs.json itself are fine): a baseline must describe
+# exactly one committed tree, or the numbers are unattributable. Override
+# with BENCH_ALLOW_DIRTY=1 for local experiments you won't commit.
 bench:
 	@if [ -z "$$BENCH_ALLOW_DIRTY" ] && \
-		! git diff --quiet HEAD -- . ':!BENCH_telemetry.json' ':!BENCH_runs.json'; then \
-		echo "bench: working tree has uncommitted changes beyond BENCH_*.json;"; \
+		! git diff --quiet HEAD -- . ':!BENCH_runs.json'; then \
+		echo "bench: working tree has uncommitted changes beyond BENCH_runs.json;"; \
 		echo "bench: commit them first so the baseline maps to one tree,"; \
 		echo "bench: or set BENCH_ALLOW_DIRTY=1 to override."; \
 		exit 1; fi
-	$(GO) test -run='^$$' -bench=. -benchmem ./... \
-		| $(GO) run ./cmd/benchjson -out BENCH_telemetry.json
 	rm -rf .bench-runs
 	$(GO) run ./cmd/experiments -fig 7 -scale 0.02 -runs-dir .bench-runs
 	$(GO) run ./cmd/arrayreport baseline -store .bench-runs -command "make bench" -out BENCH_runs.json

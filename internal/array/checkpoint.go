@@ -83,15 +83,6 @@ func (s *sim) onCheckpointTick(e *des.Engine) {
 	if s.workRemains() {
 		s.schedule(s.cfg.Checkpoint.EverySimSeconds, eventRecord{Kind: evCheckpoint})
 	}
-	if s.opaqueLive > 0 {
-		// A non-serializable policy callback is in flight; skip this
-		// snapshot and try again next tick. The previous snapshot stays
-		// valid on disk. The skip is counted: the count reaches the result,
-		// the ops plane, and the next snapshot, so a resume keeps it.
-		s.checkpointsSkipped++
-		s.live.PublishCheckpointsSkipped(uint64(s.checkpointsSkipped))
-		return
-	}
 	if err := s.writeCheckpoint(); err != nil {
 		s.fail(fmt.Errorf("array: checkpoint: %w", err))
 	}
@@ -99,11 +90,9 @@ func (s *sim) onCheckpointTick(e *des.Engine) {
 
 // --- wire schema ---
 
-// contState is the serializable form of a cont. fn is the opaque-callback
-// case: it cannot be serialized, and checkpoint writes are skipped while any
-// opaque continuation is live.
+// contState is the serializable form of a cont.
 //
-//simlint:checkpoint-for cont ignore=fn
+//simlint:checkpoint-for cont
 type contState struct {
 	Kind        string  `json:"kind"`
 	FileID      int     `json:"file_id,omitempty"`
@@ -116,13 +105,10 @@ type contState struct {
 	Attempt     int     `json:"attempt,omitempty"`
 }
 
-// encodeCont serializes a continuation, rejecting the opaque kind.
-func encodeCont(c *cont) (*contState, error) {
+// encodeCont serializes a continuation.
+func encodeCont(c *cont) *contState {
 	if c == nil {
-		return nil, nil
-	}
-	if c.kind == contOpaque {
-		return nil, fmt.Errorf("array: opaque continuation cannot be checkpointed")
+		return nil
 	}
 	return &contState{
 		Kind:        c.kind,
@@ -134,7 +120,7 @@ func encodeCont(c *cont) (*contState, error) {
 		RemainingMB: c.remainingMB,
 		ReqID:       c.reqID,
 		Attempt:     c.attempt,
-	}, nil
+	}
 }
 
 // opState is the serializable form of an op. Stripe is an index into
@@ -336,18 +322,17 @@ type raidCkptState struct {
 // simState is the checkpoint payload: the complete mutable state of a run.
 // The ignored fields are re-supplied or rebuilt on restore: cfg and files
 // come back from the caller's CheckpointSpec, eng is reconstructed and its
-// state carried as Clock/Seq/Fired, opaqueLive is zero by construction (a
-// snapshot is never written while an opaque continuation is live), live is
-// observation-only (re-cached from cfg.Telemetry on restore), failure
-// aborts the run before a checkpoint could be taken, ctx is a stateless
-// singleton rebuilt by newSimOn (it carries only the sim pointer), recs —
-// the pending events' records — travels inside Events and is refilled as
-// restore re-schedules them, freeConts and freeStamps hold only released
-// continuations and stamps that nothing references, and wireOrder is derived
-// from files. RespStream repeats RespHist.Stream: the wire format keeps both
+// state carried as Clock/Seq/Fired, writer is the configured policy until
+// its next Context.EnqueueWrite, live is observation-only (re-cached from
+// cfg.Telemetry on restore), failure aborts the run before a checkpoint
+// could be taken, ctx is a stateless singleton rebuilt by newSimOn (it
+// carries only the sim pointer), recs — the pending events' records —
+// travels inside Events and is refilled as restore re-schedules them,
+// freeConts and freeStamps hold only released continuations and stamps that
+// nothing references, and wireOrder is derived from files. RespStream repeats RespHist.Stream: the wire format keeps both
 // copies, and restore rejects a state in which they differ.
 //
-//simlint:checkpoint-for sim ignore=cfg,eng,files,opaqueLive,failure,live,host,ctx,recs,freeConts,freeStamps,wireOrder alias=met:Metrics,flt:Faults,trc:Trace
+//simlint:checkpoint-for sim ignore=cfg,eng,files,writer,failure,live,host,ctx,recs,freeConts,freeStamps,wireOrder alias=met:Metrics,flt:Faults,trc:Trace
 type simState struct {
 	Clock         float64                     `json:"clock"`
 	Seq           uint64                      `json:"seq"`
@@ -371,8 +356,6 @@ type simState struct {
 	Events        []savedEvent                `json:"events"`
 	Metrics       *telemetry.RegistryState    `json:"metrics,omitempty"`
 	Trace         *traceCkptState             `json:"trace,omitempty"`
-
-	CheckpointsSkipped int `json:"checkpoints_skipped,omitempty"`
 }
 
 // fileMap is the wire form of a file-keyed map: placement, or this epoch's
@@ -462,7 +445,6 @@ func (s *sim) fileOrder() []int {
 type stripeTable struct {
 	ids  map[*stripeJob]int
 	list []stripeState
-	err  error // first continuation-encoding failure, surfaced by buildState
 }
 
 func (t *stripeTable) id(j *stripeJob) int {
@@ -474,17 +456,13 @@ func (t *stripeTable) id(j *stripeJob) int {
 	}
 	id := len(t.list)
 	t.ids[j] = id
-	done, err := encodeCont(j.done)
-	if err != nil && t.err == nil {
-		t.err = err
-	}
 	t.list = append(t.list, stripeState{
-		FileID: j.fileID, Arrival: j.arrival, Remaining: j.remaining, Lost: j.lost, Done: done,
+		FileID: j.fileID, Arrival: j.arrival, Remaining: j.remaining, Lost: j.lost, Done: encodeCont(j.done),
 	})
 	return id
 }
 
-func (t *stripeTable) encodeOp(o op) (opState, error) {
+func (t *stripeTable) encodeOp(o op) opState {
 	st := opState{
 		Kind:     int(o.kind),
 		FileID:   o.fileID,
@@ -493,16 +471,12 @@ func (t *stripeTable) encodeOp(o op) (opState, error) {
 		Stripe:   t.id(o.stripe),
 		Mig:      o.mig,
 		Rerouted: o.rerouted,
+		Done:     encodeCont(o.done),
 	}
 	if tr := o.tr; tr != nil {
 		st.stampState = stampState{EnqT: tr.enqT, SpinBase: tr.spinBase, WaitSpin: tr.waitSpin, SvcDur: tr.svcDur}
 	}
-	done, err := encodeCont(o.done)
-	if err != nil {
-		return opState{}, err
-	}
-	st.Done = done
-	return st, nil
+	return st
 }
 
 // items returns the queue's live entries in FIFO order (read-only view).
@@ -526,8 +500,6 @@ func (s *sim) buildState() (*simState, error) {
 		RespStream:    hist.Stream,
 		RespHist:      hist,
 		Timeline:      s.timeline,
-
-		CheckpointsSkipped: s.checkpointsSkipped,
 	}
 	if len(s.counts) > 0 {
 		st.Counts = &fileMap{s.counts, order}
@@ -558,18 +530,10 @@ func (s *sim) buildState() (*simState, error) {
 			dc.Pending = &p
 		}
 		for _, o := range ds.fg.items() {
-			os, err := table.encodeOp(o)
-			if err != nil {
-				return nil, err
-			}
-			dc.FG = append(dc.FG, os)
+			dc.FG = append(dc.FG, table.encodeOp(o))
 		}
 		for _, o := range ds.bg.items() {
-			os, err := table.encodeOp(o)
-			if err != nil {
-				return nil, err
-			}
-			dc.BG = append(dc.BG, os)
+			dc.BG = append(dc.BG, table.encodeOp(o))
 		}
 		st.Disks[i] = dc
 	}
@@ -587,16 +551,10 @@ func (s *sim) buildState() (*simState, error) {
 		se := rec.toSaved(pe.Time, pe.Seq)
 		if rec.Kind == evService {
 			// The disk's in-service op travels with its service event.
-			os, err := table.encodeOp(s.disks[rec.Disk].svc)
-			if err != nil {
-				return nil, err
-			}
+			os := table.encodeOp(s.disks[rec.Disk].svc)
 			se.Op = &os
 		}
 		st.Events = append(st.Events, se)
-	}
-	if table.err != nil {
-		return nil, table.err
 	}
 	st.Stripes = table.list
 
@@ -675,16 +633,34 @@ func (s *sim) writeCheckpoint() error {
 	return checkpoint.Write(spec.Path, env)
 }
 
-func decodeCont(cs *contState) (*cont, error) {
+// decodeCont is encodeCont's inverse. It rejects an unknown kind, and every
+// index the kind's completion will use: a disk or target outside the array,
+// a file outside the file set, and a policy write with no hook to report to.
+func (s *sim) decodeCont(cs *contState) (*cont, error) {
 	if cs == nil {
 		return nil, nil
 	}
+	var disk, file bool // which of Disk (or To) and FileID the kind uses
+	field, d := "disk", cs.Disk
 	switch cs.Kind {
-	case contMigrateRead, contMigrateWrite, contRebuild, contScrub, contFleet:
-	case contOpaque:
-		return nil, fmt.Errorf("array: opaque continuation in checkpoint")
+	case contMigrateRead, contMigrateWrite:
+		field, d, disk, file = "to", cs.To, true, true
+	case contRebuild, contScrub:
+		disk = true
+	case contPolicyWrite:
+		disk, file = true, true
+	case contFleet:
 	default:
 		return nil, fmt.Errorf("array: unknown continuation kind %q", cs.Kind)
+	}
+	if disk && (d < 0 || d >= len(s.disks)) {
+		return nil, fmt.Errorf("array: resume: %s continuation: %s %d outside [0, %d)", cs.Kind, field, d, len(s.disks))
+	}
+	if _, ok := s.files[cs.FileID]; file && !ok {
+		return nil, fmt.Errorf("array: resume: %s continuation: unknown file %d", cs.Kind, cs.FileID)
+	}
+	if cs.Kind == contPolicyWrite && s.writer == nil {
+		return nil, fmt.Errorf("array: resume: policy %q has a write in flight but no write-completion hook", s.cfg.Policy.Name())
 	}
 	return &cont{
 		kind:        cs.Kind,
@@ -801,7 +777,7 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 
 	stripes := make([]*stripeJob, len(st.Stripes))
 	for i, ss := range st.Stripes {
-		done, err := decodeCont(ss.Done)
+		done, err := s.decodeCont(ss.Done)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -827,7 +803,7 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 			}
 			o.stripe = stripes[os.Stripe]
 		}
-		c, err := decodeCont(os.Done)
+		c, err := s.decodeCont(os.Done)
 		if err != nil {
 			return op{}, err
 		}
@@ -889,7 +865,6 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 		return nil, nil, fmt.Errorf("array: resume: %w", err)
 	}
 	s.timeline = st.Timeline
-	s.checkpointsSkipped = st.CheckpointsSkipped
 
 	if err := pol.LoadState(st.Policy); err != nil {
 		return nil, nil, fmt.Errorf("array: resume: policy %q load: %w", pol.Name(), err)

@@ -12,8 +12,9 @@ import (
 
 // TestResumeRejectsCorruptFixture restores corrupted copies of the v1
 // fixture. Each must fail with an error: never a panic, and never a disk
-// index narrowed into range or a field the event's kind does not carry
-// silently dropped.
+// index narrowed into range, a field the event's kind does not carry
+// silently dropped, or a continuation that would index past the array or
+// the file set when its op completes.
 func TestResumeRejectsCorruptFixture(t *testing.T) {
 	env, err := checkpoint.Read(fixturePath)
 	if err != nil {
@@ -37,6 +38,10 @@ func TestResumeRejectsCorruptFixture(t *testing.T) {
 			ev[k] = v
 		}
 	}
+	// withDone replaces the continuation of service event i's op.
+	withDone := func(st map[string]any, i int, done map[string]any) {
+		event(st, i)["op"].(map[string]any)["done"] = done
+	}
 	cases := []struct {
 		name    string
 		corrupt func(st map[string]any)
@@ -56,6 +61,30 @@ func TestResumeRejectsCorruptFixture(t *testing.T) {
 			asKind(st, 0, "sample", map[string]any{"last_energy": 9.5, "timeout": 1.0})
 		}, "foreign"},
 		{"disk on fault-tick", func(st map[string]any) { event(st, 11)["disk"] = 2 }, "foreign"},
+		{"scrub pass past the array", func(st map[string]any) {
+			withDone(st, 5, map[string]any{"kind": "scrub-pass", "disk": 42, "size_mb": 256})
+		}, "scrub-pass continuation: disk 42 outside [0, 6)"},
+		{"rebuild chunk on a negative disk", func(st map[string]any) {
+			withDone(st, 6, map[string]any{"kind": "rebuild-chunk", "disk": -1, "size_mb": 64, "remaining_mb": 128})
+		}, "rebuild-chunk continuation: disk -1 outside [0, 6)"},
+		{"migration read to a disk past the array", func(st map[string]any) {
+			withDone(st, 7, map[string]any{"kind": "migrate-read", "file_id": 7, "to": 42, "size_mb": 2.5})
+		}, "migrate-read continuation: to 42 outside [0, 6)"},
+		{"migration write of an unknown file", func(st map[string]any) {
+			withDone(st, 8, map[string]any{"kind": "migrate-write", "file_id": 4242, "to": 3})
+		}, "migrate-write continuation: unknown file 4242"},
+		{"policy write past the array", func(st map[string]any) {
+			withDone(st, 5, map[string]any{"kind": "policy-write", "file_id": 7, "disk": 42, "size_mb": 2.5})
+		}, "policy-write continuation: disk 42 outside [0, 6)"},
+		{"policy write of an unknown file", func(st map[string]any) {
+			withDone(st, 8, map[string]any{"kind": "policy-write", "file_id": -3, "disk": 2, "size_mb": 2.5})
+		}, "policy-write continuation: unknown file -3"},
+		{"policy write under a policy without the hook", func(st map[string]any) {
+			withDone(st, 6, map[string]any{"kind": "policy-write", "file_id": 7, "disk": 2, "size_mb": 2.5})
+		}, `policy "read" has a write in flight but no write-completion hook`},
+		{"unknown continuation kind", func(st map[string]any) {
+			withDone(st, 7, map[string]any{"kind": "opaque"})
+		}, `unknown continuation kind "opaque"`},
 		{"resp_stream differs", func(st map[string]any) {
 			st["resp_stream"].(map[string]any)["sum"] = json.Number("3817.5")
 		}, "resp_stream"},

@@ -91,8 +91,6 @@ func TestCheckpointEncodingMatchesLegacy(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("%d snapshots, %d with counts keyed both below and above 10", snapshots, mixedCounts)
-			// MAID writes fewest: ticks while its cache fills are in flight
-			// are skipped.
 			if mixedCounts == 0 {
 				t.Fatalf("none of %d snapshots has counts where string and numeric key order differ", snapshots)
 			}

@@ -195,9 +195,19 @@ func (c *Context) Migrate(fileID, to int) bool {
 // Migrating reports whether fileID has a migration in flight.
 func (c *Context) Migrating(fileID int) bool { return c.s.migrating[fileID] }
 
-// EnqueueWrite schedules a background write of sizeMB on disk d (MAID's
-// cache-disk copy). onDone, if non-nil, runs at completion.
-func (c *Context) EnqueueWrite(d int, sizeMB float64, onDone func()) error {
+// EnqueueWrite schedules a background write of fileID's copy, sizeMB, on
+// disk d (MAID's cache-disk copy). w, the calling policy itself, gets
+// OnWriteDone at completion. The write travels as plain data, so a
+// checkpoint taken while it is queued or in service resumes it; passing w
+// rather than finding it on Config.Policy keeps the hook reachable through
+// a wrapper that forwards only the base Policy methods.
+func (c *Context) EnqueueWrite(w WritePolicy, d, fileID int, sizeMB float64) error {
+	if w == nil {
+		return fmt.Errorf("array: background write without a completion hook")
+	}
+	if _, ok := c.s.files[fileID]; !ok {
+		return fmt.Errorf("array: background write of unknown file %d", fileID)
+	}
 	if d < 0 || d >= len(c.s.disks) {
 		return fmt.Errorf("array: background write to invalid disk %d", d)
 	}
@@ -207,14 +217,8 @@ func (c *Context) EnqueueWrite(d int, sizeMB float64, onDone func()) error {
 	if sizeMB < 0 {
 		return fmt.Errorf("array: negative write size %v", sizeMB)
 	}
-	var done *cont
-	if onDone != nil {
-		// A policy callback is opaque to the checkpoint subsystem: it
-		// cannot be serialized, so snapshot writes are skipped while one is
-		// in flight (tracked by opaqueLive, released on run or drop).
-		done = c.s.newCont(cont{kind: contOpaque, fn: func(float64) { onDone() }})
-		c.s.opaqueLive++
-	}
+	c.s.writer = w
+	done := c.s.newCont(cont{kind: contPolicyWrite, fileID: fileID, disk: d, sizeMB: sizeMB})
 	c.s.enqueue(d, op{kind: opBackground, sizeMB: sizeMB, done: done})
 	return nil
 }

@@ -8,9 +8,8 @@ package array
 // checkpoint can serialize the pending event queue and a resume can rebuild
 // it, which is impossible with closures. Pending records live in the sim's
 // slab; the engine's event carries only the slot and hands it back to
-// sim.Fire. The one escape hatch is the "opaque" continuation (a policy
-// callback passed to Context.EnqueueWrite); those cannot be serialized, so
-// checkpoint writes are skipped while any is in flight (see sim.opaqueLive).
+// sim.Fire. A policy's own background write (Context.EnqueueWrite) is a
+// typed cont too: its completion calls the policy's WritePolicy hook.
 
 import (
 	"fmt"
@@ -139,13 +138,12 @@ const (
 	contMigrateWrite = "migrate-write"
 	contRebuild      = "rebuild-chunk"
 	contScrub        = "scrub-pass"
-	contOpaque       = "opaque"
+	contPolicyWrite  = "policy-write"
 	contFleet        = "fleet-done"
 )
 
 // cont is the serializable continuation run when an op completes, replacing
-// the old op.onDone closure. An opaque cont wraps a policy callback and is
-// the one non-serializable case.
+// the old op.onDone closure.
 type cont struct {
 	kind        string
 	fileID      int
@@ -154,9 +152,8 @@ type cont struct {
 	sizeMB      float64
 	nextIssue   float64
 	remainingMB float64
-	reqID       uint64            // contFleet: cluster request the op belongs to
-	attempt     int               // contFleet: the request's attempt ordinal
-	fn          func(now float64) // contOpaque only
+	reqID       uint64 // contFleet: cluster request the op belongs to
+	attempt     int    // contFleet: the request's attempt ordinal
 }
 
 // at schedules rec at absolute virtual time t. The record goes into the
@@ -321,7 +318,6 @@ func (s *sim) newCont(v cont) *cont {
 // releaseCont returns a continuation that has run (or was dropped) to the
 // free list. Nothing may reference c afterwards: its op has resolved.
 func (s *sim) releaseCont(c *cont) {
-	*c = cont{} // drop an opaque callback for the collector
 	s.freeConts = append(s.freeConts, c)
 }
 
@@ -355,9 +351,8 @@ func (s *sim) runCont(c *cont, now float64) {
 		s.schedule(delay, rebuildNextEvent(c.disk, c.remainingMB-c.sizeMB))
 	case contScrub:
 		s.completeScrub(c)
-	case contOpaque:
-		s.opaqueLive--
-		c.fn(now)
+	case contPolicyWrite:
+		s.writer.OnWriteDone(s.ctx, c.fileID, c.disk)
 	case contFleet:
 		s.hostDone(c, now, false)
 		return
@@ -384,18 +379,14 @@ func (s *sim) hostDone(c *cont, now float64, lost bool) {
 // completing (a background transfer on a failed disk), with its bookkeeping.
 // A dropped scrub pass must still reschedule the disk's scrub cycle — the
 // pass found no readable media, but the replacement drive will need
-// scrubbing again.
+// scrubbing again. A dropped policy write never reaches the policy: its
+// OnDiskFailure hook has already seen the failure that voided it.
 func (s *sim) dropCont(c *cont) {
 	if c == nil {
 		return
 	}
-	switch c.kind {
-	case contOpaque:
-		s.opaqueLive--
-	case contScrub:
-		if s.scrubChainLives() {
-			s.schedule(s.flt.inj.SampleScrubIntervalSeconds(), diskEvent(evScrub, c.disk))
-		}
+	if c.kind == contScrub && s.scrubChainLives() {
+		s.schedule(s.flt.inj.SampleScrubIntervalSeconds(), diskEvent(evScrub, c.disk))
 	}
 	s.releaseCont(c)
 }

@@ -329,9 +329,8 @@ func (s *sim) loseOp(o op) {
 }
 
 // dropBackground discards a background transfer queued on a failed disk,
-// releasing any migration bookkeeping so the file can move again later and
-// any continuation accounting (an opaque policy callback that will never
-// run must stop blocking checkpoints).
+// releasing any migration bookkeeping so the file can move again later, and
+// its continuation (see dropCont).
 func (s *sim) dropBackground(o op) {
 	s.releaseStamps(o.tr)
 	if o.mig {

@@ -46,9 +46,11 @@ func (p *chaosPolicy) TargetDisk(ctx *Context, fileID int) int {
 
 func (p *chaosPolicy) OnRequestComplete(ctx *Context, fileID, disk int) {
 	if p.rng.Intn(30) == 0 {
-		_ = ctx.EnqueueWrite(p.rng.Intn(ctx.NumDisks()), p.rng.Float64(), nil)
+		_ = ctx.EnqueueWrite(p, p.rng.Intn(ctx.NumDisks()), fileID, p.rng.Float64())
 	}
 }
+
+func (p *chaosPolicy) OnWriteDone(*Context, int, int) {}
 
 func (p *chaosPolicy) OnEpoch(ctx *Context) {
 	n := ctx.NumDisks()

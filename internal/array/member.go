@@ -276,23 +276,12 @@ func (m *Member) CheckpointState() ([]byte, error) {
 	if _, ok := m.s.cfg.Policy.(CheckpointablePolicy); !ok {
 		return nil, fmt.Errorf("array: policy %q does not support checkpointing", m.s.cfg.Policy.Name())
 	}
-	if m.s.opaqueLive > 0 {
-		return nil, errOpaqueLive
-	}
 	st, err := m.s.buildState()
 	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(st)
 }
-
-// ErrOpaqueLive reports a checkpoint attempt while a non-serializable policy
-// callback is in flight; the cluster skips the tick and retries on the next.
-var errOpaqueLive = errors.New("array: opaque continuation in flight; checkpoint skipped")
-
-// IsOpaqueLive reports whether err is the skippable mid-callback checkpoint
-// condition.
-func IsOpaqueLive(err error) bool { return errors.Is(err, errOpaqueLive) }
 
 // ResumeMember rebuilds a member from a CheckpointState payload. The decoded
 // pending events are returned WITHOUT being scheduled: the cluster merges

@@ -81,6 +81,23 @@ type StripePolicy interface {
 	StripeTargets(ctx *Context, fileID int) []int
 }
 
+// WritePolicy optionally extends Policy with the completion hook for the
+// background writes it issues (MAID's cache fill, READReplica's promotion)
+// through Context.EnqueueWrite. The array carries an in-flight write as
+// plain data — the file and the target disk — so a checkpoint taken while
+// one is queued or in service resumes it like any other op; the policy's
+// own state (its in-flight copy table) says what the completion means. A
+// resume with a write in flight requires the configured policy to
+// implement the interface.
+type WritePolicy interface {
+	Policy
+
+	// OnWriteDone is called when the write of fileID onto disk, issued by
+	// Context.EnqueueWrite, completes. A write dropped with its failed
+	// disk never completes; OnDiskFailure sees the failure instead.
+	OnWriteDone(ctx *Context, fileID, disk int)
+}
+
 // CheckpointablePolicy optionally extends Policy with state serialization
 // for checkpoint/restore. SaveState must capture everything the policy
 // accumulated since Init — counters, caches, adaptive thresholds — because a

@@ -293,11 +293,6 @@ type Result struct {
 	MTTDLEstHours float64
 	// RAIDLossLog lists every declared loss in time order.
 	RAIDLossLog []RAIDLossEvent
-
-	// CheckpointsSkipped counts checkpoint ticks that wrote no snapshot
-	// because a non-serializable policy callback was in flight. Zero
-	// without Config.Checkpoint.
-	CheckpointsSkipped int `json:",omitempty"`
 }
 
 type opKind uint8
@@ -468,11 +463,10 @@ type sim struct {
 	// wireOrder is the order checkpoints write file-keyed maps in, built by
 	// fileOrder at the first snapshot.
 	wireOrder []int
-	// opaqueLive counts in-flight non-serializable continuations (policy
-	// callbacks from Context.EnqueueWrite); checkpoint writes are skipped
-	// while it is nonzero, and checkpointsSkipped counts those skips.
-	opaqueLive         int
-	checkpointsSkipped int
+	// writer receives the completions of the policy's background writes
+	// (contPolicyWrite). Context.EnqueueWrite sets it; it starts as the
+	// configured policy, which is how a restored write finds its hook.
+	writer WritePolicy
 
 	// host is non-nil when this sim is a fleet member driven by a cluster
 	// router over a shared engine (see member.go): arrivals come from
@@ -515,6 +509,7 @@ func newSimOn(cfg Config, eng *des.Engine, host Host) (*sim, error) {
 		migrating: make(map[int]bool),
 	}
 	s.ctx = &Context{s: s}
+	s.writer, _ = cfg.Policy.(WritePolicy)
 	if cfg.Telemetry != nil {
 		s.met = newSimMetrics(cfg.Telemetry.Metrics)
 		s.live = cfg.Telemetry.Live
@@ -975,8 +970,6 @@ func (s *sim) collect() (*Result, error) {
 		Epochs:        s.epochs,
 		EventsFired:   s.eng.Fired(),
 		Timeline:      s.timeline,
-
-		CheckpointsSkipped: s.checkpointsSkipped,
 	}
 	if s.respHist.N() > 0 {
 		p50, err := s.respHist.Quantile(0.50)

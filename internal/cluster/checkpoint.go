@@ -59,10 +59,8 @@ type savedRouterEvent struct {
 // rebuilt (member state travels in Members), failure aborts a run before
 // a checkpoint could be written, and recs — the pending router events'
 // records — travels inside Events and is refilled as restore re-schedules
-// them. checkpointsSkipped travels as CheckpointsSkipped, so a resumed run
-// keeps counting from the snapshot's tally. freeReqs holds only settled
-// request states and healthy is a buffer reused by every attempt; neither
-// carries state between events.
+// them. freeReqs holds only settled request states and healthy is a
+// buffer reused by every attempt; neither carries state between events.
 //
 //simlint:checkpoint-for clusterSim ignore=cfg,eng,members,racks,traceEnd,failure,recs,freeReqs,healthy
 type clusterState struct {
@@ -82,8 +80,6 @@ type clusterState struct {
 	Failed     int   `json:"failed,omitempty"`
 	Shocks     int   `json:"shocks,omitempty"`
 	ShockDepth []int `json:"shock_depth"`
-
-	CheckpointsSkipped int `json:"checkpoints_skipped,omitempty"`
 
 	Reqs   []reqCkptState              `json:"reqs,omitempty"`
 	Events []savedRouterEvent          `json:"events,omitempty"`
@@ -114,10 +110,8 @@ func (c *clusterSim) buildState() (*clusterState, error) {
 		Shed:       c.shed,
 		Failed:     c.failed,
 		Shocks:     c.shocks,
-
-		CheckpointsSkipped: c.checkpointsSkipped,
-		ShockDepth:         append([]int(nil), c.shockDepth...),
-		Hist:               c.hist.State(),
+		ShockDepth: append([]int(nil), c.shockDepth...),
+		Hist:       c.hist.State(),
 	}
 
 	ids := make([]uint64, 0, len(c.reqs))
@@ -204,15 +198,6 @@ func (c *clusterSim) onCheckpointTick(now float64) {
 		c.rat(now+c.cfg.Checkpoint.EverySimSeconds, routerRecord{Kind: revCheckpoint})
 	}
 	if err := c.writeCheckpoint(); err != nil {
-		if array.IsOpaqueLive(err) {
-			// A member has a non-serializable policy callback in flight;
-			// skip this snapshot and try again next tick. The skip is
-			// counted: the count reaches the result, the live view, and
-			// the next snapshot, so a resume keeps it.
-			c.checkpointsSkipped++
-			c.live().PublishCheckpointsSkipped(uint64(c.checkpointsSkipped))
-			return
-		}
 		c.fail(fmt.Errorf("cluster: checkpoint: %w", err))
 	}
 }
@@ -271,7 +256,6 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 	c.shed = st.Shed
 	c.failed = st.Failed
 	c.shocks = st.Shocks
-	c.checkpointsSkipped = st.CheckpointsSkipped
 	copy(c.shockDepth, st.ShockDepth)
 	if err := c.hist.SetState(st.Hist); err != nil {
 		return nil, fmt.Errorf("cluster: resume: %w", err)

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"encoding/json"
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -35,11 +35,13 @@ func TestFleetRecorderLiveTicks(t *testing.T) {
 	}
 }
 
-// TestFleetCheckpointSkipsCounted: MAID members fill their cache through
-// opaque write callbacks, so a frequently checkpointed MAID fleet skips
-// ticks. The skips are counted in the result, carried in the snapshot, and
-// a resume reproduces the uninterrupted run, count included.
-func TestFleetCheckpointSkipsCounted(t *testing.T) {
+// TestFleetCheckpointEveryTickWithWritesInFlight: MAID members fill their
+// caches with Context.EnqueueWrite, so a frequently checkpointed MAID fleet
+// has cache fills in flight at many ticks. Every tick must still write a
+// snapshot, some must hold a fill in flight, and a resume from each of
+// those must reproduce the uninterrupted run with the event ledger intact.
+func TestFleetCheckpointEveryTickWithWritesInFlight(t *testing.T) {
+	const every = 0.25
 	wl := workload.DefaultGenConfig()
 	wl.NumFiles = 400
 	wl.NumRequests = 4000
@@ -51,7 +53,7 @@ func TestFleetCheckpointSkipsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	config := func(sink func([]byte) error) Config {
-		cfg := Config{
+		return Config{
 			Arrays:   2,
 			Replicas: 2,
 			Trace:    tr,
@@ -59,57 +61,38 @@ func TestFleetCheckpointSkipsCounted(t *testing.T) {
 			MakePolicy: func(int) (array.Policy, error) {
 				return policy.NewMAID(policy.MAIDConfig{CacheDisks: 1}), nil
 			},
+			Checkpoint: &CheckpointSpec{EverySimSeconds: every, Sink: sink},
 		}
-		if sink != nil {
-			cfg.Checkpoint = &CheckpointSpec{EverySimSeconds: 0.25, Sink: sink}
-		}
-		return cfg
 	}
 
-	if plain := runLedgered(t, config(nil)); plain.CheckpointsSkipped != 0 {
-		t.Fatalf("run without checkpoints reports %d skips", plain.CheckpointsSkipped)
-	}
-	var snaps [][]byte
+	var snaps []*checkpoint.Envelope
 	want := runLedgered(t, config(func(data []byte) error {
-		snaps = append(snaps, append([]byte(nil), data...))
-		return nil
+		env, err := checkpoint.Decode(data)
+		snaps = append(snaps, env)
+		return err
 	}))
-	if want.CheckpointsSkipped == 0 {
-		t.Fatal("no checkpoint tick was skipped; the workload does not exercise the skip path")
-	}
-	t.Logf("%d snapshots written, %d ticks skipped", len(snaps), want.CheckpointsSkipped)
-
-	// Resume from the last snapshot that already counted a skip.
-	var from *checkpoint.Envelope
-	for _, snap := range snaps {
-		env, err := checkpoint.Decode(snap)
+	inFlight := 0
+	for i, env := range snaps {
+		if tick := every * float64(i+1); env.SimTime != tick {
+			t.Fatalf("snapshot %d taken at t=%v, want the tick at t=%v", i, env.SimTime, tick)
+		}
+		if !bytes.Contains(env.State, []byte(`{"kind":"policy-write"`)) {
+			continue
+		}
+		inFlight++
+		cfg := config(func([]byte) error { return nil })
+		ledger := watchLedger(t, &cfg)
+		got, err := Resume(cfg, env.State)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("resume from t=%v: %v", env.SimTime, err)
 		}
-		var st struct {
-			Skipped int `json:"checkpoints_skipped"`
-		}
-		if err := json.Unmarshal(env.State, &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.Skipped > 0 {
-			from = env
+		ledger()
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("resume from t=%v diverged:\nwant %+v\ngot  %+v", env.SimTime, want, got)
 		}
 	}
-	if from == nil {
-		t.Fatalf("none of %d snapshots carries a skip count", len(snaps))
+	if inFlight == 0 {
+		t.Fatalf("none of %d snapshots holds a policy write; the workload does not exercise the path", len(snaps))
 	}
-	cfg := config(func([]byte) error { return nil })
-	ledger := watchLedger(t, &cfg)
-	got, err := Resume(cfg, from.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ledger()
-	if got.CheckpointsSkipped != want.CheckpointsSkipped {
-		t.Fatalf("resume counted %d skips, uninterrupted run %d", got.CheckpointsSkipped, want.CheckpointsSkipped)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("resume diverged:\nwant %+v\ngot  %+v", want, got)
-	}
+	t.Logf("%d snapshots, one per tick; %d with a cache fill in flight resume exactly", len(snaps), inFlight)
 }

@@ -141,9 +141,6 @@ type clusterSim struct {
 	failed     int
 	shocks     int
 	shockDepth []int // nested outage count per rack
-	// checkpointsSkipped counts checkpoint ticks that wrote no snapshot
-	// because a member had an opaque policy callback in flight.
-	checkpointsSkipped int
 
 	traceEnd float64 // last fleet arrival time; bounds the shock chains
 	failure  error
@@ -657,20 +654,14 @@ func (c *clusterSim) decide(kind, cause string, st *reqState, target int, now fl
 	})
 }
 
-// live is the recorder's live view (nil without one): the per-cell row a
-// sweep tracker shows on /progress.
-func (c *clusterSim) live() *telemetry.Live {
-	if c.cfg.Telemetry == nil {
-		return nil
-	}
-	return c.cfg.Telemetry.Live
-}
-
 // publishLive publishes the router's counters to both live views: the
-// fleet's own (FleetLive) and the recorder's per-run Live, which reports
-// fleet arrivals delivered and fleet requests served.
+// fleet's own (FleetLive) and the recorder's per-run Live, the per-cell row
+// a sweep tracker shows on /progress, which reports fleet arrivals
+// delivered and fleet requests served.
 func (c *clusterSim) publishLive() {
-	c.live().Tick(c.eng.Now(), c.eng.Fired(), c.hist.N(), uint64(c.delivered))
+	if rec := c.cfg.Telemetry; rec != nil {
+		rec.Live.Tick(c.eng.Now(), c.eng.Fired(), c.hist.N(), uint64(c.delivered))
+	}
 	c.cfg.FleetLive.PublishCounters(c.eng.Now(), uint64(c.delivered), c.hist.N(),
 		uint64(c.retries), uint64(c.hedges), uint64(c.hedgeWins), uint64(c.failovers),
 		uint64(c.timeouts), uint64(c.deferred), uint64(c.shed), uint64(c.failed), uint64(c.shocks))

@@ -57,7 +57,6 @@ func newGoldenServer(t *testing.T) *Server {
 	live := telemetry.NewLive()
 	live.Tick(3600, 120000, 40000, 40010)
 	live.PublishEpoch(12, 54321.5, 1.875, 9, 4, 2)
-	live.PublishCheckpointsSkipped(3)
 
 	// Drive a real engine so the watch carries engine-published values.
 	eng := des.New()

@@ -135,7 +135,7 @@ func (m *MAID) OnDiskFailure(ctx *array.Context, d int) {
 		m.usedMB[d] = 0
 		for id, cd := range m.copying {
 			// In-flight admissions to the dead disk were dropped with its
-			// queue; their completion callbacks will never run.
+			// queue; their OnWriteDone will never come.
 			if cd == d {
 				delete(m.copying, id)
 			}

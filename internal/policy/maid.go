@@ -184,20 +184,23 @@ func (m *MAID) admit(ctx *array.Context, fileID int) {
 
 	m.copying[fileID] = cd
 	m.usedMB[cd] += f.SizeMB
-	err := ctx.EnqueueWrite(cd, f.SizeMB, func() {
-		delete(m.copying, fileID)
-		// Admission may have been superseded by eviction bookkeeping;
-		// only insert if still absent.
-		if _, ok := m.entries[fileID]; !ok {
-			el := m.lru.PushFront(cacheEntry{fileID: fileID, cacheDisk: cd, sizeMB: f.SizeMB})
-			m.entries[fileID] = el
-		}
-		m.copies++
-	})
-	if err != nil {
+	if err := ctx.EnqueueWrite(m, cd, fileID, f.SizeMB); err != nil {
 		delete(m.copying, fileID)
 		m.usedMB[cd] -= f.SizeMB
 	}
+}
+
+// OnWriteDone completes the cache admission of fileID onto cache disk cd.
+func (m *MAID) OnWriteDone(ctx *array.Context, fileID, cd int) {
+	f, _ := ctx.File(fileID)
+	delete(m.copying, fileID)
+	// Admission may have been superseded by eviction bookkeeping;
+	// only insert if still absent.
+	if _, ok := m.entries[fileID]; !ok {
+		el := m.lru.PushFront(cacheEntry{fileID: fileID, cacheDisk: cd, sizeMB: f.SizeMB})
+		m.entries[fileID] = el
+	}
+	m.copies++
 }
 
 func (m *MAID) oldestOn(cd int) *list.Element {
@@ -225,4 +228,4 @@ func (m *MAID) OnIdleTimeout(ctx *array.Context, d int) {
 	}
 }
 
-var _ array.Policy = (*MAID)(nil)
+var _ array.WritePolicy = (*MAID)(nil)

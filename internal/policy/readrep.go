@@ -166,15 +166,17 @@ func (r *READReplica) promote(ctx *array.Context, f workload.File, hot int) {
 	id := f.ID
 	r.copying[id] = best
 	r.replMB[best] += f.SizeMB
-	target := best
-	if err := ctx.EnqueueWrite(target, f.SizeMB, func() {
+	if err := ctx.EnqueueWrite(r, best, id, f.SizeMB); err != nil {
 		delete(r.copying, id)
-		r.replica[id] = target
-		r.replicasMade++
-	}); err != nil {
-		delete(r.copying, id)
-		r.replMB[target] -= f.SizeMB
+		r.replMB[best] -= f.SizeMB
 	}
 }
 
-var _ array.Policy = (*READReplica)(nil)
+// OnWriteDone completes the promotion of file id onto hot disk target.
+func (r *READReplica) OnWriteDone(_ *array.Context, id, target int) {
+	delete(r.copying, id)
+	r.replica[id] = target
+	r.replicasMade++
+}
+
+var _ array.WritePolicy = (*READReplica)(nil)

@@ -36,7 +36,6 @@ type Live struct {
 	disksHigh  atomic.Uint64
 	disksLow   atomic.Uint64
 	epoch      atomic.Uint64
-	ckptSkip   atomic.Uint64
 }
 
 // LiveSnapshot is one consistent reading of a Live.
@@ -53,8 +52,6 @@ type LiveSnapshot struct {
 	DisksHigh   uint64
 	DisksLow    uint64
 	Epoch       uint64
-	// Event-fresh (updated when a checkpoint tick is skipped).
-	CheckpointsSkipped uint64
 }
 
 // NewLive returns an empty live view ready to hand to a Recorder.
@@ -88,17 +85,6 @@ func (l *Live) PublishEpoch(epoch uint64, energyJ, worstAFRPct float64, queueDep
 	l.seq.Add(1)
 }
 
-// PublishCheckpointsSkipped publishes the run's count of checkpoint ticks
-// skipped while a policy callback was in flight. Single writer only.
-func (l *Live) PublishCheckpointsSkipped(n uint64) {
-	if l == nil {
-		return
-	}
-	l.seq.Add(1)
-	l.ckptSkip.Store(n)
-	l.seq.Add(1)
-}
-
 // Snapshot returns a consistent view. Safe from any goroutine; a nil live
 // view yields the zero snapshot.
 func (l *Live) Snapshot() LiveSnapshot {
@@ -121,7 +107,6 @@ func (l *Live) Snapshot() LiveSnapshot {
 		s.DisksHigh = l.disksHigh.Load()
 		s.DisksLow = l.disksLow.Load()
 		s.Epoch = l.epoch.Load()
-		s.CheckpointsSkipped = l.ckptSkip.Load()
 		if l.seq.Load() == s1 {
 			return s
 		}
