@@ -329,10 +329,12 @@ type raidCkptState struct {
 // carries only the sim pointer), recs — the pending events' records —
 // travels inside Events and is refilled as restore re-schedules them,
 // freeConts and freeStamps hold only released continuations and stamps that
-// nothing references, and wireOrder is derived from files. RespStream repeats RespHist.Stream: the wire format keeps both
-// copies, and restore rejects a state in which they differ.
+// nothing references, wireOrder is derived from files, and ckptSize, the
+// last snapshot's length, only sizes the next snapshot's buffer. RespStream
+// repeats RespHist.Stream: the wire format keeps both copies, and restore
+// rejects a state in which they differ.
 //
-//simlint:checkpoint-for sim ignore=cfg,eng,files,writer,failure,live,host,ctx,recs,freeConts,freeStamps,wireOrder alias=met:Metrics,flt:Faults,trc:Trace
+//simlint:checkpoint-for sim ignore=cfg,eng,files,writer,failure,live,host,ctx,recs,freeConts,freeStamps,wireOrder,ckptSize alias=met:Metrics,flt:Faults,trc:Trace
 type simState struct {
 	Clock         float64                     `json:"clock"`
 	Seq           uint64                      `json:"seq"`
@@ -362,61 +364,14 @@ type simState struct {
 // access counts. It encodes byte for byte as encoding/json encodes a
 // map[int]int, keys in the order of their decimal strings, but walks order,
 // the run's file IDs presorted that way (sim.fileOrder), instead of
-// formatting and sorting every key on every snapshot. A key outside order,
-// which only a state decoded from elsewhere can hold, sends the whole map
-// through sortedKeys instead.
+// formatting and sorting every key on every snapshot (see writeJSON).
 type fileMap struct {
 	m     map[int]int
 	order []int
 }
 
-func (f fileMap) MarshalJSON() ([]byte, error) {
-	if f.m == nil {
-		return []byte("null"), nil
-	}
-	// A key and its value take at most 20 bytes each plus 4 of punctuation;
-	// file IDs and counts are short, so this is a generous first guess.
-	buf := make([]byte, 0, 2+16*len(f.m))
-	buf = append(buf, '{')
-	n := 0
-	for _, id := range f.order {
-		if v, ok := f.m[id]; ok {
-			buf = appendEntry(buf, n, id, v)
-			n++
-		}
-	}
-	if n != len(f.m) {
-		buf = buf[:1]
-		for i, id := range sortedKeys(f.m) {
-			buf = appendEntry(buf, i, id, f.m[id])
-		}
-	}
-	return append(buf, '}'), nil
-}
-
 func (f *fileMap) UnmarshalJSON(data []byte) error {
 	return json.Unmarshal(data, &f.m)
-}
-
-// appendEntry appends the i-th `"id":v` entry of a JSON object.
-func appendEntry(buf []byte, i, id, v int) []byte {
-	if i > 0 {
-		buf = append(buf, ',')
-	}
-	buf = append(buf, '"')
-	buf = strconv.AppendInt(buf, int64(id), 10)
-	buf = append(buf, '"', ':')
-	return strconv.AppendInt(buf, int64(v), 10)
-}
-
-// sortedKeys returns m's keys in the order encoding/json writes them.
-func sortedKeys(m map[int]int) []int {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, compareDecimal)
-	return ids
 }
 
 // compareDecimal orders two integers by their decimal strings.
@@ -604,33 +559,30 @@ func (s *sim) buildState() (*simState, error) {
 }
 
 // writeCheckpoint snapshots the run into its envelope and commits it to the
-// configured sink or path (atomically).
+// configured sink or path (atomically). The buffer is sized from the last
+// snapshot, with room to grow, so a snapshot allocates it once; it is never
+// reused, because a sink may keep what it is given.
 func (s *sim) writeCheckpoint() error {
 	st, err := s.buildState()
 	if err != nil {
 		return err
 	}
-	data, err := json.Marshal(st)
-	if err != nil {
-		return err
-	}
 	spec := s.cfg.Checkpoint
-	env := &checkpoint.Envelope{
+	data, err := checkpoint.Marshal(&checkpoint.Envelope{
 		Version:      checkpoint.Version,
 		Tool:         spec.Tool,
 		ConfigDigest: spec.ConfigDigest,
 		SimTime:      s.eng.Now(),
 		EventsFired:  s.eng.Fired(),
-		State:        data,
+	}, s.ckptSize+s.ckptSize/8, st.appendJSON)
+	if err != nil {
+		return err
 	}
+	s.ckptSize = len(data)
 	if spec.Sink != nil {
-		enc, err := checkpoint.Encode(env)
-		if err != nil {
-			return err
-		}
-		return spec.Sink(enc)
+		return spec.Sink(data)
 	}
-	return checkpoint.Write(spec.Path, env)
+	return checkpoint.WriteFile(spec.Path, data)
 }
 
 // decodeCont is encodeCont's inverse. It rejects an unknown kind, and every
@@ -673,6 +625,16 @@ func (s *sim) decodeCont(cs *contState) (*cont, error) {
 		reqID:       cs.ReqID,
 		attempt:     cs.Attempt,
 	}, nil
+}
+
+// sortedIDs returns m's keys in ascending order.
+func sortedIDs(m map[int]int) []int {
+	ids := make([]int, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
 }
 
 // RestoredEvent is one pending DES event decoded from a checkpoint but not
@@ -786,6 +748,9 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 		}
 	}
 	decodeOp := func(os opState) (op, error) {
+		if os.Kind < int(opUser) || os.Kind > int(opChunk) {
+			return op{}, fmt.Errorf("array: resume: unknown op kind %d", os.Kind)
+		}
 		o := op{
 			kind:     opKind(os.Kind),
 			fileID:   os.FileID,
@@ -812,6 +777,12 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 	}
 
 	for i, dc := range st.Disks {
+		if err := dc.Disk.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("array: resume: disk %d: %w", i, err)
+		}
+		if p := dc.Pending; p != nil && *p != diskmodel.Low && *p != diskmodel.High {
+			return nil, nil, fmt.Errorf("array: resume: disk %d: pending speed %d is neither low nor high", i, int(*p))
+		}
 		ds := s.disks[i]
 		ds.disk = diskmodel.Restore(i, cfg.DiskParams, dc.Disk)
 		ds.temp = thermal.RestoreTracker(cfg.Thermal, dc.Temp)
@@ -844,18 +815,39 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 		}
 	}
 
+	if st.NextReq < 0 || st.NextReq > len(cfg.Trace.Requests) {
+		return nil, nil, fmt.Errorf("array: resume: next_req %d outside [0, %d]", st.NextReq, len(cfg.Trace.Requests))
+	}
 	s.nextReq = st.NextReq
 	s.migrations = st.Migrations
 	s.backgroundOps = st.BackgroundOps
 	s.epochs = st.Epochs
 	s.migsThisEpoch = st.MigsThisEpoch
+	// The snapshot encoder writes the file-keyed maps in the file set's
+	// order, and the simulator indexes disks by placement.
+	for _, id := range sortedIDs(st.Place.m) {
+		if _, ok := s.files[id]; !ok {
+			return nil, nil, fmt.Errorf("array: resume: placement of unknown file %d", id)
+		}
+		if d := st.Place.m[id]; d < 0 || d >= len(s.disks) {
+			return nil, nil, fmt.Errorf("array: resume: file %d placed on disk %d outside [0, %d)", id, d, len(s.disks))
+		}
+	}
 	if st.Place.m != nil {
 		s.place = st.Place.m
 	}
 	if st.Counts != nil && st.Counts.m != nil {
+		for _, id := range sortedIDs(st.Counts.m) {
+			if _, ok := s.files[id]; !ok {
+				return nil, nil, fmt.Errorf("array: resume: access count of unknown file %d", id)
+			}
+		}
 		s.counts = st.Counts.m
 	}
 	for _, id := range st.Migrating {
+		if _, ok := s.files[id]; !ok {
+			return nil, nil, fmt.Errorf("array: resume: migration of unknown file %d", id)
+		}
 		s.migrating[id] = true
 	}
 	if st.RespStream != st.RespHist.Stream {
@@ -877,6 +869,12 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 	case st.Faults == nil && faultsOn:
 		return nil, nil, fmt.Errorf("array: resume: faults enabled but checkpoint has no fault state")
 	case st.Faults != nil:
+		if n := len(st.Faults.Injector.Disks); n != cfg.Disks {
+			return nil, nil, fmt.Errorf("array: resume: fault injector has %d disks, config has %d", n, cfg.Disks)
+		}
+		if st.Faults.Spares < 0 || st.Faults.SparesUsed < 0 {
+			return nil, nil, fmt.Errorf("array: resume: negative spare count (spares %d, spares_used %d)", st.Faults.Spares, st.Faults.SparesUsed)
+		}
 		fcfg := cfg.Faults.Normalized()
 		inj, err := faults.RestoreInjector(fcfg, st.Faults.Injector)
 		if err != nil {

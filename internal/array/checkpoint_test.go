@@ -3,6 +3,7 @@ package array
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -432,8 +433,9 @@ func mustEncode(t *testing.T, env *checkpoint.Envelope) []byte {
 }
 
 // TestFileMapMatchesEncodingJSON compares the wire-order map encoder with
-// encoding/json's map[int]int encoding, including keys outside the order
-// (the sorting fallback) and negative keys.
+// encoding/json's map[int]int encoding, and requires it to refuse a map
+// with a key outside the order (the file set), which restore rejects and
+// no simulator write adds.
 func TestFileMapMatchesEncodingJSON(t *testing.T) {
 	files := &sim{files: map[int]workload.File{}}
 	for _, id := range []int{0, 1, 2, 9, 10, 11, 19, 100, 101, 1000, 4078} {
@@ -444,27 +446,33 @@ func TestFileMapMatchesEncodingJSON(t *testing.T) {
 		t.Fatalf("wire order %v, want %v", order, want)
 	}
 	for _, tc := range []struct {
-		name string
-		m    map[int]int
+		name    string
+		m       map[int]int
+		foreign bool
 	}{
-		{"nil", nil},
-		{"empty", map[int]int{}},
-		{"all files", map[int]int{0: 3, 1: 0, 2: 1, 9: 2, 10: 0, 11: 5, 19: 1, 100: 2, 101: 0, 1000: 1, 4078: 7}},
-		{"some files", map[int]int{2: 1, 10: 4, 9: 12345678}},
-		{"key outside the files", map[int]int{2: 1, 10: 4, 3: 0}},
-		{"only keys outside the files", map[int]int{5000: 1, 42: 2}},
-		{"negative keys", map[int]int{-1: 1, -10: 2, 0: -3, 10: 4}},
+		{"nil", nil, false},
+		{"empty", map[int]int{}, false},
+		{"all files", map[int]int{0: 3, 1: 0, 2: 1, 9: 2, 10: 0, 11: 5, 19: 1, 100: 2, 101: 0, 1000: 1, 4078: 7}, false},
+		{"some files", map[int]int{2: 1, 10: 4, 9: 12345678}, false},
+		{"negative values", map[int]int{0: -3, 10: 4}, false},
+		{"key outside the files", map[int]int{2: 1, 10: 4, 3: 0}, true},
+		{"only keys outside the files", map[int]int{5000: 1, 42: 2}, true},
+		{"negative keys", map[int]int{-1: 1, -10: 2, 0: -3, 10: 4}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := json.Marshal(struct {
-				M map[int]int `json:"m"`
-			}{tc.m})
+			w := checkpoint.NewWriter(nil)
+			fileMap{tc.m, order}.writeJSON(&w)
+			got, err := w.Bytes()
+			if tc.foreign {
+				if !errors.Is(err, errForeignKey) {
+					t.Fatalf("want %v, got %v (%s)", errForeignKey, err, got)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := json.Marshal(struct {
-				M fileMap `json:"m"`
-			}{fileMap{tc.m, order}})
+			want, err := json.Marshal(tc.m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -472,7 +480,7 @@ func TestFileMapMatchesEncodingJSON(t *testing.T) {
 				t.Fatalf("got  %s\nwant %s", got, want)
 			}
 			var back fileMap
-			if err := json.Unmarshal(got[len(`{"m":`):len(got)-1], &back); err != nil {
+			if err := json.Unmarshal(got, &back); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(back.m, tc.m) {

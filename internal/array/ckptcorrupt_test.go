@@ -38,6 +38,11 @@ func TestResumeRejectsCorruptFixture(t *testing.T) {
 			ev[k] = v
 		}
 	}
+	// disk returns disk i's saved state.
+	disk := func(st map[string]any, i int) map[string]any {
+		return st["disks"].([]any)[i].(map[string]any)
+	}
+	faultState := func(st map[string]any) map[string]any { return st["faults"].(map[string]any) }
 	// withDone replaces the continuation of service event i's op.
 	withDone := func(st map[string]any, i int, done map[string]any) {
 		event(st, i)["op"].(map[string]any)["done"] = done
@@ -85,6 +90,46 @@ func TestResumeRejectsCorruptFixture(t *testing.T) {
 		{"unknown continuation kind", func(st map[string]any) {
 			withDone(st, 7, map[string]any{"kind": "opaque"})
 		}, `unknown continuation kind "opaque"`},
+		{"speed outside low and high", func(st map[string]any) {
+			disk(st, 0)["disk"].(map[string]any)["speed"] = 5
+		}, "disk 0: diskmodel: speed 5 is neither low (0) nor high (1)"},
+		{"transition target outside low and high", func(st map[string]any) {
+			disk(st, 2)["disk"].(map[string]any)["transition_target"] = 7
+		}, "disk 2: diskmodel: transition_target 7 is neither low (0) nor high (1)"},
+		{"unknown disk state", func(st map[string]any) {
+			disk(st, 0)["disk"].(map[string]any)["state"] = 9
+		}, "disk 0: diskmodel: state 9 outside [0, 2]"},
+		{"pending speed outside low and high", func(st map[string]any) { disk(st, 1)["pending"] = 9 },
+			"disk 1: pending speed 9 is neither low nor high"},
+		{"negative next request", func(st map[string]any) { st["next_req"] = -3 }, "next_req -3 outside [0, 1500]"},
+		{"next request past the trace", func(st map[string]any) { st["next_req"] = 1501 }, "next_req 1501 outside [0, 1500]"},
+		{"file placed past the array", func(st map[string]any) { st["place"].(map[string]any)["7"] = 99 },
+			"file 7 placed on disk 99 outside [0, 6)"},
+		{"file placed on a negative disk", func(st map[string]any) { st["place"].(map[string]any)["7"] = -1 },
+			"file 7 placed on disk -1 outside [0, 6)"},
+		{"placement of an unknown file", func(st map[string]any) { st["place"].(map[string]any)["4242"] = 1 },
+			"placement of unknown file 4242"},
+		{"access count of an unknown file", func(st map[string]any) {
+			st["counts"] = map[string]any{"7": 2, "4242": 1}
+		}, "access count of unknown file 4242"},
+		{"migration of an unknown file", func(st map[string]any) { st["migrating"] = []any{7, 4242} },
+			"migration of unknown file 4242"},
+		{"unknown op kind", func(st map[string]any) { event(st, 5)["op"].(map[string]any)["kind"] = 99 },
+			"unknown op kind 99"},
+		{"op kind wrapping to a valid one", func(st map[string]any) { event(st, 6)["op"].(map[string]any)["kind"] = 256 },
+			"unknown op kind 256"},
+		{"fault injector short of disks", func(st map[string]any) {
+			inj := faultState(st)["injector"].(map[string]any)
+			inj["disks"] = inj["disks"].([]any)[:2]
+		}, "fault injector has 2 disks, config has 6"},
+		{"scripted failure past the array", func(st map[string]any) {
+			faultState(st)["injector"].(map[string]any)["scripted"] = []any{map[string]any{"Disk": 42, "At": 70}}
+		}, "pending scripted event 0 on disk 42 of 6"},
+		{"scripted failure on a negative disk", func(st map[string]any) {
+			faultState(st)["injector"].(map[string]any)["scripted"] = []any{map[string]any{"Disk": -1, "At": 70}}
+		}, "pending scripted event 0 on disk -1 of 6"},
+		{"negative spares", func(st map[string]any) { faultState(st)["spares"] = -5 }, "negative spare count"},
+		{"negative spares used", func(st map[string]any) { faultState(st)["spares_used"] = -1 }, "negative spare count"},
 		{"resp_stream differs", func(st map[string]any) {
 			st["resp_stream"].(map[string]any)["sum"] = json.Number("3817.5")
 		}, "resp_stream"},

@@ -59,7 +59,7 @@ type Member struct {
 // NewMember builds a fleet member on the shared engine eng. cfg.Trace must
 // carry the member's file set with an empty request list (arrivals come from
 // Submit), and cfg.Checkpoint must be nil (the cluster owns the checkpoint
-// cadence and calls CheckpointState from its own tick). firstArrival, when
+// cadence and calls AppendCheckpointState from its own tick). firstArrival, when
 // non-nil, runs at the exact point Run would schedule its first trace
 // arrival — after idle timers are armed, before the epoch event — so the
 // router can slot its arrival chain into the same sequence position.
@@ -269,10 +269,11 @@ func (m *Member) ForceSpeedAll(target diskmodel.Speed, cause string) {
 	}
 }
 
-// CheckpointState serializes the member's complete state (the same payload a
-// standalone checkpoint carries, with foreign shared-engine events skipped
-// and per-event sequence numbers recorded for the cluster's merge).
-func (m *Member) CheckpointState() ([]byte, error) {
+// AppendCheckpointState appends the member's complete state to dst: the
+// same payload a standalone checkpoint carries, with foreign shared-engine
+// events skipped and per-event sequence numbers recorded for the cluster's
+// merge.
+func (m *Member) AppendCheckpointState(dst []byte) ([]byte, error) {
 	if _, ok := m.s.cfg.Policy.(CheckpointablePolicy); !ok {
 		return nil, fmt.Errorf("array: policy %q does not support checkpointing", m.s.cfg.Policy.Name())
 	}
@@ -280,10 +281,10 @@ func (m *Member) CheckpointState() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(st)
+	return st.appendJSON(dst)
 }
 
-// ResumeMember rebuilds a member from a CheckpointState payload. The decoded
+// ResumeMember rebuilds a member from an AppendCheckpointState payload. The decoded
 // pending events are returned WITHOUT being scheduled: the cluster merges
 // them with the router's own saved events by Seq and schedules the union in
 // global order between the shared engine's BeginRestore and FinishRestore.

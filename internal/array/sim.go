@@ -463,6 +463,9 @@ type sim struct {
 	// wireOrder is the order checkpoints write file-keyed maps in, built by
 	// fileOrder at the first snapshot.
 	wireOrder []int
+	// ckptSize is the length of the last snapshot written, from which
+	// writeCheckpoint sizes the next one's buffer.
+	ckptSize int
 	// writer receives the completions of the policy's background writes
 	// (contPolicyWrite). Context.EnqueueWrite sets it; it starts as the
 	// configured policy, which is how a restored write finds its hook.

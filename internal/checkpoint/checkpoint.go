@@ -5,10 +5,11 @@
 // producing tool, the run's config digest (so a snapshot can never be resumed
 // under a different configuration), the virtual time and event count at
 // capture, a SHA-256 checksum of the state payload, and the payload itself as
-// raw JSON. Encode writes the envelope compact; Decode also reads the
-// indented files earlier versions wrote. The payload's schema belongs to the
-// producer (internal/array); this package only guarantees integrity and
-// identification.
+// raw JSON. Marshal writes the envelope compact, its payload appended by the
+// producer, and Decode also reads the indented files earlier versions wrote.
+// The payload's schema belongs to the producer (internal/array and
+// internal/cluster), which writes it with a Writer in encoding/json's exact
+// bytes; this package only guarantees integrity and identification.
 //
 // Files are written atomically (temp file + fsync + rename, via
 // internal/atomicio), so a crash during a checkpoint write leaves the
@@ -39,26 +40,14 @@ type Envelope struct {
 	SimTime      float64 `json:"sim_time"`
 	EventsFired  uint64  `json:"events_fired"`
 	// Checksum is the hex SHA-256 of the State payload in compacted form
-	// (the bytes Encode writes), detecting torn or bit-rotted snapshots
+	// (the bytes Marshal writes), detecting torn or bit-rotted snapshots
 	// before a resume trusts them.
 	Checksum string          `json:"checksum"`
 	State    json.RawMessage `json:"state"`
 }
 
-// header is the Envelope without its State, field for field in the same
-// order, so that Encode can marshal the small part by reflection and write
-// the large part itself.
-type header struct {
-	Version      int     `json:"version"`
-	Tool         string  `json:"tool"`
-	ConfigDigest string  `json:"config_digest"`
-	SimTime      float64 `json:"sim_time"`
-	EventsFired  uint64  `json:"events_fired"`
-	Checksum     string  `json:"checksum"`
-}
-
-// sumPlaceholder holds the checksum's place in Encode's header until the
-// state bytes it covers have been written.
+// sumPlaceholder holds the checksum's place in the header until the state
+// bytes it covers have been written.
 var sumPlaceholder = strings.Repeat("0", 2*sha256.Size)
 
 func digest(compacted []byte) string {
@@ -66,35 +55,54 @@ func digest(compacted []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Encode sets e.Checksum and returns the envelope's compact JSON encoding.
-// The state is compacted and validated in one pass straight into the
-// output, after the header, and the checksum is the SHA-256 of exactly
-// those bytes; it is then written into the header's checksum slot, the
-// last header field, which a placeholder of the same length held.
-func Encode(e *Envelope) ([]byte, error) {
-	head, err := json.Marshal(&header{
-		Version:      e.Version,
-		Tool:         e.Tool,
-		ConfigDigest: e.ConfigDigest,
-		SimTime:      e.SimTime,
-		EventsFired:  e.EventsFired,
-		Checksum:     sumPlaceholder,
-	})
+// Marshal sets e.Checksum and returns the envelope's compact JSON
+// encoding, with the state payload that appendState appends to the buffer
+// it is given in place of e.State. It writes the header first, with a
+// placeholder of the checksum's length in the checksum slot, the header's
+// last field; then the state, straight into the output; then the SHA-256
+// of exactly the appended bytes into the slot. size is the expected length
+// of the whole encoding: the output buffer, which is all Marshal allocates
+// besides the checksum string, is sized from it.
+func Marshal(e *Envelope, size int, appendState func(dst []byte) ([]byte, error)) ([]byte, error) {
+	w := NewWriter(make([]byte, 0, size))
+	w.Raw(`{"version":`)
+	w.Int(e.Version)
+	w.Raw(`,"tool":`)
+	w.String(e.Tool)
+	w.Raw(`,"config_digest":`)
+	w.String(e.ConfigDigest)
+	w.Raw(`,"sim_time":`)
+	w.Float(e.SimTime)
+	w.Raw(`,"events_fired":`)
+	w.Uint(e.EventsFired)
+	w.Raw(`,"checksum":"` + sumPlaceholder + `","state":`)
+	head, err := w.Bytes()
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode: %w", err)
 	}
-	head = append(head[:len(head)-1], `,"state":`...) // drop the '}'
-	var out bytes.Buffer
-	out.Grow(len(head) + len(e.State) + 2)
-	out.Write(head)
-	if err := json.Compact(&out, e.State); err != nil {
+	data, err := appendState(head)
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode: state: %w", err)
 	}
-	data := out.Bytes()
 	e.Checksum = digest(data[len(head):])
 	slot := len(head) - len(`","state":`) - len(sumPlaceholder)
 	copy(data[slot:], e.Checksum)
 	return append(data, '}', '\n'), nil
+}
+
+// Encode is Marshal with e.State as the payload: it compacts and validates
+// the state straight into the output. Fixtures, tests and the fuzz target
+// encode decoded envelopes with it; the simulators append their state with
+// Marshal instead.
+func Encode(e *Envelope) ([]byte, error) {
+	state := e.State
+	return Marshal(e, len(state)+256, func(dst []byte) ([]byte, error) {
+		out := bytes.NewBuffer(dst)
+		if err := json.Compact(out, state); err != nil {
+			return nil, err
+		}
+		return out.Bytes(), nil
+	})
 }
 
 // Decode parses and integrity-checks an encoded envelope, compact or
@@ -122,12 +130,8 @@ func Decode(data []byte) (*Envelope, error) {
 	return &e, nil
 }
 
-// Write encodes the envelope and writes it to path atomically.
-func Write(path string, e *Envelope) error {
-	data, err := Encode(e)
-	if err != nil {
-		return err
-	}
+// WriteFile writes an encoded envelope to path atomically.
+func WriteFile(path string, data []byte) error {
 	return atomicio.WriteFile(path, data, 0o644)
 }
 

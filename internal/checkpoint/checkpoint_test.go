@@ -22,9 +22,7 @@ func TestRoundTrip(t *testing.T) {
 		EventsFired:  99,
 		State:        json.RawMessage(`{"disks":[{"id":0}]}`),
 	}
-	if err := Write(path, in); err != nil {
-		t.Fatal(err)
-	}
+	write(t, path, in)
 	out, err := Read(path)
 	if err != nil {
 		t.Fatal(err)
@@ -35,6 +33,18 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(out.State, in.State) {
 		t.Fatalf("state changed: %s", out.State)
+	}
+}
+
+// write encodes e and writes it to path.
+func write(t *testing.T, path string, e *Envelope) {
+	t.Helper()
+	data, err := Encode(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(path, data); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -56,9 +66,7 @@ func TestEncodeIsStable(t *testing.T) {
 func TestReadRejectsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "checkpoint.json")
 	e := &Envelope{Version: Version, Tool: "arraysim", State: json.RawMessage(`{"clock":42}`)}
-	if err := Write(path, e); err != nil {
-		t.Fatal(err)
-	}
+	write(t, path, e)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -61,8 +61,10 @@ type savedRouterEvent struct {
 // records — travels inside Events and is refilled as restore re-schedules
 // them. freeReqs holds only settled request states and healthy is a
 // buffer reused by every attempt; neither carries state between events.
+// ckptSize, the last snapshot's length, only sizes the next snapshot's
+// buffer.
 //
-//simlint:checkpoint-for clusterSim ignore=cfg,eng,members,racks,traceEnd,failure,recs,freeReqs,healthy
+//simlint:checkpoint-for clusterSim ignore=cfg,eng,members,racks,traceEnd,failure,recs,freeReqs,healthy,ckptSize
 type clusterState struct {
 	Clock float64 `json:"clock"`
 	Seq   uint64  `json:"seq"`
@@ -86,15 +88,17 @@ type clusterState struct {
 	Hist   stats.LatencyHistogramState `json:"hist"`
 
 	// Members holds each array's standalone checkpoint payload, in index
-	// order.
+	// order. A snapshot writes the payloads in place (appendJSON), so only
+	// a decoded state fills Members.
 	Members []json.RawMessage `json:"members"`
 
 	// Decisions carries the fleet decision log when tracing is on.
 	Decisions *telemetry.DecisionLogState `json:"decisions,omitempty"`
 }
 
-// buildState serializes the complete fleet state.
-func (c *clusterSim) buildState() (*clusterState, error) {
+// buildState serializes the fleet state, all but the members' payloads,
+// which appendJSON writes in place.
+func (c *clusterSim) buildState() *clusterState {
 	st := &clusterState{
 		Clock:      c.eng.Now(),
 		Seq:        c.eng.Seq(),
@@ -142,49 +146,139 @@ func (c *clusterSim) buildState() (*clusterState, error) {
 		})
 	}
 
-	for i, m := range c.members {
-		data, err := m.CheckpointState()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: array %d: %w", i, err)
-		}
-		st.Members = append(st.Members, data)
-	}
-
 	if log := c.decisions(); log != nil {
 		s := log.State()
 		st.Decisions = &s
 	}
-	return st, nil
+	return st
+}
+
+// appendJSON appends the payload's encoding to dst, in the exact bytes
+// encoding/json writes for st with Members set to the members' payloads:
+// each member appends its own payload in place.
+func (st *clusterState) appendJSON(dst []byte, members []*array.Member) ([]byte, error) {
+	w := checkpoint.NewWriter(dst)
+	w.Raw(`{"clock":`)
+	w.Float(st.Clock)
+	w.Raw(`,"seq":`)
+	w.Uint(st.Seq)
+	w.Raw(`,"fired":`)
+	w.Uint(st.Fired)
+	w.Raw(`,"delivered":`)
+	w.Int(st.Delivered)
+	w.OmitInt(`,"retries":`, st.Retries)
+	w.OmitInt(`,"hedges":`, st.Hedges)
+	w.OmitInt(`,"hedge_wins":`, st.HedgeWins)
+	w.OmitInt(`,"failovers":`, st.Failovers)
+	w.OmitInt(`,"timeouts":`, st.Timeouts)
+	w.OmitInt(`,"deferred":`, st.Deferred)
+	w.OmitInt(`,"duplicates":`, st.Duplicates)
+	w.OmitInt(`,"shed":`, st.Shed)
+	w.OmitInt(`,"failed":`, st.Failed)
+	w.OmitInt(`,"shocks":`, st.Shocks)
+	w.Raw(`,"shock_depth":`)
+	w.Ints(st.ShockDepth)
+	if len(st.Reqs) > 0 {
+		w.Raw(`,"reqs":[`)
+		for i := range st.Reqs {
+			if i > 0 {
+				w.Raw(`,`)
+			}
+			r := &st.Reqs[i]
+			w.Raw(`{"id":`)
+			w.Uint(r.ID)
+			w.Raw(`,"file":`)
+			w.Int(r.File)
+			w.Raw(`,"arrival":`)
+			w.Float(r.Arrival)
+			w.Raw(`,"attempts":`)
+			w.Int(r.Attempts)
+			w.OmitInt(`,"outstanding":`, r.Outstanding)
+			w.OmitUint(`,"pending":`, r.Pending)
+			w.OmitInt(`,"hedge":`, r.Hedge)
+			w.OmitBool(`,"retry_queued":`, r.RetryQueued)
+			w.OmitBool(`,"done":`, r.Done)
+			w.Raw(`,"last":`)
+			w.Int(r.Last)
+			w.Raw(`}`)
+		}
+		w.Raw(`]`)
+	}
+	if len(st.Events) > 0 {
+		w.Raw(`,"events":[`)
+		for i := range st.Events {
+			if i > 0 {
+				w.Raw(`,`)
+			}
+			se := &st.Events[i]
+			w.Raw(`{"time":`)
+			w.Float(se.Time)
+			w.Raw(`,"seq":`)
+			w.Uint(se.Seq)
+			w.Raw(`,"kind":`)
+			w.String(se.Kind)
+			w.OmitUint(`,"req":`, se.Req)
+			w.OmitInt(`,"attempt":`, se.Attempt)
+			w.OmitInt(`,"rack":`, se.Rack)
+			w.OmitInt(`,"shock":`, se.Shock)
+			w.OmitString(`,"cause":`, se.Cause)
+			w.Raw(`}`)
+		}
+		w.Raw(`]`)
+	}
+	w.Raw(`,"hist":`)
+	st.Hist.WriteJSON(&w)
+	w.Raw(`,"members":`)
+	if members == nil {
+		w.Raw(`null`)
+	} else {
+		w.Raw(`[`)
+		b, err := w.Bytes()
+		if err != nil {
+			return nil, err
+		}
+		for i, m := range members {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = m.AppendCheckpointState(b); err != nil {
+				return nil, fmt.Errorf("cluster: array %d: %w", i, err)
+			}
+		}
+		w = checkpoint.NewWriter(append(b, ']'))
+	}
+	// Decision tracing is off by default; its log keeps encoding/json.
+	if st.Decisions != nil {
+		w.Raw(`,"decisions":`)
+		w.Marshal(st.Decisions)
+	}
+	w.Raw(`}`)
+	return w.Bytes()
 }
 
 // writeCheckpoint snapshots the fleet into its envelope and commits it to
-// the configured sink or path (atomically).
+// the configured sink or path (atomically). As in the array, the buffer is
+// sized from the last snapshot and never reused.
 func (c *clusterSim) writeCheckpoint() error {
-	st, err := c.buildState()
-	if err != nil {
-		return err
-	}
-	data, err := json.Marshal(st)
-	if err != nil {
-		return err
-	}
+	st := c.buildState()
 	spec := c.cfg.Checkpoint
-	env := &checkpoint.Envelope{
+	data, err := checkpoint.Marshal(&checkpoint.Envelope{
 		Version:      checkpoint.Version,
 		Tool:         spec.Tool,
 		ConfigDigest: spec.ConfigDigest,
 		SimTime:      c.eng.Now(),
 		EventsFired:  c.eng.Fired(),
-		State:        data,
+	}, c.ckptSize+c.ckptSize/8, func(dst []byte) ([]byte, error) {
+		return st.appendJSON(dst, c.members)
+	})
+	if err != nil {
+		return err
 	}
+	c.ckptSize = len(data)
 	if spec.Sink != nil {
-		enc, err := checkpoint.Encode(env)
-		if err != nil {
-			return err
-		}
-		return spec.Sink(enc)
+		return spec.Sink(data)
 	}
-	return checkpoint.Write(spec.Path, env)
+	return checkpoint.WriteFile(spec.Path, data)
 }
 
 // onCheckpointTick snapshots the fleet. The next tick is scheduled BEFORE

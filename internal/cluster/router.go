@@ -144,6 +144,7 @@ type clusterSim struct {
 
 	traceEnd float64 // last fleet arrival time; bounds the shock chains
 	failure  error
+	ckptSize int // last snapshot's length; sizes the next one's buffer
 }
 
 func newClusterSim(cfg *Config) (*clusterSim, error) {

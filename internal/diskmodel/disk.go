@@ -3,6 +3,8 @@ package diskmodel
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/checkpoint"
 )
 
 // State is the activity state of a disk.
@@ -410,6 +412,63 @@ func (d *Disk) Checkpoint() Checkpoint {
 		c.IdleSince = d.idleSince
 	}
 	return c
+}
+
+// WriteJSON appends c as encoding/json encodes it.
+func (c *Checkpoint) WriteJSON(w *checkpoint.Writer) {
+	w.Raw(`{"speed":`)
+	w.Int(int(c.Speed))
+	w.Raw(`,"state":`)
+	w.Int(int(c.State))
+	w.Raw(`,"last_accrual":`)
+	w.Float(c.LastAccrual)
+	w.Raw(`,"energy_j":`)
+	w.Float(c.EnergyJ)
+	w.Raw(`,"busy_time":`)
+	w.Float(c.BusyTime)
+	w.Raw(`,"idle_time":`)
+	w.Float(c.IdleTime)
+	w.Raw(`,"trans_time":`)
+	w.Float(c.TransTime)
+	w.Raw(`,"transitions":`)
+	w.Int(c.Transitions)
+	w.Raw(`,"up_transitions":`)
+	w.Int(c.UpTransitions)
+	w.Raw(`,"bytes_served_mb":`)
+	w.Float(c.BytesServedMB)
+	w.Raw(`,"requests":`)
+	w.Int(c.Requests)
+	w.Raw(`,"transition_target":`)
+	w.Int(int(c.TransitionTarget))
+	w.Raw(`,"busy":`)
+	w.Bool(c.Busy)
+	w.Raw(`,"idle_since":`)
+	w.Float(c.IdleSince)
+	w.Raw(`,"time_at_speed":[`)
+	w.Float(c.TimeAtSpeed[0])
+	w.Raw(`,`)
+	w.Float(c.TimeAtSpeed[1])
+	w.Raw(`],"head_cyl":`)
+	w.Int(c.HeadCyl)
+	w.Raw(`}`)
+}
+
+// Validate rejects a checkpoint whose speeds or state lie outside their
+// enumerations, before Restore builds a disk that indexes per-speed tables
+// by them or waits on a state nothing leaves.
+func (c *Checkpoint) Validate() error {
+	for _, f := range [...]struct {
+		name  string
+		speed Speed
+	}{{"speed", c.Speed}, {"transition_target", c.TransitionTarget}} {
+		if f.speed != Low && f.speed != High {
+			return fmt.Errorf("diskmodel: %s %d is neither low (%d) nor high (%d)", f.name, int(f.speed), Low, High)
+		}
+	}
+	if c.State < Idle || c.State > Transitioning {
+		return fmt.Errorf("diskmodel: state %d outside [%d, %d]", int(c.State), Idle, Transitioning)
+	}
+	return nil
 }
 
 // Restore reconstructs a disk from a checkpoint. Params are supplied by the

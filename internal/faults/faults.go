@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/checkpoint"
 	"repro/internal/reliability"
 )
 
@@ -617,6 +618,57 @@ func (in *Injector) Checkpoint() Checkpoint {
 	return c
 }
 
+// WriteJSON appends c as encoding/json encodes it.
+func (c *Checkpoint) WriteJSON(w *checkpoint.Writer) {
+	w.Raw(`{"now":`)
+	w.Float(c.Now)
+	w.Raw(`,"failures":`)
+	w.Int(c.Failures)
+	w.OmitFloat(`,"lse_now":`, c.LSENow)
+	w.OmitInt(`,"lses":`, c.LSEs)
+	w.Raw(`,"disks":`)
+	if c.Disks == nil {
+		w.Raw(`null`)
+	} else {
+		w.Raw(`[`)
+		for i := range c.Disks {
+			if i > 0 {
+				w.Raw(`,`)
+			}
+			d := &c.Disks[i]
+			w.Raw(`{"alive":`)
+			w.Bool(d.Alive)
+			w.Raw(`,"threshold":`)
+			w.Float(d.Threshold)
+			w.Raw(`,"cum":`)
+			w.Float(d.Cum)
+			w.Raw(`,"birth":`)
+			w.Float(d.Birth)
+			w.OmitFloat(`,"lse_threshold":`, d.LSEThreshold)
+			w.OmitFloat(`,"lse_cum":`, d.LSECum)
+			w.OmitInt(`,"lse_pending":`, d.LSEPending)
+			w.Raw(`}`)
+		}
+		w.Raw(`]`)
+	}
+	if len(c.Scripted) > 0 {
+		w.Raw(`,"scripted":[`)
+		for i, ev := range c.Scripted {
+			if i > 0 {
+				w.Raw(`,`)
+			}
+			w.Raw(`{"Disk":`)
+			w.Int(ev.Disk)
+			w.Raw(`,"At":`)
+			w.Float(ev.At)
+			w.Raw(`}`)
+		}
+		w.Raw(`]`)
+	}
+	w.OmitString(`,"draw_log":`, c.DrawLog)
+	w.Raw(`}`)
+}
+
 // RestoreInjector rebuilds an injector from a checkpoint under the same
 // configuration it was built with. The RNG is re-seeded and advanced by
 // replaying the draw log; all hazard state is then overwritten from the
@@ -645,6 +697,11 @@ func RestoreInjector(cfg Config, c Checkpoint) (*Injector, error) {
 		in.disks[i] = diskHazard{
 			alive: d.Alive, threshold: d.Threshold, cum: d.Cum, birth: d.Birth,
 			lseThreshold: d.LSEThreshold, lseCum: d.LSECum, lsePending: d.LSEPending,
+		}
+	}
+	for i, ev := range c.Scripted {
+		if ev.Disk < 0 || ev.Disk >= len(c.Disks) {
+			return nil, fmt.Errorf("faults: pending scripted event %d on disk %d of %d", i, ev.Disk, len(c.Disks))
 		}
 	}
 	in.scripted = append([]ScriptedEvent(nil), c.Scripted...)

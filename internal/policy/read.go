@@ -58,8 +58,11 @@ type READ struct {
 	theta    float64
 	hotCount int
 	popular  map[int]bool
-	rrHot    int
-	rrCold   int
+	// popularIDs memoizes sortedKeys(popular) for snapshots; setPopular
+	// clears it, and popular is only ever replaced, never edited.
+	popularIDs []int
+	rrHot      int
+	rrCold     int
 
 	migrations int
 }
@@ -138,9 +141,9 @@ func (r *READ) Init(ctx *array.Context) error {
 	if r.theta <= 0 || r.theta >= 1 {
 		r.theta = estimateTheta(files)
 	}
-	var popLoad, unpopLoad float64
-	r.popular, popLoad, unpopLoad = classify(files, r.theta,
+	popular, popLoad, unpopLoad := classify(files, r.theta,
 		func(f workload.File) float64 { return f.Load() })
+	r.setPopular(popular)
 	n := ctx.NumDisks()
 	r.hotCount = zoneSize(popLoad, unpopLoad, n)
 
@@ -178,6 +181,20 @@ func (r *READ) Init(ctx *array.Context) error {
 		ctx.SetIdleTimeout(d, h)
 	}
 	return nil
+}
+
+// setPopular replaces the popular set.
+func (r *READ) setPopular(popular map[int]bool) {
+	r.popular = popular
+	r.popularIDs = nil
+}
+
+// sortedPopular returns the popular file IDs in ascending order.
+func (r *READ) sortedPopular() []int {
+	if r.popularIDs == nil {
+		r.popularIDs = sortedKeys(r.popular)
+	}
+	return r.popularIDs
 }
 
 // budget returns the transition allowance accumulated so far. S is a daily
@@ -292,7 +309,7 @@ func (r *READ) OnEpoch(ctx *array.Context) {
 			}
 		}
 	}
-	r.popular = newPopular
+	r.setPopular(newPopular)
 
 	// Steps 20-24: adaptive idleness threshold. Once a disk has spent half
 	// its budget, double its H to slow future transitions.

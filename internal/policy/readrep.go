@@ -138,7 +138,7 @@ func (r *READReplica) OnEpoch(ctx *array.Context) {
 			r.replicasDropped++
 		}
 	}
-	r.popular = newPopular
+	r.setPopular(newPopular)
 
 	// Base policy's adaptive threshold maintenance (Figure 6 steps 20-24).
 	for d := 0; d < ctx.NumDisks(); d++ {

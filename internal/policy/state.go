@@ -30,24 +30,24 @@ type readState struct {
 }
 
 func (r *READ) saveState() readState {
-	st := readState{
+	return readState{
 		Theta:      r.theta,
 		HotCount:   r.hotCount,
+		Popular:    r.sortedPopular(),
 		RRHot:      r.rrHot,
 		RRCold:     r.rrCold,
 		Migrations: r.migrations,
 	}
-	st.Popular = sortedKeys(r.popular)
-	return st
 }
 
 func (r *READ) loadState(st readState) {
 	r.theta = st.Theta
 	r.hotCount = st.HotCount
-	r.popular = make(map[int]bool, len(st.Popular))
+	popular := make(map[int]bool, len(st.Popular))
 	for _, id := range st.Popular {
-		r.popular[id] = true
+		popular[id] = true
 	}
+	r.setPopular(popular)
 	r.rrHot = st.RRHot
 	r.rrCold = st.RRCold
 	r.migrations = st.Migrations

@@ -3,6 +3,7 @@ package policy
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/array"
@@ -17,7 +18,9 @@ import (
 // threshold missing from the round trip shows up as a divergence. For MAID
 // and READReplica, some snapshot must catch one of their copies (a
 // policy-write continuation) in flight; MAID runs on a flatter popularity
-// curve, whose cache misses keep fills in flight.
+// curve, whose cache misses keep fills in flight. READ and READReplica run
+// behind popularMemo, which checks READ's snapshot memo of its popular set
+// after every epoch and every load.
 func TestShippedPoliciesResumeBitIdentical(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -27,10 +30,10 @@ func TestShippedPoliciesResumeBitIdentical(t *testing.T) {
 	}{
 		{"always-on", func() array.Policy { return NewAlwaysOn() }, 0.9, false},
 		{"drpm", func() array.Policy { return NewDRPM(DRPMConfig{}) }, 0.9, false},
-		{"read", func() array.Policy { return NewREAD(READConfig{}) }, 0.9, false},
+		{"read", func() array.Policy { return newMemoREAD(t, NewREAD(READConfig{})) }, 0.9, false},
 		{"maid", func() array.Policy { return NewMAID(MAIDConfig{}) }, 0.3, true},
 		{"pdc", func() array.Policy { return NewPDC(PDCConfig{}) }, 0.9, false},
-		{"read-replica", func() array.Policy { return NewREADReplica(READReplicaConfig{}) }, 0.9, true},
+		{"read-replica", func() array.Policy { return newMemoREADReplica(t, NewREADReplica(READReplicaConfig{})) }, 0.9, true},
 		{"striped-always-on", func() array.Policy { return NewStripedAlwaysOn(StripedConfig{}) }, 0.9, false},
 	}
 	for _, tc := range cases {
@@ -52,7 +55,8 @@ func TestShippedPoliciesResumeBitIdentical(t *testing.T) {
 			}
 
 			var snaps [][]byte
-			want, err := array.Run(baseCfg(tc.fresh(), func(data []byte) error {
+			pol := tc.fresh()
+			want, err := array.Run(baseCfg(pol, func(data []byte) error {
 				snaps = append(snaps, append([]byte(nil), data...))
 				return nil
 			}))
@@ -83,6 +87,9 @@ func TestShippedPoliciesResumeBitIdentical(t *testing.T) {
 			if tc.writes && writes == 0 {
 				t.Fatalf("none of %d snapshots holds a policy write in flight", len(snaps))
 			}
+			if m, ok := pol.(interface{ popularChanges() int }); ok && m.popularChanges() < 2 {
+				t.Fatalf("the popular set changed at %d epochs; the memo check needs a change after a snapshot", m.popularChanges()-1)
+			}
 			t.Logf("%d snapshots resume exactly, %d with a policy write in flight", len(snaps), writes)
 		})
 	}
@@ -103,4 +110,72 @@ func TestPolicyStateRejectsGarbage(t *testing.T) {
 			t.Errorf("%s: LoadState accepted truncated JSON", p.Name())
 		}
 	}
+}
+
+// popularMemo checks, after every epoch and every load of the READ inside
+// a policy, that READ's snapshot memo of its popular set is sortedKeys of
+// the set: an assignment of the set that left a stale memo behind fails it.
+// Each check also leaves the memo built, so the next epoch's new set meets
+// a memo it must clear.
+type popularMemo struct {
+	t       *testing.T
+	read    *READ
+	changes int // checks at which the set differed from the last check's
+	last    []int
+}
+
+func (m *popularMemo) check(when string) {
+	m.t.Helper()
+	want := sortedKeys(m.read.popular)
+	if got := m.read.sortedPopular(); !slices.Equal(got, want) {
+		m.t.Errorf("after %s: popular memo %v, want %v", when, got, want)
+	}
+	if m.changes == 0 || !slices.Equal(want, m.last) {
+		m.changes++
+	}
+	m.last = want
+}
+
+func (m *popularMemo) popularChanges() int { return m.changes }
+
+// memoREAD is READ with popularMemo's checks.
+type memoREAD struct {
+	*READ
+	*popularMemo
+}
+
+func newMemoREAD(t *testing.T, r *READ) memoREAD {
+	return memoREAD{r, &popularMemo{t: t, read: r}}
+}
+
+func (p memoREAD) OnEpoch(ctx *array.Context) {
+	p.READ.OnEpoch(ctx)
+	p.check("epoch")
+}
+
+func (p memoREAD) LoadState(data []byte) error {
+	err := p.READ.LoadState(data)
+	p.check("load")
+	return err
+}
+
+// memoREADReplica is READReplica with popularMemo's checks.
+type memoREADReplica struct {
+	*READReplica
+	*popularMemo
+}
+
+func newMemoREADReplica(t *testing.T, r *READReplica) memoREADReplica {
+	return memoREADReplica{r, &popularMemo{t: t, read: &r.READ}}
+}
+
+func (p memoREADReplica) OnEpoch(ctx *array.Context) {
+	p.READReplica.OnEpoch(ctx)
+	p.check("epoch")
+}
+
+func (p memoREADReplica) LoadState(data []byte) error {
+	err := p.READReplica.LoadState(data)
+	p.check("load")
+	return err
 }

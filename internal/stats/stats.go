@@ -10,6 +10,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"repro/internal/checkpoint"
 )
 
 // Stream accumulates count, mean, variance (Welford), min, max, and sum in
@@ -381,6 +383,23 @@ func (s *Stream) State() StreamState {
 	return StreamState{N: s.n, Mean: s.mean, M2: s.m2, Min: s.min, Max: s.max, Sum: s.sum}
 }
 
+// WriteJSON appends st as encoding/json encodes it.
+func (st *StreamState) WriteJSON(w *checkpoint.Writer) {
+	w.Raw(`{"n":`)
+	w.Uint(st.N)
+	w.Raw(`,"mean":`)
+	w.Float(st.Mean)
+	w.Raw(`,"m2":`)
+	w.Float(st.M2)
+	w.Raw(`,"min":`)
+	w.Float(st.Min)
+	w.Raw(`,"max":`)
+	w.Float(st.Max)
+	w.Raw(`,"sum":`)
+	w.Float(st.Sum)
+	w.Raw(`}`)
+}
+
 // SetState overwrites the stream with previously exported accumulators.
 func (s *Stream) SetState(st StreamState) {
 	s.n, s.mean, s.m2, s.min, s.max, s.sum = st.N, st.Mean, st.M2, st.Min, st.Max, st.Sum
@@ -402,6 +421,25 @@ type LatencyHistogramState struct {
 	Over    uint64      `json:"over"`
 	N       uint64      `json:"n"`
 	Stream  StreamState `json:"stream"`
+}
+
+// WriteJSON appends st as encoding/json encodes it.
+func (st *LatencyHistogramState) WriteJSON(w *checkpoint.Writer) {
+	w.Raw(`{"lo_exp":`)
+	w.Int(st.LoExp)
+	w.Raw(`,"per_dec":`)
+	w.Int(st.PerDec)
+	w.Raw(`,"buckets":`)
+	w.Uints(st.Buckets)
+	w.Raw(`,"under":`)
+	w.Uint(st.Under)
+	w.Raw(`,"over":`)
+	w.Uint(st.Over)
+	w.Raw(`,"n":`)
+	w.Uint(st.N)
+	w.Raw(`,"stream":`)
+	st.Stream.WriteJSON(w)
+	w.Raw(`}`)
 }
 
 // State exports the histogram's raw counters.

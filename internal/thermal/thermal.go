@@ -20,6 +20,7 @@ import (
 	"errors"
 	"math"
 
+	"repro/internal/checkpoint"
 	"repro/internal/diskmodel"
 )
 
@@ -178,6 +179,21 @@ func (tr *Tracker) Checkpoint() Checkpoint {
 		Integral: tr.integral,
 		MaxC:     tr.maxC,
 	}
+}
+
+// WriteJSON appends c as encoding/json encodes it.
+func (c *Checkpoint) WriteJSON(w *checkpoint.Writer) {
+	w.Raw(`{"temp_c":`)
+	w.Float(c.TempC)
+	w.Raw(`,"steady_c":`)
+	w.Float(c.SteadyC)
+	w.Raw(`,"last_time":`)
+	w.Float(c.LastTime)
+	w.Raw(`,"integral":`)
+	w.Float(c.Integral)
+	w.Raw(`,"max_c":`)
+	w.Float(c.MaxC)
+	w.Raw(`}`)
 }
 
 // RestoreTracker reconstructs a tracker from a checkpoint under model m.
