@@ -217,47 +217,28 @@ func (rec eventRecord) toSaved(t float64, seq uint64) savedEvent {
 	return se
 }
 
-// recordFromSaved is toSaved's inverse for an array of disks disks. It
-// rejects a disk index outside [0, disks) before narrowing it to the
-// record's int32, and a wire field foreign to the event's kind: the decoded
-// record must write back exactly the wire fields it was read from.
-func recordFromSaved(se *savedEvent, disks int) (eventRecord, error) {
-	kind, err := parseEvKind(se.Kind)
-	if err != nil {
-		return eventRecord{}, err
-	}
-	// An absent field reads 0, which is always a valid disk.
-	for _, f := range [...]struct {
-		name string
-		d    int
-	}{{"disk", se.Disk}, {"from", se.From}, {"to", se.To}} {
-		if f.d < 0 || f.d >= disks {
-			return eventRecord{}, fmt.Errorf("array: %s event at %v: %s %d outside [0, %d)", se.Kind, se.Time, f.name, f.d, disks)
-		}
-	}
-	rec := eventRecord{Kind: kind}
-	switch kind {
+// recordFromSaved is toSaved's inverse for an event that passed validate,
+// which rejects an unknown kind, a disk index outside the array and a wire
+// field foreign to the kind.
+func recordFromSaved(se *savedEvent) eventRecord {
+	switch kind := parseEvKind(se.Kind); kind {
 	case evTransition, evRepair, evScrub:
-		rec = diskEvent(kind, se.Disk)
+		return diskEvent(kind, se.Disk)
 	case evService:
-		rec = serviceEvent(se.Disk, se.Gen)
+		return serviceEvent(se.Disk, se.Gen)
 	case evIdleArm:
-		rec = idleArmEvent(se.Disk, se.Deadline, se.Timeout)
+		return idleArmEvent(se.Disk, se.Deadline, se.Timeout)
 	case evIdleRearm:
-		rec = idleRearmEvent(se.Disk, se.Timeout)
+		return idleRearmEvent(se.Disk, se.Timeout)
 	case evSample:
-		rec = sampleEvent(se.LastEnergy)
+		return sampleEvent(se.LastEnergy)
 	case evMigrateStart:
-		rec = migrateStartEvent(se.FileID, se.From, se.To, se.SizeMB)
+		return migrateStartEvent(se.FileID, se.From, se.To, se.SizeMB)
 	case evRebuildNext:
-		rec = rebuildNextEvent(se.Disk, se.RemainingMB)
+		return rebuildNextEvent(se.Disk, se.RemainingMB)
+	default:
+		return eventRecord{Kind: kind}
 	}
-	back := rec.toSaved(se.Time, se.Seq)
-	back.Op = se.Op
-	if back != *se {
-		return eventRecord{}, fmt.Errorf("array: %s event at %v carries a wire field foreign to its kind", se.Kind, se.Time)
-	}
-	return rec, nil
 }
 
 // diskCkptState is the serializable form of a diskState. svc, the op in
@@ -585,34 +566,10 @@ func (s *sim) writeCheckpoint() error {
 	return checkpoint.WriteFile(spec.Path, data)
 }
 
-// decodeCont is encodeCont's inverse. It rejects an unknown kind, and every
-// index the kind's completion will use: a disk or target outside the array,
-// a file outside the file set, and a policy write with no hook to report to.
-func (s *sim) decodeCont(cs *contState) (*cont, error) {
+// decodeCont is encodeCont's inverse.
+func decodeCont(cs *contState) *cont {
 	if cs == nil {
-		return nil, nil
-	}
-	var disk, file bool // which of Disk (or To) and FileID the kind uses
-	field, d := "disk", cs.Disk
-	switch cs.Kind {
-	case contMigrateRead, contMigrateWrite:
-		field, d, disk, file = "to", cs.To, true, true
-	case contRebuild, contScrub:
-		disk = true
-	case contPolicyWrite:
-		disk, file = true, true
-	case contFleet:
-	default:
-		return nil, fmt.Errorf("array: unknown continuation kind %q", cs.Kind)
-	}
-	if disk && (d < 0 || d >= len(s.disks)) {
-		return nil, fmt.Errorf("array: resume: %s continuation: %s %d outside [0, %d)", cs.Kind, field, d, len(s.disks))
-	}
-	if _, ok := s.files[cs.FileID]; file && !ok {
-		return nil, fmt.Errorf("array: resume: %s continuation: unknown file %d", cs.Kind, cs.FileID)
-	}
-	if cs.Kind == contPolicyWrite && s.writer == nil {
-		return nil, fmt.Errorf("array: resume: policy %q has a write in flight but no write-completion hook", s.cfg.Policy.Name())
+		return nil
 	}
 	return &cont{
 		kind:        cs.Kind,
@@ -624,7 +581,7 @@ func (s *sim) decodeCont(cs *contState) (*cont, error) {
 		remainingMB: cs.RemainingMB,
 		reqID:       cs.ReqID,
 		attempt:     cs.Attempt,
-	}, nil
+	}
 }
 
 // sortedIDs returns m's keys in ascending order.
@@ -635,6 +592,310 @@ func sortedIDs(m map[int]int) []int {
 	}
 	sort.Ints(ids)
 	return ids
+}
+
+// restoreBounds is what validate checks a snapshot's indexes against: the
+// array's size and file set, and what its configuration can complete.
+type restoreBounds struct {
+	disks  int
+	files  map[int]bool
+	policy string
+	writes bool // the policy takes write completions (WritePolicy)
+	faults bool // fault injection is on
+}
+
+// cont rejects a continuation of unknown kind, and every index its
+// completion will follow: a disk or target outside the array, a file
+// outside the file set, a policy write with no hook to report to, and fault
+// work in a run without faults.
+func (b *restoreBounds) cont(cs *contState) error {
+	if cs == nil {
+		return nil
+	}
+	var disk, file bool // which of Disk (or To) and FileID the kind uses
+	field, d := "disk", cs.Disk
+	switch cs.Kind {
+	case contMigrateRead, contMigrateWrite:
+		field, d, disk, file = "to", cs.To, true, true
+	case contRebuild, contScrub:
+		disk = true
+		if !b.faults {
+			return fmt.Errorf("%s continuation but faults are disabled", cs.Kind)
+		}
+	case contPolicyWrite:
+		disk, file = true, true
+	case contFleet:
+	default:
+		return fmt.Errorf("unknown continuation kind %q", cs.Kind)
+	}
+	switch {
+	case disk && (d < 0 || d >= b.disks):
+		return fmt.Errorf("%s continuation: %s %d outside [0, %d)", cs.Kind, field, d, b.disks)
+	case file && !b.files[cs.FileID]:
+		return fmt.Errorf("%s continuation: unknown file %d", cs.Kind, cs.FileID)
+	case cs.Kind == contPolicyWrite && !b.writes:
+		return fmt.Errorf("policy %q has a write in flight but no write-completion hook", b.policy)
+	}
+	return nil
+}
+
+// op rejects an op of unknown kind, a user op of a file outside the file
+// set, a stripe index out of range or on an op that is not a chunk, and a
+// bad continuation. It counts the ops holding each stripe in holders.
+func (b *restoreBounds) op(os *opState, holders []int) error {
+	switch {
+	case os.Kind < int(opUser) || os.Kind > int(opChunk):
+		return fmt.Errorf("unknown op kind %d", os.Kind)
+	case os.Kind == int(opUser) && !b.files[os.FileID]:
+		return fmt.Errorf("user op of unknown file %d", os.FileID)
+	case os.Stripe < -1 || os.Stripe >= len(holders):
+		return fmt.Errorf("stripe %d out of range", os.Stripe)
+	case (os.Stripe >= 0) != (os.Kind == int(opChunk)):
+		return fmt.Errorf("op of kind %d on stripe %d: only chunks belong to a stripe", os.Kind, os.Stripe)
+	}
+	if os.Stripe >= 0 {
+		holders[os.Stripe]++
+	}
+	return b.cont(os.Done)
+}
+
+// validate reports why st cannot be restored under cfg, whose defaults are
+// set and which passed Validate. It is the one owner of that rule, and runs
+// on the decoded payload before anything is rebuilt: it checks every index,
+// set membership and cross-reference that restoreSim and the resumed run
+// will follow, so the rebuild only assigns. The model packages check their
+// own checkpoint types (diskmodel.Checkpoint, faults.Checkpoint,
+// stats.LatencyHistogramState), and the policy its state in LoadState.
+func (st *simState) validate(cfg *Config) error {
+	if _, ok := cfg.Policy.(CheckpointablePolicy); !ok {
+		return fmt.Errorf("policy %q does not support checkpointing", cfg.Policy.Name())
+	}
+	if st.PolicyName != cfg.Policy.Name() {
+		return fmt.Errorf("checkpoint was taken under policy %q, config has %q", st.PolicyName, cfg.Policy.Name())
+	}
+	if len(st.Disks) != cfg.Disks {
+		return fmt.Errorf("checkpoint has %d disks, config has %d", len(st.Disks), cfg.Disks)
+	}
+	b := restoreBounds{
+		disks:  cfg.Disks,
+		files:  make(map[int]bool, len(cfg.Trace.Files)),
+		policy: cfg.Policy.Name(),
+		faults: cfg.Faults != nil && cfg.Faults.Enabled,
+	}
+	for _, f := range cfg.Trace.Files {
+		b.files[f.ID] = true
+	}
+	_, b.writes = cfg.Policy.(WritePolicy)
+
+	holders := make([]int, len(st.Stripes))
+	for i := range st.Disks {
+		dc := &st.Disks[i]
+		if err := dc.Disk.Validate(st.Clock); err != nil {
+			return fmt.Errorf("disk %d: %w", i, err)
+		}
+		if err := dc.Temp.Validate(st.Clock); err != nil {
+			return fmt.Errorf("disk %d: %w", i, err)
+		}
+		if p := dc.Pending; p != nil && *p != diskmodel.Low && *p != diskmodel.High {
+			return fmt.Errorf("disk %d: pending speed %d is neither low nor high", i, int(*p))
+		}
+		if !b.faults && (dc.Failed || dc.SpareAssigned || dc.Rebuilding) {
+			return fmt.Errorf("disk %d: failure state but faults are disabled", i)
+		}
+		// A live idle disk starts its next op at once (kick), so one with
+		// work queued would wait for nothing.
+		if !dc.Failed && dc.Disk.State == diskmodel.Idle && len(dc.FG)+len(dc.BG) > 0 {
+			return fmt.Errorf("disk %d is idle with %d ops queued", i, len(dc.FG)+len(dc.BG))
+		}
+		for _, q := range [2][]opState{dc.FG, dc.BG} {
+			for j := range q {
+				if err := b.op(&q[j], holders); err != nil {
+					return err
+				}
+			}
+		}
+	}
+
+	reqs := cfg.Trace.Requests
+	if st.NextReq < 0 || st.NextReq > len(reqs) {
+		return fmt.Errorf("next_req %d outside [0, %d]", st.NextReq, len(reqs))
+	}
+	// The simulator indexes disks by placement.
+	for _, id := range sortedIDs(st.Place.m) {
+		if !b.files[id] {
+			return fmt.Errorf("placement of unknown file %d", id)
+		}
+		if d := st.Place.m[id]; d < 0 || d >= cfg.Disks {
+			return fmt.Errorf("file %d placed on disk %d outside [0, %d)", id, d, cfg.Disks)
+		}
+	}
+	if st.Counts != nil {
+		for _, id := range sortedIDs(st.Counts.m) {
+			if !b.files[id] {
+				return fmt.Errorf("access count of unknown file %d", id)
+			}
+		}
+	}
+	for _, id := range st.Migrating {
+		if !b.files[id] {
+			return fmt.Errorf("migration of unknown file %d", id)
+		}
+	}
+	if st.RespStream != st.RespHist.Stream {
+		return fmt.Errorf("resp_stream differs from resp_hist.stream")
+	}
+	if err := st.RespHist.Validate(respLoExp, respHiExp, respPerDecade); err != nil {
+		return err
+	}
+
+	switch f := st.Faults; {
+	case f != nil && !b.faults:
+		return fmt.Errorf("checkpoint has fault state but faults are disabled")
+	case f == nil && b.faults:
+		return fmt.Errorf("faults enabled but checkpoint has no fault state")
+	case f != nil:
+		if n := len(f.Injector.Disks); n != cfg.Disks {
+			return fmt.Errorf("fault injector has %d disks, config has %d", n, cfg.Disks)
+		}
+		if f.Spares < 0 || f.SparesUsed < 0 {
+			return fmt.Errorf("negative spare count (spares %d, spares_used %d)", f.Spares, f.SparesUsed)
+		}
+		if err := f.Injector.Validate(cfg.Disks); err != nil {
+			return err
+		}
+		if f.RAID != nil && !cfg.RAID.Enabled() {
+			return fmt.Errorf("checkpoint has RAID state but no RAID organization is configured")
+		}
+		if f.RAID == nil && cfg.RAID.Enabled() {
+			return fmt.Errorf("RAID organization configured but checkpoint has no RAID state")
+		}
+	}
+	tracing := cfg.Telemetry != nil && cfg.Telemetry.Decisions != nil
+	if st.Trace != nil && !tracing {
+		return fmt.Errorf("checkpoint has decision-trace state but the recorder has no DecisionLog")
+	}
+	if st.Trace == nil && tracing {
+		return fmt.Errorf("decision tracing enabled but checkpoint has no trace state")
+	}
+
+	// An event keeps the run going until it fires when it holds a disk
+	// busy (service, transition, the repair a parked queue waits for) or
+	// arrivals pending, so each such event must fire no later than the
+	// model can have scheduled it.
+	var maxRepair float64
+	if b.faults {
+		maxRepair = cfg.Faults.Normalized().MaxRepairSeconds()
+	}
+	arrivals := 0
+	services := make([]int, cfg.Disks)
+	transitions := make([]int, cfg.Disks)
+	repairs := make([]int, cfg.Disks)
+	for i := range st.Events {
+		se := &st.Events[i]
+		kind := parseEvKind(se.Kind)
+		switch {
+		case kind == numEvKinds:
+			return fmt.Errorf("unknown event kind %q", se.Kind)
+		case se.Time < st.Clock:
+			return fmt.Errorf("%s event at %v before the clock %v", se.Kind, se.Time, st.Clock)
+		case kind == evCheckpoint && cfg.Checkpoint == nil:
+			// A snapshot with pending checkpoint ticks must keep the
+			// original cadence, or EventsFired (and the whole event
+			// sequence) diverges from the uninterrupted run the resume
+			// claims to equal.
+			return fmt.Errorf("snapshot has pending checkpoint ticks; set Config.Checkpoint to the original interval")
+		case !b.faults && (kind == evFaultTick || kind == evRepair || kind == evRebuildNext || kind == evScrub):
+			return fmt.Errorf("%s event but faults are disabled", se.Kind)
+		}
+		// An absent field reads 0, which is always a valid disk. The index
+		// is checked before the record narrows it to int32.
+		for _, f := range [...]struct {
+			name string
+			d    int
+		}{{"disk", se.Disk}, {"from", se.From}, {"to", se.To}} {
+			if f.d < 0 || f.d >= cfg.Disks {
+				return fmt.Errorf("%s event at %v: %s %d outside [0, %d)", se.Kind, se.Time, f.name, f.d, cfg.Disks)
+			}
+		}
+		// The decoded record must write back exactly the wire fields it
+		// was read from.
+		back := recordFromSaved(se).toSaved(se.Time, se.Seq)
+		back.Op = se.Op
+		if back != *se {
+			return fmt.Errorf("%s event at %v carries a wire field foreign to its kind", se.Kind, se.Time)
+		}
+		if (kind == evService) != (se.Op != nil) {
+			return fmt.Errorf("%s event at %v: an op travels with service events only", se.Kind, se.Time)
+		}
+		latest := math.Inf(1) // the latest time the model can have scheduled it for
+		switch dm := &st.Disks[se.Disk].Disk; kind {
+		case evArrival:
+			arrivals++
+			if st.NextReq < len(reqs) {
+				latest = max(reqs[st.NextReq].Arrival, st.Clock)
+			}
+		case evMigrateStart:
+			if !b.files[se.FileID] {
+				return fmt.Errorf("migrate-start event at %v: unknown file %d", se.Time, se.FileID)
+			}
+		case evTransition:
+			transitions[se.Disk]++
+			latest = dm.LastAccrual + cfg.DiskParams.TransitionTime(dm.TransitionTarget)
+		case evService:
+			// The disk's in-service op completes when the event fires.
+			if services[se.Disk]++; services[se.Disk] > 1 {
+				return fmt.Errorf("disk %d has more than one service event pending", se.Disk)
+			}
+			if err := b.op(se.Op, holders); err != nil {
+				return err
+			}
+			latest = dm.LastAccrual + cfg.DiskParams.ServiceTimeAt(se.Op.SizeMB, dm.Speed, cfg.DiskParams.Seek.Cylinders)
+		case evRepair:
+			repairs[se.Disk]++
+			latest = st.Clock + maxRepair
+		}
+		if se.Time > latest {
+			return fmt.Errorf("%s event at %v: due by %v at the latest", se.Kind, se.Time, latest)
+		}
+	}
+	// A disk in service ends with its service event, and a transition with
+	// its transition event; an idle disk waits for neither.
+	for i := range st.Disks {
+		var svc, trans int
+		switch st.Disks[i].Disk.State {
+		case diskmodel.Active:
+			svc = 1
+		case diskmodel.Transitioning:
+			trans = 1
+		}
+		if services[i] != svc || transitions[i] != trans {
+			return fmt.Errorf("disk %d is %s with %d service and %d transition events pending",
+				i, st.Disks[i].Disk.State, services[i], transitions[i])
+		}
+		// A failed disk waits for its one repair.
+		if (repairs[i] == 1) != st.Disks[i].Failed || repairs[i] > 1 {
+			return fmt.Errorf("disk %d: failed %v with %d repair events pending", i, st.Disks[i].Failed, repairs[i])
+		}
+	}
+	// The arrival chain delivers the rest of the trace, one event at a time.
+	if want := min(len(reqs)-st.NextReq, 1); arrivals != want {
+		return fmt.Errorf("%d arrival events pending with %d requests to deliver, want %d",
+			arrivals, len(reqs)-st.NextReq, want)
+	}
+	// A stripe completes when its last outstanding chunk does.
+	for i := range st.Stripes {
+		ss := &st.Stripes[i]
+		if ss.Remaining != holders[i] {
+			return fmt.Errorf("stripe %d has %d chunks outstanding but %d ops", i, ss.Remaining, holders[i])
+		}
+		if ss.Lost && !b.faults {
+			return fmt.Errorf("stripe %d lost but faults are disabled", i)
+		}
+		if err := b.cont(ss.Done); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RestoredEvent is one pending DES event decoded from a checkpoint but not
@@ -670,6 +931,19 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 	return s.finish()
 }
 
+// decodeState parses a checkpoint payload and validates it under cfg,
+// whose defaults are set; nothing is rebuilt.
+func decodeState(cfg *Config, stateJSON []byte) (*simState, error) {
+	st := new(simState)
+	if err := json.Unmarshal(stateJSON, st); err != nil {
+		return nil, fmt.Errorf("array: resume: parse state: %w", err)
+	}
+	if err := st.validate(cfg); err != nil {
+		return nil, fmt.Errorf("array: resume: %w", err)
+	}
+	return st, nil
+}
+
 // resume is Resume up to running the restored simulation: it rebuilds the
 // sim and re-schedules its pending events.
 func resume(cfg Config, stateJSON []byte) (*sim, error) {
@@ -680,21 +954,11 @@ func resume(cfg Config, stateJSON []byte) (*sim, error) {
 	if err := validateCheckpointSpec(&cfg); err != nil {
 		return nil, err
 	}
-	var st simState
-	if err := json.Unmarshal(stateJSON, &st); err != nil {
-		return nil, fmt.Errorf("array: resume: parse state: %w", err)
+	st, err := decodeState(&cfg, stateJSON)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Checkpoint == nil {
-		// A snapshot with pending checkpoint ticks must keep the original
-		// cadence, or EventsFired (and the whole event sequence) diverges
-		// from the uninterrupted run the resume claims to equal.
-		for _, se := range st.Events {
-			if se.Kind == evCheckpoint.String() {
-				return nil, fmt.Errorf("array: resume: snapshot has pending checkpoint ticks; set Config.Checkpoint to the original interval")
-			}
-		}
-	}
-	s, evs, err := restoreSim(cfg, &st, nil, nil)
+	s, evs, err := restoreSim(cfg, st, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -712,45 +976,26 @@ func resume(cfg Config, stateJSON []byte) (*sim, error) {
 	return s, nil
 }
 
-// restoreSim rebuilds a sim from a decoded checkpoint payload: disks,
-// queues, counters, policy, faults, and telemetry are restored, and the
-// saved pending events are decoded into RestoredEvents (in saved order,
+// restoreSim rebuilds a sim from a checkpoint payload that passed validate:
+// disks, queues, counters, policy, faults, and telemetry are restored, and
+// the saved pending events are decoded into RestoredEvents (in saved order,
 // which is ascending original Seq) for the caller to schedule. The engine is
 // NOT touched — the caller brackets Schedule calls with BeginRestore and
 // FinishRestore, which lets a cluster restore interleave the events of
-// several sims sharing one engine.
+// several sims sharing one engine. The errors left are the callees' own: a
+// configuration the constructors reject, and the policy's LoadState.
 func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []RestoredEvent, error) {
-	pol, ok := cfg.Policy.(CheckpointablePolicy)
-	if !ok {
-		return nil, nil, fmt.Errorf("array: resume: policy %q does not support checkpointing", cfg.Policy.Name())
-	}
-	if st.PolicyName != cfg.Policy.Name() {
-		return nil, nil, fmt.Errorf("array: resume: checkpoint was taken under policy %q, config has %q",
-			st.PolicyName, cfg.Policy.Name())
-	}
-	if len(st.Disks) != cfg.Disks {
-		return nil, nil, fmt.Errorf("array: resume: checkpoint has %d disks, config has %d",
-			len(st.Disks), cfg.Disks)
-	}
 	s, err := newSimOn(cfg, eng, host)
 	if err != nil {
 		return nil, nil, err
 	}
-
 	stripes := make([]*stripeJob, len(st.Stripes))
 	for i, ss := range st.Stripes {
-		done, err := s.decodeCont(ss.Done)
-		if err != nil {
-			return nil, nil, err
-		}
 		stripes[i] = &stripeJob{
-			fileID: ss.FileID, arrival: ss.Arrival, remaining: ss.Remaining, lost: ss.Lost, done: done,
+			fileID: ss.FileID, arrival: ss.Arrival, remaining: ss.Remaining, lost: ss.Lost, done: decodeCont(ss.Done),
 		}
 	}
-	decodeOp := func(os opState) (op, error) {
-		if os.Kind < int(opUser) || os.Kind > int(opChunk) {
-			return op{}, fmt.Errorf("array: resume: unknown op kind %d", os.Kind)
-		}
+	decodeOp := func(os *opState) op {
 		o := op{
 			kind:     opKind(os.Kind),
 			fileID:   os.FileID,
@@ -758,31 +1003,19 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 			arrival:  os.Arrival,
 			mig:      os.Mig,
 			rerouted: os.Rerouted,
+			done:     decodeCont(os.Done),
 		}
 		if ts := os.stampState; s.trc != nil || ts != (stampState{}) {
 			o.tr = &opStamps{enqT: ts.EnqT, spinBase: ts.SpinBase, waitSpin: ts.WaitSpin, svcDur: ts.SvcDur}
 		}
 		if os.Stripe >= 0 {
-			if os.Stripe >= len(stripes) {
-				return op{}, fmt.Errorf("array: resume: stripe %d out of range", os.Stripe)
-			}
 			o.stripe = stripes[os.Stripe]
 		}
-		c, err := s.decodeCont(os.Done)
-		if err != nil {
-			return op{}, err
-		}
-		o.done = c
-		return o, nil
+		return o
 	}
 
-	for i, dc := range st.Disks {
-		if err := dc.Disk.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("array: resume: disk %d: %w", i, err)
-		}
-		if p := dc.Pending; p != nil && *p != diskmodel.Low && *p != diskmodel.High {
-			return nil, nil, fmt.Errorf("array: resume: disk %d: pending speed %d is neither low nor high", i, int(*p))
-		}
+	for i := range st.Disks {
+		dc := &st.Disks[i]
 		ds := s.disks[i]
 		ds.disk = diskmodel.Restore(i, cfg.DiskParams, dc.Disk)
 		ds.temp = thermal.RestoreTracker(cfg.Thermal, dc.Temp)
@@ -799,121 +1032,71 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 		ds.gen = dc.Gen
 		ds.transBusy = dc.TransBusy
 		ds.transStart = dc.TransStart
-		for _, os := range dc.FG {
-			o, err := decodeOp(os)
-			if err != nil {
-				return nil, nil, err
-			}
-			ds.fg.push(o)
+		for j := range dc.FG {
+			ds.fg.push(decodeOp(&dc.FG[j]))
 		}
-		for _, os := range dc.BG {
-			o, err := decodeOp(os)
-			if err != nil {
-				return nil, nil, err
-			}
-			ds.bg.push(o)
+		for j := range dc.BG {
+			ds.bg.push(decodeOp(&dc.BG[j]))
 		}
 	}
 
-	if st.NextReq < 0 || st.NextReq > len(cfg.Trace.Requests) {
-		return nil, nil, fmt.Errorf("array: resume: next_req %d outside [0, %d]", st.NextReq, len(cfg.Trace.Requests))
-	}
 	s.nextReq = st.NextReq
 	s.migrations = st.Migrations
 	s.backgroundOps = st.BackgroundOps
 	s.epochs = st.Epochs
 	s.migsThisEpoch = st.MigsThisEpoch
-	// The snapshot encoder writes the file-keyed maps in the file set's
-	// order, and the simulator indexes disks by placement.
-	for _, id := range sortedIDs(st.Place.m) {
-		if _, ok := s.files[id]; !ok {
-			return nil, nil, fmt.Errorf("array: resume: placement of unknown file %d", id)
-		}
-		if d := st.Place.m[id]; d < 0 || d >= len(s.disks) {
-			return nil, nil, fmt.Errorf("array: resume: file %d placed on disk %d outside [0, %d)", id, d, len(s.disks))
-		}
-	}
 	if st.Place.m != nil {
 		s.place = st.Place.m
 	}
 	if st.Counts != nil && st.Counts.m != nil {
-		for _, id := range sortedIDs(st.Counts.m) {
-			if _, ok := s.files[id]; !ok {
-				return nil, nil, fmt.Errorf("array: resume: access count of unknown file %d", id)
-			}
-		}
 		s.counts = st.Counts.m
 	}
 	for _, id := range st.Migrating {
-		if _, ok := s.files[id]; !ok {
-			return nil, nil, fmt.Errorf("array: resume: migration of unknown file %d", id)
-		}
 		s.migrating[id] = true
 	}
-	if st.RespStream != st.RespHist.Stream {
-		return nil, nil, fmt.Errorf("array: resume: resp_stream differs from resp_hist.stream")
-	}
-	if err := s.respHist.SetState(st.RespHist); err != nil {
-		return nil, nil, fmt.Errorf("array: resume: %w", err)
-	}
+	s.respHist.SetState(st.RespHist)
 	s.timeline = st.Timeline
 
+	pol := cfg.Policy.(CheckpointablePolicy)
 	if err := pol.LoadState(st.Policy); err != nil {
 		return nil, nil, fmt.Errorf("array: resume: policy %q load: %w", pol.Name(), err)
 	}
 
-	faultsOn := cfg.Faults != nil && cfg.Faults.Enabled
-	switch {
-	case st.Faults != nil && !faultsOn:
-		return nil, nil, fmt.Errorf("array: resume: checkpoint has fault state but faults are disabled")
-	case st.Faults == nil && faultsOn:
-		return nil, nil, fmt.Errorf("array: resume: faults enabled but checkpoint has no fault state")
-	case st.Faults != nil:
-		if n := len(st.Faults.Injector.Disks); n != cfg.Disks {
-			return nil, nil, fmt.Errorf("array: resume: fault injector has %d disks, config has %d", n, cfg.Disks)
-		}
-		if st.Faults.Spares < 0 || st.Faults.SparesUsed < 0 {
-			return nil, nil, fmt.Errorf("array: resume: negative spare count (spares %d, spares_used %d)", st.Faults.Spares, st.Faults.SparesUsed)
-		}
+	if f := st.Faults; f != nil {
 		fcfg := cfg.Faults.Normalized()
-		inj, err := faults.RestoreInjector(fcfg, st.Faults.Injector)
+		inj, err := faults.RestoreInjector(fcfg, f.Injector)
 		if err != nil {
 			return nil, nil, fmt.Errorf("array: resume: %w", err)
 		}
 		s.flt = &faultState{
 			cfg:            fcfg,
 			inj:            inj,
-			spares:         st.Faults.Spares,
-			sparesUsed:     st.Faults.SparesUsed,
-			failures:       st.Faults.Failures,
-			repairs:        st.Faults.Repairs,
-			dataLoss:       st.Faults.DataLoss,
-			firstLoss:      st.Faults.FirstLoss,
-			lostRequests:   st.Faults.LostRequests,
-			degraded:       st.Faults.Degraded,
-			reassigned:     st.Faults.Reassigned,
-			rebuildMB:      st.Faults.RebuildMB,
-			rebuildEnergyJ: st.Faults.RebuildEnergyJ,
-			lseCleared:     st.Faults.LSECleared,
-			scrubs:         st.Faults.Scrubs,
-			scrubMB:        st.Faults.ScrubMB,
-			log:            st.Faults.Log,
+			spares:         f.Spares,
+			sparesUsed:     f.SparesUsed,
+			failures:       f.Failures,
+			repairs:        f.Repairs,
+			dataLoss:       f.DataLoss,
+			firstLoss:      f.FirstLoss,
+			lostRequests:   f.LostRequests,
+			degraded:       f.Degraded,
+			reassigned:     f.Reassigned,
+			rebuildMB:      f.RebuildMB,
+			rebuildEnergyJ: f.RebuildEnergyJ,
+			lseCleared:     f.LSECleared,
+			scrubs:         f.Scrubs,
+			scrubMB:        f.ScrubMB,
+			log:            f.Log,
 		}
-		switch {
-		case st.Faults.RAID != nil && !cfg.RAID.Enabled():
-			return nil, nil, fmt.Errorf("array: resume: checkpoint has RAID state but no RAID organization is configured")
-		case st.Faults.RAID == nil && cfg.RAID.Enabled():
-			return nil, nil, fmt.Errorf("array: resume: RAID organization configured but checkpoint has no RAID state")
-		case st.Faults.RAID != nil:
+		if r := f.RAID; r != nil {
 			raid, err := newRAIDState(cfg.RAID, cfg.Disks)
 			if err != nil {
 				return nil, nil, fmt.Errorf("array: resume: %w", err)
 			}
-			raid.losses = st.Faults.RAID.Losses
-			raid.lseLosses = st.Faults.RAID.LSELosses
-			raid.overlapLosses = st.Faults.RAID.OverlapLosses
-			raid.firstLoss = st.Faults.RAID.FirstLoss
-			raid.log = st.Faults.RAID.Log
+			raid.losses = r.Losses
+			raid.lseLosses = r.LSELosses
+			raid.overlapLosses = r.OverlapLosses
+			raid.firstLoss = r.FirstLoss
+			raid.log = r.Log
 			s.flt.raid = raid
 		}
 	}
@@ -921,30 +1104,16 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.Metrics.SetState(st.Metrics)
 	}
-	switch {
-	case st.Trace != nil && s.trc == nil:
-		return nil, nil, fmt.Errorf("array: resume: checkpoint has decision-trace state but the recorder has no DecisionLog")
-	case st.Trace == nil && s.trc != nil:
-		return nil, nil, fmt.Errorf("array: resume: decision tracing enabled but checkpoint has no trace state")
-	case st.Trace != nil:
+	if st.Trace != nil {
 		s.trc.restore(st.Trace)
 	}
 
 	evs := make([]RestoredEvent, 0, len(st.Events))
-	for _, se := range st.Events {
-		rec, err := recordFromSaved(&se, len(s.disks))
-		if err != nil {
-			return nil, nil, fmt.Errorf("array: resume: %w", err)
-		}
-		if (rec.Kind == evService) != (se.Op != nil) {
-			return nil, nil, fmt.Errorf("array: resume: %s event at %v: an op travels with service events only", se.Kind, se.Time)
-		}
+	for i := range st.Events {
+		se := &st.Events[i]
+		rec := recordFromSaved(se)
 		if se.Op != nil {
-			o, err := decodeOp(*se.Op)
-			if err != nil {
-				return nil, nil, err
-			}
-			s.disks[rec.Disk].svc = o
+			s.disks[rec.Disk].svc = decodeOp(se.Op)
 		}
 		evs = append(evs, RestoredEvent{Seq: se.Seq, Time: se.Time, s: s, rec: rec})
 	}

@@ -9,12 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/array"
+	"repro/internal/array/arraytest"
 	"repro/internal/checkpoint"
 	"repro/internal/des"
-	"repro/internal/faults"
-	"repro/internal/policy"
-	"repro/internal/reliability"
-	"repro/internal/workload"
 )
 
 // fixturePath is a version-1 checkpoint of fixtureConfig: the 15th snapshot
@@ -25,41 +22,13 @@ import (
 // change that moves the schema (renamed fields, re-ordered events, a
 // different home for the in-service op) fails here instead of silently
 // orphaning users' snapshots.
-var fixturePath = filepath.Join("testdata", "ckpt_v1_raid6_read.json")
+var fixturePath = filepath.Join("testdata", arraytest.FixtureFile)
 
 // fixtureEvery is the checkpoint interval the fixture was captured with.
-// The snapshot holds a pending checkpoint tick, so a resume must keep it.
-const fixtureEvery = 4.0
+const fixtureEvery = arraytest.FixtureEvery
 
-// fixtureConfig is the run the fixture was captured from: a small RAID-6
-// READ array with failures, latent sector errors, scrubs and rebuilds.
-func fixtureConfig(t testing.TB) array.Config {
-	t.Helper()
-	wl := workload.DefaultGenConfig()
-	wl.NumFiles = 120
-	wl.NumRequests = 1500
-	wl.MeanInterarrival = 0.04
-	wl.Seed = 3
-	trace, err := workload.Generate(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := faults.Default()
-	fc.Seed = 3
-	fc.Acceleration = 5e5
-	fc.LSERatePerHour = faults.DefaultLSERatePerHour
-	fc.RebuildTime = &reliability.Weibull{Shape: 1, ScaleHours: 12}
-	fc.Scripted = []faults.ScriptedEvent{{Disk: 1, At: 12}}
-	return array.Config{
-		Disks:        6,
-		Trace:        trace,
-		Policy:       policy.NewREAD(policy.READConfig{}),
-		EpochSeconds: 5,
-		Faults:       &fc,
-		Spares:       2,
-		RAID:         array.RAIDConfig{Level: array.RAID6},
-	}
-}
+// fixtureConfig is the run the fixture was captured from.
+var fixtureConfig = arraytest.FixtureConfig
 
 // TestCheckpointFixtureV1Resumes resumes the committed version-1 snapshot
 // and requires the result to equal the uninterrupted run exactly.

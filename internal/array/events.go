@@ -59,14 +59,15 @@ var evKinds = [numEvKinds]struct{ name, label string }{
 
 func (k evKind) String() string { return evKinds[k].name }
 
-// parseEvKind maps a checkpoint wire name back to its kind.
-func parseEvKind(name string) (evKind, error) {
+// parseEvKind maps a checkpoint wire name back to its kind, or to
+// numEvKinds when no kind has that name.
+func parseEvKind(name string) evKind {
 	for k, ek := range evKinds {
 		if ek.name == name {
-			return evKind(k), nil
+			return evKind(k)
 		}
 	}
-	return 0, fmt.Errorf("array: unknown event kind %q", name)
+	return numEvKinds
 }
 
 // eventRecord is the serializable description of one scheduled event: a

@@ -170,3 +170,11 @@ func ParseState(state []byte) error {
 	var st simState
 	return json.Unmarshal(state, &st)
 }
+
+// ValidateState parses a checkpoint payload and validates it under cfg, as
+// Resume does before it rebuilds anything.
+func ValidateState(cfg Config, state []byte) error {
+	cfg.setDefaults()
+	_, err := decodeState(&cfg, state)
+	return err
+}

@@ -43,7 +43,6 @@ var wireSamples = map[evKind]eventRecord{
 // TestEventRecordWireRoundTrip takes a record of every kind through its
 // wire form and back.
 func TestEventRecordWireRoundTrip(t *testing.T) {
-	const disks = 6
 	for k := evKind(0); k < numEvKinds; k++ {
 		rec, ok := wireSamples[k]
 		if !ok {
@@ -53,11 +52,7 @@ func TestEventRecordWireRoundTrip(t *testing.T) {
 		if se.Kind != k.String() || se.Time != 42.5 || se.Seq != 99 {
 			t.Fatalf("%s: saved header %+v", k, se)
 		}
-		back, err := recordFromSaved(&se, disks)
-		if err != nil {
-			t.Fatalf("%s: %v", k, err)
-		}
-		if back != rec {
+		if back := recordFromSaved(&se); back != rec {
 			t.Fatalf("%s: round trip gave %+v, want %+v", k, back, rec)
 		}
 	}

@@ -25,7 +25,6 @@ package array
 // router's arrival chain where Run schedules its first trace arrival).
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -284,29 +283,76 @@ func (m *Member) AppendCheckpointState(dst []byte) ([]byte, error) {
 	return st.appendJSON(dst)
 }
 
-// ResumeMember rebuilds a member from an AppendCheckpointState payload. The decoded
-// pending events are returned WITHOUT being scheduled: the cluster merges
-// them with the router's own saved events by Seq and schedules the union in
-// global order between the shared engine's BeginRestore and FinishRestore.
-func ResumeMember(cfg Config, eng *des.Engine, host Host, stateJSON []byte) (*Member, []RestoredEvent, error) {
+// MemberSnapshot is a fleet member's checkpoint payload, parsed and
+// validated against the member's configuration but not yet restored.
+type MemberSnapshot struct {
+	cfg Config
+	st  *simState
+}
+
+// DecodeMember parses an AppendCheckpointState payload and checks it against
+// the member configuration cfg, as Resume does; nothing is rebuilt.
+func DecodeMember(cfg Config, stateJSON []byte) (*MemberSnapshot, error) {
+	cfg.setDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(cfg.Trace.Requests) != 0 {
+		return nil, errors.New("array: member trace must have no requests; arrivals come from Submit")
+	}
+	if cfg.Checkpoint != nil {
+		return nil, errors.New("array: member checkpointing is driven by the cluster, not Config.Checkpoint")
+	}
+	st, err := decodeState(&cfg, stateJSON)
+	if err != nil {
+		return nil, err
+	}
+	return &MemberSnapshot{cfg: cfg, st: st}, nil
+}
+
+// FleetAttempt names one attempt of a fleet request.
+type FleetAttempt struct {
+	Req     uint64
+	Attempt int
+}
+
+// FleetAttempts lists the fleet attempts in flight on the member: the
+// request and attempt of every fleet continuation in the snapshot, queued,
+// in service or on a striped request.
+func (ms *MemberSnapshot) FleetAttempts() []FleetAttempt {
+	var out []FleetAttempt
+	add := func(cs *contState) {
+		if cs != nil && cs.Kind == contFleet {
+			out = append(out, FleetAttempt{Req: cs.ReqID, Attempt: cs.Attempt})
+		}
+	}
+	for _, dc := range ms.st.Disks {
+		for _, q := range [2][]opState{dc.FG, dc.BG} {
+			for _, os := range q {
+				add(os.Done)
+			}
+		}
+	}
+	for _, se := range ms.st.Events {
+		if se.Op != nil {
+			add(se.Op.Done)
+		}
+	}
+	for _, ss := range ms.st.Stripes {
+		add(ss.Done)
+	}
+	return out
+}
+
+// Restore rebuilds the member on the shared engine eng. The decoded pending
+// events are returned WITHOUT being scheduled: the cluster merges them with
+// the router's own saved events by Seq and schedules the union in global
+// order between the shared engine's BeginRestore and FinishRestore.
+func (ms *MemberSnapshot) Restore(eng *des.Engine, host Host) (*Member, []RestoredEvent, error) {
 	if eng == nil || host == nil {
 		return nil, nil, errors.New("array: member needs a shared engine and a host")
 	}
-	cfg.setDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if len(cfg.Trace.Requests) != 0 {
-		return nil, nil, errors.New("array: member trace must have no requests; arrivals come from Submit")
-	}
-	if cfg.Checkpoint != nil {
-		return nil, nil, errors.New("array: member checkpointing is driven by the cluster, not Config.Checkpoint")
-	}
-	var st simState
-	if err := json.Unmarshal(stateJSON, &st); err != nil {
-		return nil, nil, fmt.Errorf("array: resume member: parse state: %w", err)
-	}
-	s, evs, err := restoreSim(cfg, &st, eng, host)
+	s, evs, err := restoreSim(ms.cfg, ms.st, eng, host)
 	if err != nil {
 		return nil, nil, err
 	}

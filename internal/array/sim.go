@@ -492,8 +492,12 @@ func newSim(cfg Config) (*sim, error) {
 // members. When eng is non-nil the sim schedules onto it instead of owning
 // one, and leaves the engine's tracer/watch alone — the cluster that owns
 // the engine installs those exactly once.
+// The response-time histogram spans 1 µs to 10^5 s with 50 buckets a
+// decade; a snapshot's must have the same geometry.
+const respLoExp, respHiExp, respPerDecade = -6, 5, 50
+
 func newSimOn(cfg Config, eng *des.Engine, host Host) (*sim, error) {
-	hist, err := stats.NewLatencyHistogram(-6, 5, 50)
+	hist, err := stats.NewLatencyHistogram(respLoExp, respHiExp, respPerDecade)
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/array"
@@ -304,39 +305,195 @@ type mergeEvent struct {
 	desc     string
 }
 
+// validate reports why st cannot be restored under cfg, whose defaults are
+// set and which passed Validate; otherwise it returns the members' payloads,
+// decoded and validated by array.DecodeMember. Like the array's validate it
+// runs before anything is rebuilt and owns the whole rule: the router's
+// invariants (see router.go) and their agreement with the attempts the
+// members hold in flight. A router event whose request has settled is a
+// legitimate stale no-op and is not checked against the request table.
+func (st *clusterState) validate(cfg *Config) ([]*array.MemberSnapshot, error) {
+	if len(st.Members) != cfg.Arrays {
+		return nil, fmt.Errorf("checkpoint has %d arrays, config has %d", len(st.Members), cfg.Arrays)
+	}
+	racks := cfg.Topology.Racks
+	if len(st.ShockDepth) != racks {
+		return nil, fmt.Errorf("checkpoint has %d racks, config has %d", len(st.ShockDepth), racks)
+	}
+	for r, d := range st.ShockDepth {
+		if d < 0 {
+			return nil, fmt.Errorf("rack %d: negative shock depth %d", r, d)
+		}
+	}
+	requests := len(cfg.Trace.Requests)
+	if st.Delivered < 0 || st.Delivered > requests {
+		return nil, fmt.Errorf("delivered %d outside [0, %d]", st.Delivered, requests)
+	}
+	if err := st.Hist.Validate(histLoExp, histHiExp, histPerDecade); err != nil {
+		return nil, err
+	}
+
+	files := make(map[int]bool, len(cfg.Trace.Files))
+	for _, f := range cfg.Trace.Files {
+		files[f.ID] = true
+	}
+	// inFlight holds each live request's attempts in flight that no
+	// member has yet been found to hold.
+	inFlight := make(map[uint64]uint64, len(st.Reqs))
+	for i := range st.Reqs {
+		r := &st.Reqs[i]
+		_, dup := inFlight[r.ID]
+		switch {
+		case r.ID < 1 || r.ID > uint64(st.Delivered):
+			return nil, fmt.Errorf("request %d outside the %d delivered", r.ID, st.Delivered)
+		case dup:
+			return nil, fmt.Errorf("request %d saved twice", r.ID)
+		case !files[r.File]:
+			return nil, fmt.Errorf("request %d: unknown file %d", r.ID, r.File)
+		case r.Last < -1 || r.Last >= cfg.Arrays:
+			return nil, fmt.Errorf("request %d: last array %d outside [-1, %d)", r.ID, r.Last, cfg.Arrays)
+		case r.Attempts < 0 || r.Attempts > cfg.MaxAttempts:
+			return nil, fmt.Errorf("request %d: %d attempts outside [0, %d]", r.ID, r.Attempts, cfg.MaxAttempts)
+		case r.Hedge < 0 || r.Hedge > r.Attempts:
+			return nil, fmt.Errorf("request %d: hedge %d outside [0, %d]", r.ID, r.Hedge, r.Attempts)
+		case r.Pending>>uint(r.Attempts) != 0:
+			return nil, fmt.Errorf("request %d: attempt in flight past its %d attempts", r.ID, r.Attempts)
+		case r.Outstanding != bits.OnesCount64(r.Pending):
+			// issueAttempt and RequestDone change the two together.
+			return nil, fmt.Errorf("request %d: %d outstanding but %d attempts pending", r.ID, r.Outstanding, bits.OnesCount64(r.Pending))
+		case r.Outstanding == 0 && (r.Done || !r.RetryQueued):
+			// A request settles once done and drained; a live one waits
+			// for an attempt or a retry.
+			return nil, fmt.Errorf("request %d can never settle", r.ID)
+		}
+		inFlight[r.ID] = r.Pending
+	}
+
+	// The arrival chain and a live request's retry keep the fleet running
+	// until they fire, so each must fire no later than the router can have
+	// scheduled it: the next arrival's trace time, or one capped backoff.
+	arrivals := 0
+	retries := make(map[uint64]int)
+	ends := make([]int, racks)
+	for i := range st.Events {
+		se := &st.Events[i]
+		if se.Time < st.Clock {
+			return nil, fmt.Errorf("%s event at %v before the clock %v", se.Kind, se.Time, st.Clock)
+		}
+		switch kind := parseRevKind(se.Kind); kind {
+		case numRevKinds:
+			return nil, fmt.Errorf("unknown router event %q", se.Kind)
+		case revCheckpoint:
+			if cfg.Checkpoint == nil {
+				return nil, fmt.Errorf("snapshot has pending checkpoint ticks; set Config.Checkpoint to the original interval")
+			}
+		case revArrival:
+			arrivals++
+			if se.Req != uint64(st.Delivered)+1 || st.Delivered == requests {
+				return nil, fmt.Errorf("fleet-arrival event for request %d after %d of %d delivered", se.Req, st.Delivered, requests)
+			}
+			if latest := max(cfg.Trace.Requests[st.Delivered].Arrival, st.Clock); se.Time > latest {
+				return nil, fmt.Errorf("fleet-arrival event at %v: due by %v at the latest", se.Time, latest)
+			}
+		case revRetry:
+			if _, ok := inFlight[se.Req]; ok {
+				retries[se.Req]++
+				if latest := st.Clock + cfg.RetryCapSeconds*(1+cfg.RetryJitterFrac); se.Time > latest {
+					return nil, fmt.Errorf("fleet-retry event at %v: due by %v at the latest", se.Time, latest)
+				}
+			}
+		case revShockStart, revShockEnd:
+			// Shock k of a rack starts only after its shocks 0..k-1 did.
+			if se.Rack < 0 || se.Rack >= racks || se.Shock < 0 || se.Shock > st.Shocks {
+				return nil, fmt.Errorf("%s event: rack %d outside [0, %d) or shock %d outside [0, %d]",
+					se.Kind, se.Rack, racks, se.Shock, st.Shocks)
+			}
+			if kind == revShockEnd {
+				ends[se.Rack]++
+			}
+		}
+	}
+	if want := min(requests-st.Delivered, 1); arrivals != want {
+		return nil, fmt.Errorf("%d fleet-arrival events pending with %d requests to deliver", arrivals, requests-st.Delivered)
+	}
+	for r, d := range st.ShockDepth {
+		if ends[r] != d {
+			return nil, fmt.Errorf("rack %d: shock depth %d with %d shock-end events pending", r, d, ends[r])
+		}
+	}
+	for _, r := range st.Reqs {
+		if n := retries[r.ID]; n > 1 || (n == 1) != r.RetryQueued {
+			return nil, fmt.Errorf("request %d: retry_queued %v with %d fleet-retry events pending", r.ID, r.RetryQueued, n)
+		}
+	}
+
+	// Every attempt in flight is held by exactly one member.
+	members := make([]*array.MemberSnapshot, cfg.Arrays)
+	for i := range st.Members {
+		mc, err := cfg.memberConfig(i)
+		if err != nil {
+			return nil, err
+		}
+		if members[i], err = array.DecodeMember(mc, st.Members[i]); err != nil {
+			return nil, fmt.Errorf("array %d: %w", i, err)
+		}
+		for _, a := range members[i].FleetAttempts() {
+			bit := uint64(1) << uint(a.Attempt-1)
+			if a.Attempt < 1 || a.Attempt > 64 || inFlight[a.Req]&bit == 0 {
+				return nil, fmt.Errorf("array %d holds attempt %d of request %d, which the router has not in flight", i, a.Attempt, a.Req)
+			}
+			inFlight[a.Req] &^= bit
+		}
+	}
+	for _, r := range st.Reqs {
+		if p := inFlight[r.ID]; p != 0 {
+			return nil, fmt.Errorf("request %d: attempt %d is in flight on no array", r.ID, bits.TrailingZeros64(p)+1)
+		}
+	}
+	return members, nil
+}
+
 // Resume reconstructs a fleet from a checkpoint payload produced under the
 // same configuration and runs it to completion. As with array.Resume, member
 // policies must be freshly constructed instances of the original
 // configuration; their saved states are loaded, never re-Init'ed.
 func Resume(cfg Config, stateJSON []byte) (*Result, error) {
+	c, err := restore(cfg, stateJSON)
+	if err != nil {
+		return nil, err
+	}
+	return c.finish()
+}
+
+// decodeState parses a fleet checkpoint payload and validates it, members
+// included, under cfg, whose defaults are set; nothing is rebuilt.
+func decodeState(cfg *Config, stateJSON []byte) (*clusterState, []*array.MemberSnapshot, error) {
+	st := new(clusterState)
+	if err := json.Unmarshal(stateJSON, st); err != nil {
+		return nil, nil, fmt.Errorf("cluster: resume: parse state: %w", err)
+	}
+	members, err := st.validate(cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cluster: resume: %w", err)
+	}
+	return st, members, nil
+}
+
+// restore is Resume up to running the restored fleet: it rebuilds every
+// owner of the shared engine, collecting their saved pending events WITHOUT
+// scheduling, then re-schedules the union in the original sequence order.
+func restore(cfg Config, stateJSON []byte) (*clusterSim, error) {
 	cfg.setDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var st clusterState
-	if err := json.Unmarshal(stateJSON, &st); err != nil {
-		return nil, fmt.Errorf("cluster: resume: parse state: %w", err)
-	}
-	kinds := make([]revKind, len(st.Events))
-	for i, se := range st.Events {
-		k, err := parseRevKind(se.Kind)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: resume: %w", err)
-		}
-		if k == revCheckpoint && cfg.Checkpoint == nil {
-			return nil, fmt.Errorf("cluster: resume: snapshot has pending checkpoint ticks; set Config.Checkpoint to the original interval")
-		}
-		kinds[i] = k
-	}
-	if len(st.Members) != cfg.Arrays {
-		return nil, fmt.Errorf("cluster: resume: checkpoint has %d arrays, config has %d", len(st.Members), cfg.Arrays)
+	st, members, err := decodeState(&cfg, stateJSON)
+	if err != nil {
+		return nil, err
 	}
 	c, err := newClusterSim(&cfg)
 	if err != nil {
 		return nil, err
-	}
-	if len(st.ShockDepth) != cfg.Topology.Racks {
-		return nil, fmt.Errorf("cluster: resume: checkpoint has %d racks, config has %d", len(st.ShockDepth), cfg.Topology.Racks)
 	}
 
 	c.delivered = st.Delivered
@@ -351,9 +508,7 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 	c.failed = st.Failed
 	c.shocks = st.Shocks
 	copy(c.shockDepth, st.ShockDepth)
-	if err := c.hist.SetState(st.Hist); err != nil {
-		return nil, fmt.Errorf("cluster: resume: %w", err)
-	}
+	c.hist.SetState(st.Hist)
 	for _, r := range st.Reqs {
 		c.reqs[r.ID] = &reqState{
 			file: r.File, arrival: r.Arrival,
@@ -367,16 +522,9 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 		}
 	}
 
-	// Rebuild every owner of the shared engine, collecting their saved
-	// pending events WITHOUT scheduling, then merge the union by original
-	// sequence number.
 	var merged []mergeEvent
-	for i := range st.Members {
-		mc, err := cfg.memberConfig(i)
-		if err != nil {
-			return nil, err
-		}
-		m, evs, err := array.ResumeMember(mc, c.eng, c, st.Members[i])
+	for i, ms := range members {
+		m, evs, err := ms.Restore(c.eng, c)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: resume: array %d: %w", i, err)
 		}
@@ -386,9 +534,8 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 				desc: fmt.Sprintf("array %d event seq %d", i, re.Seq)})
 		}
 	}
-	for i, se := range st.Events {
-		se := se
-		rec := routerRecord{Kind: kinds[i], Req: se.Req, Attempt: se.Attempt,
+	for _, se := range st.Events {
+		rec := routerRecord{Kind: parseRevKind(se.Kind), Req: se.Req, Attempt: se.Attempt,
 			Rack: se.Rack, Shock: se.Shock, Cause: se.Cause}
 		merged = append(merged, mergeEvent{seq: se.Seq,
 			schedule: func() error { return c.ratErr(se.Time, rec) },
@@ -407,5 +554,5 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 	if err := c.eng.FinishRestore(st.Seq, st.Fired); err != nil {
 		return nil, fmt.Errorf("cluster: resume: %w", err)
 	}
-	return c.finish()
+	return c, nil
 }

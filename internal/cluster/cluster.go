@@ -466,8 +466,11 @@ func (c *clusterSim) collect() (*Result, error) {
 	return res, nil
 }
 
-// newFleetHist builds the fleet latency histogram with the same geometry as
-// the per-array one so quantiles are comparable.
+// The fleet latency histogram has the same geometry as the per-array one,
+// so quantiles are comparable; a snapshot's must match it.
+const histLoExp, histHiExp, histPerDecade = -6, 5, 50
+
+// newFleetHist builds the fleet latency histogram.
 func newFleetHist() (*stats.LatencyHistogram, error) {
-	return stats.NewLatencyHistogram(-6, 5, 50)
+	return stats.NewLatencyHistogram(histLoExp, histHiExp, histPerDecade)
 }

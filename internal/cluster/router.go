@@ -52,14 +52,15 @@ var revKinds = [numRevKinds]string{
 
 func (k revKind) String() string { return revKinds[k] }
 
-// parseRevKind maps a checkpoint wire name back to its kind.
-func parseRevKind(name string) (revKind, error) {
+// parseRevKind maps a checkpoint wire name back to its kind, or to
+// numRevKinds when no kind has that name.
+func parseRevKind(name string) revKind {
 	for k, n := range revKinds {
 		if n == name {
-			return revKind(k), nil
+			return revKind(k)
 		}
 	}
-	return 0, fmt.Errorf("cluster: unknown router event %q", name)
+	return numRevKinds
 }
 
 // Decision causes the router declares.

@@ -455,8 +455,12 @@ func (c *Checkpoint) WriteJSON(w *checkpoint.Writer) {
 
 // Validate rejects a checkpoint whose speeds or state lie outside their
 // enumerations, before Restore builds a disk that indexes per-speed tables
-// by them or waits on a state nothing leaves.
-func (c *Checkpoint) Validate() error {
+// by them or waits on a state nothing leaves, and one accrued past now, the
+// simulation clock it resumes at, whose next accrual would panic.
+func (c *Checkpoint) Validate(now float64) error {
+	if c.LastAccrual > now {
+		return fmt.Errorf("diskmodel: last_accrual %v after the clock %v", c.LastAccrual, now)
+	}
 	for _, f := range [...]struct {
 		name  string
 		speed Speed

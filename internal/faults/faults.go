@@ -552,6 +552,18 @@ func (in *Injector) SampleRepairSeconds() float64 {
 	return in.cfg.hoursToVirtualSeconds(hours)
 }
 
+// MaxRepairSeconds is the longest repair SampleRepairSeconds can draw: the
+// fixed time, or the repair distribution's quantile at the largest uniform
+// draw below 1.
+func (c Config) MaxRepairSeconds() float64 {
+	hours := c.FixedRepairHours
+	if hours <= 0 {
+		const maxUniform = 1 - 0x1p-53 // the largest rand.Float64 draw
+		hours = c.Repair.ScaleHours * math.Pow(-math.Log(1-maxUniform), 1/c.Repair.Shape)
+	}
+	return c.hoursToVirtualSeconds(hours)
+}
+
 // SampleScrubIntervalSeconds draws the time until a disk's next scrub pass,
 // in virtual seconds on the accelerated timescale.
 func (in *Injector) SampleScrubIntervalSeconds() float64 {
@@ -669,23 +681,51 @@ func (c *Checkpoint) WriteJSON(w *checkpoint.Writer) {
 	w.Raw(`}`)
 }
 
+// Validate reports whether c can be restored into an injector over disks
+// disks: every draw-log entry names a known draw, every pending scripted
+// failure names one of the disks, and the latent-sector-error clock and
+// hazards are ones AdvanceLSE can continue from. Its crossing loop runs
+// once per error from lse_now on, so a negative clock or a hazard already
+// past its threshold would make it run without end.
+func (c *Checkpoint) Validate(disks int) error {
+	if c.LSENow < 0 {
+		return fmt.Errorf("faults: negative lse_now %v", c.LSENow)
+	}
+	for i, d := range c.Disks {
+		if d.LSECum > d.LSEThreshold {
+			return fmt.Errorf("faults: disk %d: lse_cum %v past its threshold %v", i, d.LSECum, d.LSEThreshold)
+		}
+	}
+	for _, kind := range []byte(c.DrawLog) {
+		switch kind {
+		case 'e', 'l', 'f', 's', 'b':
+		default:
+			return fmt.Errorf("faults: unknown draw log entry %q", kind)
+		}
+	}
+	for i, ev := range c.Scripted {
+		if ev.Disk < 0 || ev.Disk >= disks {
+			return fmt.Errorf("faults: pending scripted event %d on disk %d of %d", i, ev.Disk, disks)
+		}
+	}
+	return nil
+}
+
 // RestoreInjector rebuilds an injector from a checkpoint under the same
 // configuration it was built with. The RNG is re-seeded and advanced by
 // replaying the draw log; all hazard state is then overwritten from the
-// checkpoint.
+// checkpoint. c must pass Validate; an error reports a configuration
+// NewInjector rejects.
 func RestoreInjector(cfg Config, c Checkpoint) (*Injector, error) {
 	in, err := NewInjector(cfg, len(c.Disks))
 	if err != nil {
 		return nil, err
 	}
 	for _, kind := range []byte(c.DrawLog) {
-		switch kind {
-		case 'e', 'l':
+		if kind == 'e' || kind == 'l' {
 			in.rng.ExpFloat64()
-		case 'f', 's', 'b':
+		} else {
 			in.rng.Float64()
-		default:
-			return nil, fmt.Errorf("faults: unknown draw log entry %q", kind)
 		}
 	}
 	in.drawLog = []byte(c.DrawLog)
@@ -697,11 +737,6 @@ func RestoreInjector(cfg Config, c Checkpoint) (*Injector, error) {
 		in.disks[i] = diskHazard{
 			alive: d.Alive, threshold: d.Threshold, cum: d.Cum, birth: d.Birth,
 			lseThreshold: d.LSEThreshold, lseCum: d.LSECum, lsePending: d.LSEPending,
-		}
-	}
-	for i, ev := range c.Scripted {
-		if ev.Disk < 0 || ev.Disk >= len(c.Disks) {
-			return nil, fmt.Errorf("faults: pending scripted event %d on disk %d of %d", i, ev.Disk, len(c.Disks))
 		}
 	}
 	in.scripted = append([]ScriptedEvent(nil), c.Scripted...)

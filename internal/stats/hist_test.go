@@ -120,9 +120,11 @@ func TestHistogramP99CursorMatchesWalk(t *testing.T) {
 		}
 		// The cursor survives a state round trip.
 		r, _ := NewLatencyHistogram(-3, 1, 10)
-		if err := r.SetState(h.State()); err != nil {
+		st := h.State()
+		if err := st.Validate(-3, 1, 10); err != nil {
 			t.Fatal(err)
 		}
+		r.SetState(st)
 		got, _ := r.P99()
 		want, _ := h.P99()
 		if got != want || r.p99At != h.p99At || r.p99Cum != h.p99Cum {
@@ -137,13 +139,13 @@ func TestHistogramSetStateRejectsInconsistentCounts(t *testing.T) {
 	h.Add(5)
 	st := h.State()
 	st.N++
-	if err := h.SetState(st); err == nil {
+	if err := st.Validate(-3, 1, 10); err == nil {
 		t.Fatal("state whose counts do not add up to N accepted")
 	}
 	st = h.State()
 	st.Buckets[0] = math.MaxUint64
 	st.N = st.N - 1 // the wrapped sum
-	if err := h.SetState(st); err == nil {
+	if err := st.Validate(-3, 1, 10); err == nil {
 		t.Fatal("state whose counts overflow accepted")
 	}
 }

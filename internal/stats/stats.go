@@ -455,15 +455,15 @@ func (h *LatencyHistogram) State() LatencyHistogramState {
 	}
 }
 
-// SetState overwrites the histogram with previously exported counters. The
-// receiver's bucket geometry must match the state's.
-func (h *LatencyHistogram) SetState(st LatencyHistogramState) error {
-	if st.LoExp != h.loExp || st.PerDec != h.perDec || len(st.Buckets) != len(h.buckets) {
+// Validate reports whether st can be loaded into a histogram built by
+// NewLatencyHistogram(loExp, hiExp, perDecade): the geometry must match, and
+// the counts must add up to N without overflowing, since SetState rebuilds
+// the p99 cursor by walking them.
+func (st *LatencyHistogramState) Validate(loExp, hiExp, perDecade int) error {
+	if st.LoExp != loExp || st.PerDec != perDecade || len(st.Buckets) != (hiExp-loExp)*perDecade {
 		return fmt.Errorf("stats: histogram geometry mismatch: state (%d,%d,%d) vs receiver (%d,%d,%d)",
-			st.LoExp, st.PerDec, len(st.Buckets), h.loExp, h.perDec, len(h.buckets))
+			st.LoExp, st.PerDec, len(st.Buckets), loExp, perDecade, (hiExp-loExp)*perDecade)
 	}
-	// The counts must add up to N without overflowing: the p99 cursor is
-	// rebuilt by walking them.
 	total, overflow := bits.Add64(st.Under, st.Over, 0)
 	for _, c := range st.Buckets {
 		var carry uint64
@@ -473,6 +473,12 @@ func (h *LatencyHistogram) SetState(st LatencyHistogramState) error {
 	if overflow != 0 || total != st.N {
 		return fmt.Errorf("stats: histogram counts do not add up to its %d values", st.N)
 	}
+	return nil
+}
+
+// SetState overwrites the histogram with previously exported counters. st
+// must pass Validate with the receiver's geometry.
+func (h *LatencyHistogram) SetState(st LatencyHistogramState) {
 	copy(h.buckets, st.Buckets)
 	h.under, h.over, h.n = st.Under, st.Over, st.N
 	h.stream.SetState(st.Stream)
@@ -483,7 +489,6 @@ func (h *LatencyHistogram) SetState(st LatencyHistogramState) error {
 			h.p99Cum += *h.counter(h.p99At)
 		}
 	}
-	return nil
 }
 
 // TimeWeighted tracks the time-weighted mean of a piecewise-constant signal

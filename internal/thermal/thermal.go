@@ -18,6 +18,7 @@ package thermal
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/checkpoint"
@@ -196,7 +197,17 @@ func (c *Checkpoint) WriteJSON(w *checkpoint.Writer) {
 	w.Raw(`}`)
 }
 
-// RestoreTracker reconstructs a tracker from a checkpoint under model m.
+// Validate rejects a checkpoint advanced past now, the simulation clock it
+// resumes at: its next advance would panic.
+func (c *Checkpoint) Validate(now float64) error {
+	if c.LastTime > now {
+		return fmt.Errorf("thermal: last_time %v after the clock %v", c.LastTime, now)
+	}
+	return nil
+}
+
+// RestoreTracker reconstructs a tracker from a checkpoint under model m. c
+// must pass Validate.
 func RestoreTracker(m Model, c Checkpoint) *Tracker {
 	return &Tracker{
 		model:    m,
