@@ -25,13 +25,14 @@ lint:
 # fuzz exercises the trace and decision codecs from their committed seed
 # corpora (internal/{workload,telemetry}/testdata/fuzz), and the checkpoint
 # envelope, state encoder and restore from their in-code seeds, for a short,
-# CI-sized budget.
+# CI-sized budget. Minimizing a new input is capped at 100 execs: under Go's
+# default 60 s cap, a 20-s pass can spend its whole budget minimizing.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzTraceCodec -fuzztime=20s ./internal/workload
-	$(GO) test -run='^$$' -fuzz=FuzzDecisionCodec -fuzztime=20s ./internal/telemetry
-	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=20s ./internal/checkpoint
-	$(GO) test -run='^$$' -fuzz=FuzzStateEncoding -fuzztime=20s ./internal/array
-	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRestore -fuzztime=20s ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzTraceCodec -fuzztime=20s -fuzzminimizetime=100x ./internal/workload
+	$(GO) test -run='^$$' -fuzz=FuzzDecisionCodec -fuzztime=20s -fuzzminimizetime=100x ./internal/telemetry
+	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=20s -fuzzminimizetime=100x ./internal/checkpoint
+	$(GO) test -run='^$$' -fuzz=FuzzStateEncoding -fuzztime=20s -fuzzminimizetime=100x ./internal/array
+	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRestore -fuzztime=20s -fuzzminimizetime=100x ./internal/cluster
 
 # bench regenerates the committed run-summary baseline, BENCH_runs.json,
 # which the CI regression gate checks with `arrayreport check`. Run it after

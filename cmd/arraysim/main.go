@@ -19,48 +19,43 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
-	rtrace "runtime/trace"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	diskarray "repro"
-	"repro/internal/atomicio"
-	"repro/internal/checkpoint"
+	"repro/cmd/internal/runcmd"
 	"repro/internal/des"
 	"repro/internal/experiment"
 	"repro/internal/faults"
-	"repro/internal/flagcheck"
 	"repro/internal/opsserver"
 	"repro/internal/runstore"
 	"repro/internal/telemetry"
 )
-
-// checkpointName is the snapshot file inside a run directory.
-const checkpointName = "checkpoint.json"
 
 // manifestConfig is the digested configuration block of an arraysim run
 // manifest: everything that determines the simulation's results. For trace
 // replays the trace is identified by path only — the file's contents are not
 // digested.
 type manifestConfig struct {
-	Policy      string         `json:"policy"`
-	Disks       int            `json:"disks"`
-	Requests    int            `json:"requests,omitempty"`
-	Intensity   float64        `json:"intensity,omitempty"`
-	Seed        int64          `json:"seed,omitempty"`
-	TraceFile   string         `json:"trace_file,omitempty"`
-	Epochs      int            `json:"epochs"`
-	Faults      map[string]any `json:"faults,omitempty"`
-	Spares      int            `json:"spares,omitempty"`
-	RebuildMBps float64        `json:"rebuild_mbps,omitempty"`
-	RAID        map[string]any `json:"raid,omitempty"`
+	Policy      string                `json:"policy"`
+	Disks       int                   `json:"disks"`
+	Requests    int                   `json:"requests,omitempty"`
+	Intensity   float64               `json:"intensity,omitempty"`
+	Seed        int64                 `json:"seed,omitempty"`
+	TraceFile   string                `json:"trace_file,omitempty"`
+	Epochs      int                   `json:"epochs"`
+	Faults      *faults.Config        `json:"faults,omitempty"`
+	Spares      int                   `json:"spares,omitempty"`
+	RebuildMBps float64               `json:"rebuild_mbps,omitempty"`
+	RAID        *diskarray.RAIDConfig `json:"raid,omitempty"`
 }
 
 func main() {
+	cmd := runcmd.New("arraysim")
+	cmd.ProfileFlags()
+	record := cmd.RecordFlags()
 	var (
 		policyName = flag.String("policy", "read", "policy: read | maid | pdc | always-on | drpm | read-replica | striped")
 		disks      = flag.Int("disks", 10, "number of disks")
@@ -70,15 +65,8 @@ func main() {
 		seed       = flag.Int64("seed", 1, "generator seed")
 		epochs     = flag.Int("epochs", 24, "policy epochs across the trace")
 		table      = flag.Bool("table", true, "print the per-disk table")
-		verbose    = flag.Bool("v", false, "verbose logging (include debug lines)")
-		quiet      = flag.Bool("quiet", false, "log errors only")
 		timeline   = flag.Bool("timeline", false, "print a power/speed/queue timeline")
 
-		runsDir      = flag.String("runs-dir", "", "record this run in a run store: manifest.json plus telemetry artifacts under <runs-dir>/<name>-<digest>/")
-		runName      = flag.String("run-name", "arraysim", "run name inside the store (requires -runs-dir)")
-		ckptEvery    = flag.Float64("checkpoint-every", 0, "write a crash-recovery snapshot (checkpoint.json in the run directory) every this many virtual seconds (requires -runs-dir)")
-		resume       = flag.Bool("resume", false, "resume from the run directory's checkpoint.json instead of starting fresh (requires -runs-dir and the original -checkpoint-every)")
-		version      = flag.Bool("version", false, "print build information and exit")
 		telemetryDir = flag.String("telemetry-dir", "", "write per-disk NDJSON/CSV time-series and metrics.json into this directory")
 		traceEvents  = flag.Bool("trace-events", false, "also record a Chrome trace_event DES trace (trace.json; requires -telemetry-dir)")
 		traceSample  = flag.Int("trace-sample", 1, "record every Nth DES event in the Chrome trace")
@@ -86,10 +74,6 @@ func main() {
 		replayDir    = flag.String("replay-decisions", "", "counterfactual replay: re-run the run recorded in this run directory (manifest.json + decisions.ndjson) and verify it reproduces, or perturb it with -override")
 		overrideArg  = flag.String("override", "", "with -replay-decisions, force one recorded decision: <seq>:skip suppresses the decision and reports the energy/AFR/p99 delta")
 		progress     = flag.Bool("progress", false, "log run phases and sim-time/wall-time progress to stderr")
-		opsAddr      = flag.String("ops-addr", "", "serve the live ops plane (/metrics, /progress, /healthz) on this address, e.g. 127.0.0.1:9100, while the run executes")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file")
-		runtimeTrace = flag.String("runtime-trace", "", "write a Go runtime execution trace to this file")
 
 		withFaults   = flag.Bool("faults", false, "inject Weibull disk failures (hazard scaled by live PRESS AFR)")
 		faultSeed    = flag.Int64("fault-seed", 1, "failure-injection seed")
@@ -106,27 +90,10 @@ func main() {
 		stripeWidth  = flag.Int("stripe-width", 0, "disks per RAID group (0 = whole array / replication default; requires -raid)")
 		rebuildHours = flag.Float64("rebuild-hours", 0, "Weibull rebuild-duration scale in hours (0 = fixed -rebuild-mbps pacing; requires -faults)")
 	)
-	flag.Parse()
-	logg := telemetry.NewLogger("arraysim", nil, telemetry.LevelFromFlags(*quiet, *verbose))
+	cmd.Parse()
+	logg, explicit, usageErr := cmd.Log, cmd.Explicit, cmd.Usage
 
-	if *version {
-		fmt.Println(runstore.VersionLine("arraysim"))
-		return
-	}
-
-	// Validate the flag set up front: a contradictory or impossible
-	// combination should die with a usage message here, not as a cryptic
-	// error from deep inside the simulation.
-	usageErr := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "arraysim: %s\n\n", fmt.Sprintf(format, args...))
-		flag.Usage()
-		os.Exit(2)
-	}
-	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	switch {
-	case flag.NArg() > 0:
-		usageErr("unexpected positional arguments %q", flag.Args())
 	case *tracePath != "" && (explicit["requests"] || explicit["intensity"] || explicit["seed"]):
 		usageErr("-trace replays a file; -requests/-intensity/-seed only apply to generated traces")
 	case *disks < 2:
@@ -162,17 +129,11 @@ func main() {
 	case *raidLevel == "" && explicit["stripe-width"]:
 		usageErr("-stripe-width requires -raid")
 	}
-	if err := flagcheck.Choice("policy", *policyName, flagcheck.Strings(experiment.AllPolicyKinds())...); err != nil {
-		usageErr("%v", err)
-	}
+	cmd.Check(runcmd.Choice("policy", *policyName, runcmd.Strings(experiment.AllPolicyKinds())...))
 	if *raidLevel != "" {
-		if err := flagcheck.Choice("raid", *raidLevel, flagcheck.Strings(diskarray.RAIDLevels())...); err != nil {
-			usageErr("%v", err)
-		}
+		cmd.Check(runcmd.Choice("raid", *raidLevel, runcmd.Strings(diskarray.RAIDLevels())...))
 		rc := diskarray.RAIDConfig{Level: diskarray.RAIDLevel(*raidLevel), StripeWidth: *stripeWidth}
-		if err := rc.Validate(*disks); err != nil {
-			usageErr("%v", err)
-		}
+		cmd.Check(rc.Validate(*disks))
 	}
 	if *replayDir != "" {
 		// Replay reconstructs the whole configuration from the recorded
@@ -192,73 +153,31 @@ func main() {
 		if len(clash) > 0 {
 			usageErr("-replay-decisions derives the run configuration from the recorded manifest; drop -%s", strings.Join(clash, ", -"))
 		}
-		if err := runReplay(*replayDir, *overrideArg, *ckptEvery); err != nil {
+		if err := runReplay(*replayDir, *overrideArg, record.CkptEvery); err != nil {
 			logg.Fatal(err)
 		}
 		return
 	}
 	switch {
-	case *runsDir == "" && explicit["run-name"]:
-		usageErr("-run-name requires -runs-dir")
-	case *ckptEvery < 0:
-		usageErr("-checkpoint-every %g cannot be negative", *ckptEvery)
-	case *ckptEvery > 0 && *runsDir == "":
-		usageErr("-checkpoint-every requires -runs-dir (the snapshot lives in the run directory)")
-	case *resume && *runsDir == "":
-		usageErr("-resume requires -runs-dir")
-	case *resume && *ckptEvery <= 0:
-		usageErr("-resume requires the original -checkpoint-every interval (the resumed run must keep the same snapshot cadence to stay bit-identical)")
-	case *runsDir != "" && *runName == "":
-		usageErr("-run-name must not be empty")
-	case *runsDir == "" && *telemetryDir == "" && (*traceEvents || explicit["trace-sample"]):
+	case record.RunsDir == "" && *telemetryDir == "" && (*traceEvents || explicit["trace-sample"]):
 		usageErr("-trace-events/-trace-sample require -telemetry-dir or -runs-dir")
-	case *runsDir == "" && *telemetryDir == "" && *traceDec:
+	case record.RunsDir == "" && *telemetryDir == "" && *traceDec:
 		usageErr("-trace-decisions requires -telemetry-dir or -runs-dir (the decision log is written as decisions.ndjson)")
-	case *overrideArg != "" && *replayDir == "":
+	case *overrideArg != "":
 		usageErr("-override requires -replay-decisions")
 	case *traceSample < 1:
 		usageErr("-trace-sample %d must be at least 1", *traceSample)
 	}
+	defer cmd.StartProfiles()()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile) //simlint:allow atomicwrite -- pprof streams into a live file; a torn profile from a crashed run is acceptable debug output
-		if err != nil {
-			logg.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			logg.Fatal(err)
-		}
-		defer func() { pprof.StopCPUProfile(); f.Close() }()
+	// The flags become one manifestConfig: it names the run (with
+	// -runs-dir) and is the only input to the simulation's configuration.
+	mc := manifestConfig{Policy: *policyName, Disks: *disks, Epochs: *epochs}
+	if *tracePath != "" {
+		mc.TraceFile = *tracePath
+	} else {
+		mc.Requests, mc.Intensity, mc.Seed = *requests, *intensity, *seed
 	}
-	if *runtimeTrace != "" {
-		f, err := os.Create(*runtimeTrace) //simlint:allow atomicwrite -- runtime/trace streams into a live file; a torn trace from a crashed run is acceptable debug output
-		if err != nil {
-			logg.Fatal(err)
-		}
-		if err := rtrace.Start(f); err != nil {
-			logg.Fatal(err)
-		}
-		defer func() { rtrace.Stop(); f.Close() }()
-	}
-	defer func() {
-		if *memprofile == "" {
-			return
-		}
-		f, err := atomicio.Create(*memprofile)
-		if err != nil {
-			logg.Fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Abort()
-			logg.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			logg.Fatal(err)
-		}
-	}()
-
-	var faultCfg *faults.Config
 	if *withFaults {
 		fc := faults.Default()
 		fc.Seed = *faultSeed
@@ -275,65 +194,18 @@ func main() {
 		if *rebuildHours > 0 {
 			fc.RebuildTime = &diskarray.Weibull{Shape: 1, ScaleHours: *rebuildHours}
 		}
-		faultCfg = &fc
+		mc.Faults, mc.Spares, mc.RebuildMBps = &fc, *spares, *rebuildMBps
+		if *raidLevel != "" {
+			mc.RAID = &diskarray.RAIDConfig{Level: diskarray.RAIDLevel(*raidLevel), StripeWidth: *stripeWidth}
+		}
 	}
-
-	// With -runs-dir the run records itself: the config digest names the run
-	// directory, and telemetry (unless routed elsewhere explicitly) lands
+	if err := record.Open(mc); err != nil {
+		logg.Fatal(err)
+	}
+	// With -runs-dir, telemetry (unless routed elsewhere explicitly) lands
 	// next to the manifest so the artifacts travel with the run.
-	var (
-		store    *runstore.Store
-		manifest *runstore.Manifest
-		runDir   string
-	)
-	start := time.Now()
-	if *runsDir != "" {
-		mc := manifestConfig{
-			Policy: *policyName,
-			Disks:  *disks,
-			Epochs: *epochs,
-		}
-		if *tracePath != "" {
-			mc.TraceFile = *tracePath
-		} else {
-			mc.Requests = *requests
-			mc.Intensity = *intensity
-			mc.Seed = *seed
-		}
-		if faultCfg != nil {
-			fcm, err := runstore.ToJSONMap(*faultCfg)
-			if err != nil {
-				logg.Fatal(err)
-			}
-			mc.Faults = fcm
-			mc.Spares = *spares
-			mc.RebuildMBps = *rebuildMBps
-			if *raidLevel != "" {
-				rcm, err := runstore.ToJSONMap(diskarray.RAIDConfig{
-					Level: diskarray.RAIDLevel(*raidLevel), StripeWidth: *stripeWidth,
-				})
-				if err != nil {
-					logg.Fatal(err)
-				}
-				mc.RAID = rcm
-			}
-		}
-		var err error
-		manifest, err = runstore.New("arraysim", *runName, mc)
-		if err != nil {
-			logg.Fatal(err)
-		}
-		store, err = runstore.Open(*runsDir)
-		if err != nil {
-			logg.Fatal(err)
-		}
-		runDir, err = store.RunDir(manifest)
-		if err != nil {
-			logg.Fatal(err)
-		}
-		if *telemetryDir == "" {
-			*telemetryDir = runDir
-		}
+	if *telemetryDir == "" {
+		*telemetryDir = record.Dir
 	}
 
 	var rec *telemetry.Recorder
@@ -349,151 +221,86 @@ func main() {
 			logg.Fatal(err)
 		}
 	}
+	if rec == nil && (*progress || cmd.OpsAddr != "") {
+		rec = &telemetry.Recorder{}
+	}
 	var prog *telemetry.Progress
 	if *progress {
 		prog = telemetry.NewProgress(logg, 2*time.Second)
-		if rec == nil {
-			rec = &telemetry.Recorder{}
-		}
 		rec.Progress = prog
 	}
 
 	// The live ops plane: a read-only HTTP server over lock-free snapshots.
 	// Attaching Live/Watch is observation-only — the run is bit-identical
 	// with or without -ops-addr.
-	var (
-		srv   *opsserver.Server
-		watch *des.Watch
-	)
-	if *opsAddr != "" {
-		live := telemetry.NewLive()
-		watch = des.NewWatch()
-		if rec == nil {
-			rec = &telemetry.Recorder{}
-		}
+	var live *telemetry.Live
+	var watch *des.Watch
+	if cmd.OpsAddr != "" {
+		live, watch = telemetry.NewLive(), des.NewWatch()
 		rec.Live = live
-		var err error
-		srv, err = opsserver.Start(opsserver.Options{
-			Addr:  *opsAddr,
-			Tool:  "arraysim",
-			Run:   *runName,
-			Live:  live,
-			Watch: watch,
-			Log:   logg,
-		})
-		if err != nil {
-			logg.Fatal(err)
-		}
-		defer srv.Close()
 	}
+	srv := cmd.StartOps(opsserver.Options{Run: record.Name, Live: live, Watch: watch})
+	defer srv.Close()
 
 	perfCap := runstore.StartPerf()
 	prog.Phase("load-trace")
-	trace, err := buildTrace(*tracePath, *requests, *intensity, *seed)
+	simCfg, duration, err := mc.simConfig()
 	if err != nil {
 		logg.Fatal(err)
-	}
-	stats, err := trace.ComputeStats()
-	if err != nil {
-		logg.Fatal(err)
-	}
-
-	pol, err := experiment.NewPolicy(diskarray.PolicyKind(*policyName))
-	if err != nil {
-		logg.Fatal(err)
-	}
-
-	simCfg := diskarray.SimConfig{
-		Disks:        *disks,
-		Trace:        trace,
-		Policy:       pol,
-		EpochSeconds: stats.Duration / float64(*epochs),
-	}
-	if faultCfg != nil {
-		simCfg.Faults = faultCfg
-		simCfg.Spares = *spares
-		simCfg.RebuildMBps = *rebuildMBps
-		if *raidLevel != "" {
-			simCfg.RAID = diskarray.RAIDConfig{
-				Level: diskarray.RAIDLevel(*raidLevel), StripeWidth: *stripeWidth,
-			}
-		}
 	}
 	if *timeline {
-		simCfg.SampleInterval = stats.Duration / 48
+		simCfg.SampleInterval = duration / 48
 	}
 	simCfg.Telemetry = rec
 	simCfg.Watch = watch
-	if *ckptEvery > 0 {
+	if record.CkptEvery > 0 {
 		simCfg.Checkpoint = &diskarray.CheckpointSpec{
-			EverySimSeconds: *ckptEvery,
-			Path:            filepath.Join(runDir, checkpointName),
+			EverySimSeconds: record.CkptEvery,
+			Path:            record.CheckpointPath(),
 			Tool:            "arraysim",
-			ConfigDigest:    manifest.ConfigDigest,
+			ConfigDigest:    record.Manifest.ConfigDigest,
 		}
 	}
 	var res *diskarray.SimResult
-	if *resume {
-		ckptPath := filepath.Join(runDir, checkpointName)
-		env, err := checkpoint.Read(ckptPath)
-		if err != nil {
+	if record.Resume {
+		var state json.RawMessage
+		if state, err = record.ResumeState(); err != nil {
 			rec.Close()
-			logg.Fatalf("resume: %v", err)
-		}
-		if env.Tool != "arraysim" {
-			rec.Close()
-			logg.Fatalf("resume: %s was written by %q, not arraysim", ckptPath, env.Tool)
-		}
-		if env.ConfigDigest != manifest.ConfigDigest {
-			rec.Close()
-			logg.Fatalf("resume: %s was taken under config digest %s, current flags digest to %s — rerun with the original flags",
-				ckptPath, env.ConfigDigest, manifest.ConfigDigest)
+			logg.Fatal(err)
 		}
 		prog.Phase("resume")
-		logg.Infof("resuming from %s (t=%.1f s, %d events fired)", ckptPath, env.SimTime, env.EventsFired)
-		res, err = diskarray.ResumeSimulation(simCfg, env.State)
-		if err != nil {
-			rec.Close()
-			logg.Fatal(err)
-		}
+		res, err = diskarray.ResumeSimulation(simCfg, state)
 	} else {
 		prog.Phase("simulate")
-		var err error
 		res, err = diskarray.Simulate(simCfg)
-		if err != nil {
-			rec.Close()
-			logg.Fatal(err)
-		}
+	}
+	if err != nil {
+		rec.Close()
+		logg.Fatal(err)
 	}
 	prog.Done("simulate", res.Duration, res.EventsFired)
 	perf := perfCap.Sample(res.Duration, res.EventsFired, false)
-	if srv != nil {
-		srv.MarkDone()
-	}
+	srv.MarkDone()
 	if err := rec.Close(); err != nil {
 		logg.Fatal(err)
 	}
 	if rec.Dir() != "" {
 		logg.Infof("telemetry written to %s", rec.Dir())
 	}
-	if store != nil {
-		manifest.Seed = *seed
-		manifest.Policy = res.PolicyName
+	if m := record.Manifest; m != nil {
+		m.Seed = *seed
+		m.Policy = res.PolicyName
 		if *tracePath != "" {
-			manifest.Workload = "trace " + *tracePath
+			m.Workload = "trace " + *tracePath
 		} else {
-			manifest.Workload = fmt.Sprintf("synthetic %d requests, intensity %g", *requests, *intensity)
+			m.Workload = fmt.Sprintf("synthetic %d requests, intensity %g", *requests, *intensity)
 		}
-		manifest.Summary = runstore.SummaryFromResult(res, *withFaults)
-		manifest.Attribution = res.Attribution
-		manifest.Perf = &runstore.Perf{Run: &perf}
-		manifest.CreatedAt = start.UTC().Format(time.RFC3339)
-		manifest.WallSeconds = time.Since(start).Seconds()
-		dir, err := store.Write(manifest)
-		if err != nil {
-			logg.Fatal(err)
-		}
-		logg.Infof("run recorded in %s", dir)
+		m.Summary = runstore.SummaryFromResult(res, *withFaults)
+		m.Attribution = res.Attribution
+		m.Perf = &runstore.Perf{Run: &perf}
+	}
+	if err := record.Commit(); err != nil {
+		logg.Fatal(err)
 	}
 
 	fmt.Printf("policy %s on %d disks — %d requests over %.0f s\n\n",
@@ -558,27 +365,58 @@ func main() {
 	}
 }
 
-// buildTrace loads a trace file or generates the synthetic workload, exactly
-// as the recorded run did — replay reuses it so both runs see the same
-// requests.
-func buildTrace(tracePath string, requests int, intensity float64, seed int64) (*diskarray.Trace, error) {
-	if tracePath != "" {
-		f, err := os.Open(tracePath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return diskarray.ReadTrace(f)
+// simConfig builds the simulation mc describes, and returns the trace's
+// duration. It is the one place a configuration becomes a SimConfig: the
+// run builds mc from its flags and -replay-decisions decodes it from the
+// recorded manifest, so the two cannot drift apart.
+func (mc manifestConfig) simConfig() (diskarray.SimConfig, float64, error) {
+	trace, err := mc.trace()
+	if err != nil {
+		return diskarray.SimConfig{}, 0, err
 	}
-	cfg := diskarray.DefaultGenConfig()
-	cfg.NumRequests = requests
-	cfg.MeanInterarrival /= intensity
-	cfg.Seed = seed
-	cfg.DiurnalProfile = diskarray.DefaultDiurnalProfile()
-	duration := float64(cfg.NumRequests) * cfg.MeanInterarrival
-	cfg.PhaseSeconds = duration / 12
-	cfg.PhaseRotate = 0.10
-	return diskarray.GenerateTrace(cfg)
+	stats, err := trace.ComputeStats()
+	if err != nil {
+		return diskarray.SimConfig{}, 0, err
+	}
+	pol, err := experiment.NewPolicy(diskarray.PolicyKind(mc.Policy))
+	if err != nil {
+		return diskarray.SimConfig{}, 0, err
+	}
+	cfg := diskarray.SimConfig{
+		Disks:        mc.Disks,
+		Trace:        trace,
+		Policy:       pol,
+		EpochSeconds: stats.Duration / float64(mc.Epochs),
+	}
+	if mc.Faults != nil {
+		cfg.Faults, cfg.Spares, cfg.RebuildMBps = mc.Faults, mc.Spares, mc.RebuildMBps
+		if mc.RAID != nil {
+			cfg.RAID = *mc.RAID
+		}
+	}
+	return cfg, stats.Duration, nil
+}
+
+// trace loads the trace file or generates the synthetic workload.
+func (mc manifestConfig) trace() (*diskarray.Trace, error) {
+	if mc.TraceFile == "" {
+		return runcmd.SyntheticTrace(mc.Requests, mc.Intensity, mc.Seed)
+	}
+	f, err := os.Open(mc.TraceFile)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return diskarray.ReadTrace(f)
+}
+
+// recordedConfig decodes the manifestConfig an arraysim run recorded.
+func recordedConfig(m *runstore.Manifest) (manifestConfig, error) {
+	var mc manifestConfig
+	if err := json.Unmarshal(m.Config, &mc); err != nil {
+		return mc, fmt.Errorf("replay: decode manifest config: %w", err)
+	}
+	return mc, nil
 }
 
 // runReplay is the -replay-decisions mode: rebuild the recorded run's
@@ -595,9 +433,9 @@ func runReplay(runDir, override string, ckptEvery float64) error {
 	if m.Tool != "arraysim" {
 		return fmt.Errorf("replay: %s was recorded by %q; only single arraysim runs can be replayed", runDir, m.Tool)
 	}
-	var mc manifestConfig
-	if err := json.Unmarshal(m.Config, &mc); err != nil {
-		return fmt.Errorf("replay: decode manifest config: %w", err)
+	mc, err := recordedConfig(m)
+	if err != nil {
+		return err
 	}
 	basePath := filepath.Join(runDir, "decisions.ndjson")
 	baseBytes, err := os.ReadFile(basePath)
@@ -609,44 +447,12 @@ func runReplay(runDir, override string, ckptEvery float64) error {
 		return fmt.Errorf("replay: %s: %w", basePath, err)
 	}
 
-	trace, err := buildTrace(mc.TraceFile, mc.Requests, mc.Intensity, mc.Seed)
-	if err != nil {
-		return err
-	}
-	stats, err := trace.ComputeStats()
-	if err != nil {
-		return err
-	}
-	pol, err := experiment.NewPolicy(diskarray.PolicyKind(mc.Policy))
+	cfg, _, err := mc.simConfig()
 	if err != nil {
 		return err
 	}
 	dlog := telemetry.NewDecisionLog()
-	cfg := diskarray.SimConfig{
-		Disks:        mc.Disks,
-		Trace:        trace,
-		Policy:       pol,
-		EpochSeconds: stats.Duration / float64(mc.Epochs),
-		Telemetry:    &telemetry.Recorder{Decisions: dlog},
-	}
-	faultsOn := false
-	if mc.Faults != nil {
-		var fc faults.Config
-		if err := remarshal(mc.Faults, &fc); err != nil {
-			return fmt.Errorf("replay: decode fault config: %w", err)
-		}
-		cfg.Faults = &fc
-		cfg.Spares = mc.Spares
-		cfg.RebuildMBps = mc.RebuildMBps
-		faultsOn = true
-		if mc.RAID != nil {
-			var rc diskarray.RAIDConfig
-			if err := remarshal(mc.RAID, &rc); err != nil {
-				return fmt.Errorf("replay: decode RAID config: %w", err)
-			}
-			cfg.RAID = rc
-		}
-	}
+	cfg.Telemetry = &telemetry.Recorder{Decisions: dlog}
 	if ckptEvery > 0 {
 		// The recorded run's checkpoint ticks are DES events; replaying with
 		// the same cadence (into a discarding sink) keeps the event streams —
@@ -687,7 +493,7 @@ func runReplay(runDir, override string, ckptEvery float64) error {
 	if err != nil {
 		return err
 	}
-	sum := runstore.SummaryFromResult(res, faultsOn)
+	sum := runstore.SummaryFromResult(res, mc.Faults != nil)
 
 	if forcedSeq == 0 {
 		var buf bytes.Buffer
@@ -731,13 +537,4 @@ func runReplay(runDir, override string, ckptEvery float64) error {
 		(sum.P99ResponseS-m.Summary.P99ResponseS)*1e3,
 		dlog.Len(), baseLog.Len())
 	return nil
-}
-
-// remarshal converts a decoded JSON map back into a typed config struct.
-func remarshal(src map[string]any, dst any) error {
-	raw, err := json.Marshal(src)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(raw, dst)
 }

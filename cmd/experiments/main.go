@@ -15,14 +15,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
-	rtrace "runtime/trace"
 	"strings"
 	"time"
 
+	"repro/cmd/internal/runcmd"
 	"repro/internal/atomicio"
 	"repro/internal/experiment"
-	"repro/internal/flagcheck"
 	"repro/internal/opsserver"
 	"repro/internal/reliability"
 	"repro/internal/runstore"
@@ -30,7 +28,7 @@ import (
 )
 
 // logg is the command-wide leveled logger (level set from -quiet/-v).
-var logg = telemetry.NewLogger("experiments", nil, telemetry.LogInfo)
+var logg *telemetry.Logger
 
 // harness carries what every sweep condition shares: the run store, the ops
 // server, the execution flags, and the count of failed cells that becomes
@@ -94,11 +92,11 @@ func (h *harness) recorded(name, id string) bool {
 	return true
 }
 
-// record counts a finished sweep's failed cells and writes its manifest,
-// stamped with wall time and the sweep's perf sample, into the run store,
-// with each traced cell's decision log next to it as
+// record counts a finished sweep's failed cells and commits it to the run
+// store: each traced cell's decision log as
 // decisions-<cell key, dots as dashes>.ndjson (e.g.
-// decisions-read-raid5-12.ndjson, decisions-fleet-read-round-robin-2.ndjson).
+// decisions-read-raid5-12.ndjson, decisions-fleet-read-round-robin-2.ndjson),
+// then the manifest, stamped with wall time and the sweep's perf sample.
 // Writes nothing when the store is nil (-runs-dir unset).
 func (h *harness) record(name string, res experiment.Finished, start time.Time, pc runstore.PerfCapture) {
 	cells := res.Outcomes()
@@ -121,32 +119,20 @@ func (h *harness) record(name string, res experiment.Finished, start time.Time, 
 	if err != nil {
 		logg.Fatal(err)
 	}
-	m.CreatedAt = start.UTC().Format(time.RFC3339)
-	m.WallSeconds = time.Since(start).Seconds()
 	run := pc.Sample(simSeconds, events, false)
 	if m.Perf == nil {
 		m.Perf = &runstore.Perf{}
 	}
 	m.Perf.Run = &run
-	dir, err := h.store.Write(m)
+	var logs []runcmd.DecisionFile
+	for _, c := range cells {
+		if c.Decisions != nil {
+			logs = append(logs, runcmd.DecisionFile{Name: "decisions-" + strings.ReplaceAll(c.Key, ".", "-") + ".ndjson", Log: c.Decisions})
+		}
+	}
+	dir, err := runcmd.Commit(h.store, m, start, logs...)
 	if err != nil {
 		logg.Fatal(err)
-	}
-	for _, c := range cells {
-		if c.Decisions == nil {
-			continue
-		}
-		f, err := atomicio.Create(filepath.Join(dir, "decisions-"+strings.ReplaceAll(c.Key, ".", "-")+".ndjson"))
-		if err != nil {
-			logg.Fatal(err)
-		}
-		if err := c.Decisions.WriteNDJSON(f); err != nil {
-			f.Close()
-			logg.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			logg.Fatal(err)
-		}
 	}
 	logg.Infof("run %s recorded in %s", name, dir)
 }
@@ -167,6 +153,8 @@ func main() {
 // cells that ultimately failed (capped at 125), zero on full success — so
 // deferred profile writers still flush on the failure path.
 func run() int {
+	cmd := runcmd.New("experiments")
+	cmd.ProfileFlags()
 	var (
 		fig      = flag.String("fig", "all", "figure to regenerate: "+strings.Join(validFigures, " | "))
 		scale    = flag.Float64("scale", 0.05, "trace scale for Figure 7 sweeps (1 = full day)")
@@ -180,32 +168,23 @@ func run() int {
 		resume   = flag.Bool("resume", false, "skip sweep conditions already recorded with an ok status in -runs-dir")
 		retries  = flag.Int("retries", 0, "extra attempts per failed sweep cell (exponential backoff between attempts)")
 		workers  = flag.Int("workers", 0, "sweep worker-pool size; 0 means one worker per CPU. Results are bit-identical for every value — -workers=1 is the sequential reference the CI identity gate diffs against")
-		version  = flag.Bool("version", false, "print build information and exit")
-
-		progress     = flag.Bool("progress", false, "log sweep phases and per-cell progress to stderr")
-		opsAddr      = flag.String("ops-addr", "", "serve the live ops plane (/metrics, /progress, /healthz) on this address, e.g. 127.0.0.1:9100, while the sweeps run")
-		verbose      = flag.Bool("v", false, "verbose logging (include debug lines)")
-		quiet        = flag.Bool("quiet", false, "log errors only")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file")
-		runtimeTrace = flag.String("runtime-trace", "", "write a Go runtime execution trace to this file")
+		progress = flag.Bool("progress", false, "log sweep phases and per-cell progress to stderr")
 	)
-	flag.Parse()
-	logg = telemetry.NewLogger("experiments", nil, telemetry.LevelFromFlags(*quiet, *verbose))
-
-	if *version {
-		fmt.Println(runstore.VersionLine("experiments"))
-		return 0
+	cmd.Parse()
+	logg = cmd.Log
+	cmd.Check(runcmd.Choice("fig", *fig, validFigures...))
+	switch {
+	case *retries < 0:
+		cmd.Usage("-retries %d cannot be negative", *retries)
+	case *workers < 0:
+		cmd.Usage("-workers %d cannot be negative", *workers)
+	case *resume && *runsDir == "":
+		cmd.Usage("-resume requires -runs-dir (resume skips conditions by their recorded manifests)")
+	case *traceDec && *runsDir == "":
+		cmd.Usage("-trace-decisions requires -runs-dir (decision logs are recorded next to the sweep manifests)")
 	}
-	if err := flagcheck.Choice("fig", *fig, validFigures...); err != nil {
-		logg.Fatal(err)
-	}
-
 	if *full {
 		*scale = 1
-	}
-	if *retries < 0 {
-		logg.Fatal("-retries must be >= 0")
 	}
 
 	var store *runstore.Store
@@ -216,50 +195,7 @@ func run() int {
 			logg.Fatal(err)
 		}
 	}
-	if *resume && store == nil {
-		logg.Fatal("-resume requires -runs-dir (resume skips conditions by their recorded manifests)")
-	}
-	if *traceDec && store == nil {
-		logg.Fatal("-trace-decisions requires -runs-dir (decision logs are recorded next to the sweep manifests)")
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile) //simlint:allow atomicwrite -- pprof streams into a live file; a torn profile from a crashed run is acceptable debug output
-		if err != nil {
-			logg.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			logg.Fatal(err)
-		}
-		defer func() { pprof.StopCPUProfile(); f.Close() }()
-	}
-	if *runtimeTrace != "" {
-		f, err := os.Create(*runtimeTrace) //simlint:allow atomicwrite -- runtime/trace streams into a live file; a torn trace from a crashed run is acceptable debug output
-		if err != nil {
-			logg.Fatal(err)
-		}
-		if err := rtrace.Start(f); err != nil {
-			logg.Fatal(err)
-		}
-		defer func() { rtrace.Stop(); f.Close() }()
-	}
-	defer func() {
-		if *memprofile == "" {
-			return
-		}
-		f, err := atomicio.Create(*memprofile)
-		if err != nil {
-			logg.Fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Abort()
-			logg.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			logg.Fatal(err)
-		}
-	}()
+	defer cmd.StartProfiles()()
 
 	var prog *telemetry.Progress
 	if *progress {
@@ -270,19 +206,8 @@ func run() int {
 	// its tracker via SetSweep, so /progress and /metrics follow whichever
 	// sweep is currently running. Observation-only — results are
 	// bit-identical with or without -ops-addr.
-	var srv *opsserver.Server
-	if *opsAddr != "" {
-		var err error
-		srv, err = opsserver.Start(opsserver.Options{
-			Addr: *opsAddr,
-			Tool: "experiments",
-			Log:  logg,
-		})
-		if err != nil {
-			logg.Fatal(err)
-		}
-		defer srv.Close()
-	}
+	srv := cmd.StartOps(opsserver.Options{})
+	defer srv.Close()
 	h := &harness{
 		store:  store,
 		srv:    srv,
@@ -300,15 +225,15 @@ func run() int {
 	}
 
 	var csvW io.Writer
+	var csvFile *atomicio.File
 	if *csvPath != "" {
 		// Atomic commit: the CSV appears under its final name only when the
 		// sweep finishes, so a crashed run never leaves a torn artifact.
-		f, err := atomicio.Create(*csvPath)
-		if err != nil {
+		var err error
+		if csvFile, err = atomicio.Create(*csvPath); err != nil {
 			logg.Fatal(err)
 		}
-		defer f.Close()
-		csvW = f
+		csvW = csvFile
 	}
 
 	model := reliability.NewModel()
@@ -324,53 +249,29 @@ func run() int {
 		return false
 	}
 
-	if want("2b") {
-		pts, err := experiment.Fig2bTemperatureFunction(model, *steps)
-		if err != nil {
-			logg.Fatal(err)
-		}
-		experiment.RenderFunctionTable(os.Stdout, pts, "temp_C",
-			"Figure 2b — temperature-reliability function (3-year-old drives)")
-		fmt.Println()
-		if csvW != nil {
-			if err := experiment.WriteFunctionCSV(csvW, pts, "temp_c"); err != nil {
-				logg.Fatal(err)
-			}
-		}
+	// The reliability-function figures: one table each, and a CSV series
+	// for all but 4a.
+	functions := []struct {
+		fig, axis, csvAxis, title string
+		points                    func(*reliability.Model, int) ([]experiment.FunctionPoint, error)
+	}{
+		{"2b", "temp_C", "temp_c", "Figure 2b — temperature-reliability function (3-year-old drives)", experiment.Fig2bTemperatureFunction},
+		{"3b", "util", "utilization", "Figure 3b — utilization-reliability function (4-year-old drives)", experiment.Fig3bUtilizationFunction},
+		{"4a", "startstops/day", "", "Figure 4a — IDEMA spindle start/stop failure-rate adder", experiment.Fig4aIDEMAAdder},
+		{"4b", "transitions/day", "transitions_per_day", "Figure 4b — frequency-reliability function (Eq. 3, ½ × Figure 4a)", experiment.Fig4bFrequencyFunction},
 	}
-	if want("3b") {
-		pts, err := experiment.Fig3bUtilizationFunction(model, *steps)
+	for _, f := range functions {
+		if !want(f.fig) {
+			continue
+		}
+		pts, err := f.points(model, *steps)
 		if err != nil {
 			logg.Fatal(err)
 		}
-		experiment.RenderFunctionTable(os.Stdout, pts, "util",
-			"Figure 3b — utilization-reliability function (4-year-old drives)")
+		experiment.RenderFunctionTable(os.Stdout, pts, f.axis, f.title)
 		fmt.Println()
-		if csvW != nil {
-			if err := experiment.WriteFunctionCSV(csvW, pts, "utilization"); err != nil {
-				logg.Fatal(err)
-			}
-		}
-	}
-	if want("4a") {
-		pts, err := experiment.Fig4aIDEMAAdder(model, *steps)
-		if err != nil {
-			logg.Fatal(err)
-		}
-		experiment.RenderFunctionTable(os.Stdout, pts, "startstops/day",
-			"Figure 4a — IDEMA spindle start/stop failure-rate adder")
-		fmt.Println()
-	}
-	if want("4b") {
-		pts, err := experiment.Fig4bFrequencyFunction(model, *steps)
-		if err != nil {
-			logg.Fatal(err)
-		}
-		experiment.RenderFunctionTable(os.Stdout, pts, "transitions/day",
-			"Figure 4b — frequency-reliability function (Eq. 3, ½ × Figure 4a)")
-		fmt.Println()
-		if csvW != nil {
-			if err := experiment.WriteFunctionCSV(csvW, pts, "transitions_per_day"); err != nil {
+		if csvW != nil && f.csvAxis != "" {
+			if err := experiment.WriteFunctionCSV(csvW, pts, f.csvAxis); err != nil {
 				logg.Fatal(err)
 			}
 		}
@@ -546,8 +447,12 @@ func run() int {
 		}
 	}
 
-	if srv != nil {
-		srv.MarkDone()
+	srv.MarkDone()
+	if csvFile != nil {
+		if err := csvFile.Close(); err != nil {
+			logg.Errorf("%v", err)
+			return 1
+		}
 	}
 	if h.failed > 0 {
 		logg.Errorf("%d sweep cell(s) failed after all retries", h.failed)

@@ -11,27 +11,20 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"time"
 
 	diskarray "repro"
-	"repro/internal/atomicio"
-	"repro/internal/checkpoint"
+	"repro/cmd/internal/runcmd"
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/experiment"
 	"repro/internal/faults"
-	"repro/internal/flagcheck"
 	"repro/internal/opsserver"
 	"repro/internal/runstore"
 	"repro/internal/telemetry"
 )
-
-// checkpointName is the snapshot file inside a run directory.
-const checkpointName = "checkpoint.json"
 
 // manifestConfig is the digested configuration block of a fleetsim run
 // manifest: everything that determines the fleet's results.
@@ -58,12 +51,14 @@ type manifestConfig struct {
 	HedgeFallback float64 `json:"hedge_fallback_seconds,omitempty"`
 	MaxBacklog    int     `json:"max_backlog,omitempty"`
 
-	Shocks map[string]any `json:"shocks,omitempty"`
-	Faults map[string]any `json:"faults,omitempty"`
-	Spares int            `json:"spares,omitempty"`
+	Shocks *faults.ShockConfig `json:"shocks,omitempty"`
+	Faults *faults.Config      `json:"faults,omitempty"`
+	Spares int                 `json:"spares,omitempty"`
 }
 
 func main() {
+	cmd := runcmd.New("fleetsim")
+	record := cmd.RecordFlags()
 	var (
 		arrays     = flag.Int("arrays", 4, "fleet size (independent arrays on one shared clock)")
 		replicas   = flag.Int("replicas", 2, "arrays each file is placed on (failover and hedging need at least 2)")
@@ -97,45 +92,23 @@ func main() {
 		faultAccel = flag.Float64("fault-accel", 5e5, "reliability-timescale acceleration")
 		spares     = flag.Int("spares", 0, "hot spares per array")
 
-		runsDir   = flag.String("runs-dir", "", "record this run in a run store: manifest.json under <runs-dir>/<name>-<digest>/")
-		runName   = flag.String("run-name", "fleetsim", "run name inside the store (requires -runs-dir)")
-		ckptEvery = flag.Float64("checkpoint-every", 0, "write a whole-fleet crash-recovery snapshot every this many virtual seconds (requires -runs-dir)")
-		resume    = flag.Bool("resume", false, "resume from the run directory's checkpoint.json (requires -runs-dir and the original -checkpoint-every)")
-		traceDec  = flag.Bool("trace-decisions", false, "record the router's retry/hedge/failover decision log as decisions.ndjson (requires -runs-dir)")
-		version   = flag.Bool("version", false, "print build information and exit")
-		table     = flag.Bool("table", true, "print the per-array table")
-		verbose   = flag.Bool("v", false, "verbose logging (include debug lines)")
-		quiet     = flag.Bool("quiet", false, "log errors only")
-		opsAddr   = flag.String("ops-addr", "", "serve the live ops plane (/metrics, /progress, /healthz) on this address while the fleet runs")
+		traceDec = flag.Bool("trace-decisions", false, "record the router's retry/hedge/failover decision log as decisions.ndjson (requires -runs-dir)")
+		table    = flag.Bool("table", true, "print the per-array table")
 	)
-	flag.Parse()
-	logg := telemetry.NewLogger("fleetsim", nil, telemetry.LevelFromFlags(*quiet, *verbose))
+	cmd.Parse()
+	logg, explicit, usageErr := cmd.Log, cmd.Explicit, cmd.Usage
 
-	if *version {
-		fmt.Println(runstore.VersionLine("fleetsim"))
-		return
-	}
-
-	usageErr := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "fleetsim: %s\n\n", fmt.Sprintf(format, args...))
-		flag.Usage()
-		os.Exit(2)
-	}
-	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := flagcheck.Choice("policy", *policyName, flagcheck.Strings(experiment.AllPolicyKinds())...); err != nil {
-		usageErr("%v", err)
-	}
-	if err := flagcheck.Choice("routing", *routing, flagcheck.Strings(cluster.RoutingPolicies())...); err != nil {
-		usageErr("%v", err)
-	}
+	cmd.Check(runcmd.Choice("policy", *policyName, runcmd.Strings(experiment.AllPolicyKinds())...))
+	cmd.Check(runcmd.Choice("routing", *routing, runcmd.Strings(cluster.RoutingPolicies())...))
 	switch {
-	case flag.NArg() > 0:
-		usageErr("unexpected positional arguments %q", flag.Args())
 	case *arrays < 1:
 		usageErr("-arrays %d: a fleet needs at least 1 array", *arrays)
 	case *replicas < 1 || *replicas > *arrays:
 		usageErr("-replicas %d must be in [1, %d]", *replicas, *arrays)
+	case *racks < 1:
+		usageErr("-racks %d: a fleet needs at least 1 rack", *racks)
+	case *enclosures < 1:
+		usageErr("-enclosures %d: a rack needs at least 1 enclosure", *enclosures)
 	case *disks < 2:
 		usageErr("-disks %d: an array needs at least 2 disks", *disks)
 	case *epochs <= 0:
@@ -148,217 +121,95 @@ func main() {
 		usageErr("shock flags require -shocks")
 	case !*withFaults && (explicit["fault-seed"] || explicit["fault-accel"] || explicit["spares"]):
 		usageErr("fault flags require -faults")
-	case *runsDir == "" && explicit["run-name"]:
-		usageErr("-run-name requires -runs-dir")
-	case *ckptEvery < 0:
-		usageErr("-checkpoint-every %g cannot be negative", *ckptEvery)
-	case *ckptEvery > 0 && *runsDir == "":
-		usageErr("-checkpoint-every requires -runs-dir (the snapshot lives in the run directory)")
-	case *resume && *runsDir == "":
-		usageErr("-resume requires -runs-dir")
-	case *resume && *ckptEvery <= 0:
-		usageErr("-resume requires the original -checkpoint-every interval (the resumed run must keep the same snapshot cadence to stay bit-identical)")
-	case *traceDec && *runsDir == "":
+	case *traceDec && record.RunsDir == "":
 		usageErr("-trace-decisions requires -runs-dir (the decision log is written as decisions.ndjson)")
-	case *runsDir != "" && *runName == "":
-		usageErr("-run-name must not be empty")
 	}
 
-	var shocks faults.ShockConfig
+	// The flags become one manifestConfig: it names the run (with
+	// -runs-dir) and is the only input to the fleet's configuration.
+	mc := manifestConfig{
+		Arrays: *arrays, Replicas: *replicas, Racks: *racks,
+		Enclosures: *enclosures, Disks: *disks,
+		Policy: *policyName, Routing: *routing,
+		Requests: *requests, Intensity: *intensity, Seed: *seed, Epochs: *epochs,
+		Deadline: *deadline, MaxAttempts: *maxAttempts,
+		RetryBase: *retryBase, RetryCap: *retryCap, RetryJitter: *retryJitter,
+		HedgeMult: *hedgeMult, HedgeFallback: *hedgeFallback, MaxBacklog: *maxBacklog,
+	}
 	if *withShocks {
-		shocks = faults.ShockConfig{
+		mc.Shocks = &faults.ShockConfig{
 			Enabled:             true,
 			Seed:                *shockSeed,
 			MeanIntervalSeconds: *shockInterval,
 			MeanOutageSeconds:   *shockOutage,
 		}
 	}
-	var faultCfg *faults.Config
 	if *withFaults {
 		fc := faults.Default()
 		fc.Seed = *faultSeed
 		fc.Acceleration = *faultAccel
-		faultCfg = &fc
+		mc.Faults, mc.Spares = &fc, *spares
 	}
-
-	var (
-		store    *runstore.Store
-		manifest *runstore.Manifest
-		runDir   string
-	)
-	start := time.Now()
-	if *runsDir != "" {
-		mc := manifestConfig{
-			Arrays: *arrays, Replicas: *replicas, Racks: *racks,
-			Enclosures: *enclosures, Disks: *disks,
-			Policy: *policyName, Routing: *routing,
-			Requests: *requests, Intensity: *intensity, Seed: *seed, Epochs: *epochs,
-			Deadline: *deadline, MaxAttempts: *maxAttempts,
-			RetryBase: *retryBase, RetryCap: *retryCap, RetryJitter: *retryJitter,
-			HedgeMult: *hedgeMult, HedgeFallback: *hedgeFallback, MaxBacklog: *maxBacklog,
-		}
-		if *withShocks {
-			m, err := runstore.ToJSONMap(shocks)
-			if err != nil {
-				logg.Fatal(err)
-			}
-			mc.Shocks = m
-		}
-		if faultCfg != nil {
-			m, err := runstore.ToJSONMap(*faultCfg)
-			if err != nil {
-				logg.Fatal(err)
-			}
-			mc.Faults = m
-			mc.Spares = *spares
-		}
-		var err error
-		manifest, err = runstore.New("fleetsim", *runName, mc)
-		if err != nil {
-			logg.Fatal(err)
-		}
-		store, err = runstore.Open(*runsDir)
-		if err != nil {
-			logg.Fatal(err)
-		}
-		runDir, err = store.RunDir(manifest)
-		if err != nil {
-			logg.Fatal(err)
-		}
-	}
-
-	trace, err := buildTrace(*requests, *intensity, *seed)
-	if err != nil {
+	if err := record.Open(mc); err != nil {
 		logg.Fatal(err)
 	}
-	stats, err := trace.ComputeStats()
+	cfg, err := mc.clusterConfig()
 	if err != nil {
 		logg.Fatal(err)
-	}
-
-	kind := diskarray.PolicyKind(*policyName)
-	cfg := cluster.Config{
-		Arrays:   *arrays,
-		Replicas: *replicas,
-		Topology: cluster.Topology{Racks: *racks, EnclosuresPerRack: *enclosures},
-		Trace:    trace,
-		Proto: diskarray.SimConfig{
-			Disks:        *disks,
-			EpochSeconds: stats.Duration / float64(*epochs),
-			Spares:       *spares,
-		},
-		MakePolicy:           func(int) (diskarray.Policy, error) { return experiment.NewPolicy(kind) },
-		Routing:              cluster.RoutingPolicy(*routing),
-		DeadlineSeconds:      *deadline,
-		MaxAttempts:          *maxAttempts,
-		RetryBaseSeconds:     *retryBase,
-		RetryCapSeconds:      *retryCap,
-		RetryJitterFrac:      *retryJitter,
-		HedgeAfterP99Mult:    *hedgeMult,
-		HedgeFallbackSeconds: *hedgeFallback,
-		MaxBacklog:           *maxBacklog,
-		Seed:                 *seed,
-		Shocks:               shocks,
-	}
-	if faultCfg != nil {
-		cfg.Proto.Faults = faultCfg
 	}
 	var dlog *telemetry.DecisionLog
 	if *traceDec {
 		dlog = telemetry.NewDecisionLog()
 		cfg.Telemetry = &telemetry.Recorder{Decisions: dlog}
 	}
-	if *ckptEvery > 0 {
+	if record.CkptEvery > 0 {
 		cfg.Checkpoint = &cluster.CheckpointSpec{
-			EverySimSeconds: *ckptEvery,
-			Path:            filepath.Join(runDir, checkpointName),
+			EverySimSeconds: record.CkptEvery,
+			Path:            record.CheckpointPath(),
 			Tool:            "fleetsim",
-			ConfigDigest:    manifest.ConfigDigest,
+			ConfigDigest:    record.Manifest.ConfigDigest,
 		}
 	}
 
 	// The live ops plane: fleet counters and per-array health next to the
 	// shared engine's watchdog position. Observation-only — the run is
 	// bit-identical with or without -ops-addr.
-	var srv *opsserver.Server
-	if *opsAddr != "" {
-		fleet := telemetry.NewFleetLive(*arrays)
-		watch := des.NewWatch()
-		cfg.FleetLive = fleet
-		cfg.Watch = watch
-		var err error
-		srv, err = opsserver.Start(opsserver.Options{
-			Addr:  *opsAddr,
-			Tool:  "fleetsim",
-			Run:   *runName,
-			Watch: watch,
-			Fleet: fleet,
-			Log:   logg,
-		})
-		if err != nil {
-			logg.Fatal(err)
-		}
-		defer srv.Close()
+	if cmd.OpsAddr != "" {
+		cfg.FleetLive, cfg.Watch = telemetry.NewFleetLive(*arrays), des.NewWatch()
 	}
+	srv := cmd.StartOps(opsserver.Options{Run: record.Name, Watch: cfg.Watch, Fleet: cfg.FleetLive})
+	defer srv.Close()
 
 	perfCap := runstore.StartPerf()
 	var res *cluster.Result
-	if *resume {
-		ckptPath := filepath.Join(runDir, checkpointName)
-		env, err := checkpoint.Read(ckptPath)
-		if err != nil {
-			logg.Fatalf("resume: %v", err)
-		}
-		if env.Tool != "fleetsim" {
-			logg.Fatalf("resume: %s was written by %q, not fleetsim", ckptPath, env.Tool)
-		}
-		if env.ConfigDigest != manifest.ConfigDigest {
-			logg.Fatalf("resume: %s was taken under config digest %s, current flags digest to %s — rerun with the original flags",
-				ckptPath, env.ConfigDigest, manifest.ConfigDigest)
-		}
-		logg.Infof("resuming from %s (t=%.1f s, %d events fired)", ckptPath, env.SimTime, env.EventsFired)
-		res, err = cluster.Resume(cfg, env.State)
-		if err != nil {
+	if record.Resume {
+		var state json.RawMessage
+		if state, err = record.ResumeState(); err != nil {
 			logg.Fatal(err)
 		}
+		res, err = cluster.Resume(cfg, state)
 	} else {
-		var err error
 		res, err = cluster.Run(cfg)
-		if err != nil {
-			logg.Fatal(err)
-		}
+	}
+	if err != nil {
+		logg.Fatal(err)
 	}
 	perf := perfCap.Sample(res.Duration, res.EventsFired, false)
-	if srv != nil {
-		srv.MarkDone()
-	}
+	srv.MarkDone()
 
-	if store != nil {
-		manifest.Seed = *seed
-		manifest.Policy = *policyName
-		manifest.Workload = fmt.Sprintf("synthetic %d requests, intensity %g", *requests, *intensity)
-		manifest.Summary = experiment.FleetSummary(res, *withFaults)
-		manifest.Perf = &runstore.Perf{Run: &perf}
-		manifest.CreatedAt = start.UTC().Format(time.RFC3339)
-		manifest.WallSeconds = time.Since(start).Seconds()
-		dir, err := store.Write(manifest)
-		if err != nil {
-			logg.Fatal(err)
-		}
+	var logs []runcmd.DecisionFile
+	if m := record.Manifest; m != nil {
+		m.Seed = *seed
+		m.Policy = *policyName
+		m.Workload = fmt.Sprintf("synthetic %d requests, intensity %g", *requests, *intensity)
+		m.Summary = experiment.FleetSummary(res, *withFaults)
+		m.Perf = &runstore.Perf{Run: &perf}
 		if dlog != nil {
-			f, err := atomicio.Create(filepath.Join(dir, "decisions.ndjson"))
-			if err != nil {
-				logg.Fatal(err)
-			}
-			if err := dlog.WriteNDJSON(f); err != nil {
-				f.Close()
-				logg.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				logg.Fatal(err)
-			}
+			logs = append(logs, runcmd.DecisionFile{Name: "decisions.ndjson", Log: dlog})
 		}
-		logg.Infof("run recorded in %s", dir)
+	}
+	if err := record.Commit(logs...); err != nil {
+		logg.Fatal(err)
 	}
 
 	fmt.Printf("fleet of %d arrays (%d disks each, %d racks) — %s members, %s routing\n",
@@ -385,16 +236,43 @@ func main() {
 	}
 }
 
-// buildTrace generates the synthetic fleet workload, mirroring arraysim's
-// generated-trace path so fleet-of-1 comparisons replay identical requests.
-func buildTrace(requests int, intensity float64, seed int64) (*diskarray.Trace, error) {
-	cfg := diskarray.DefaultGenConfig()
-	cfg.NumRequests = requests
-	cfg.MeanInterarrival /= intensity
-	cfg.Seed = seed
-	cfg.DiurnalProfile = diskarray.DefaultDiurnalProfile()
-	duration := float64(cfg.NumRequests) * cfg.MeanInterarrival
-	cfg.PhaseSeconds = duration / 12
-	cfg.PhaseRotate = 0.10
-	return diskarray.GenerateTrace(cfg)
+// clusterConfig builds the fleet mc describes: the one place a fleetsim
+// configuration becomes a cluster.Config.
+func (mc manifestConfig) clusterConfig() (cluster.Config, error) {
+	trace, err := runcmd.SyntheticTrace(mc.Requests, mc.Intensity, mc.Seed)
+	if err != nil {
+		return cluster.Config{}, err
+	}
+	stats, err := trace.ComputeStats()
+	if err != nil {
+		return cluster.Config{}, err
+	}
+	kind := diskarray.PolicyKind(mc.Policy)
+	cfg := cluster.Config{
+		Arrays:   mc.Arrays,
+		Replicas: mc.Replicas,
+		Topology: cluster.Topology{Racks: mc.Racks, EnclosuresPerRack: mc.Enclosures},
+		Trace:    trace,
+		Proto: diskarray.SimConfig{
+			Disks:        mc.Disks,
+			EpochSeconds: stats.Duration / float64(mc.Epochs),
+			Faults:       mc.Faults,
+			Spares:       mc.Spares,
+		},
+		MakePolicy:           func(int) (diskarray.Policy, error) { return experiment.NewPolicy(kind) },
+		Routing:              cluster.RoutingPolicy(mc.Routing),
+		DeadlineSeconds:      mc.Deadline,
+		MaxAttempts:          mc.MaxAttempts,
+		RetryBaseSeconds:     mc.RetryBase,
+		RetryCapSeconds:      mc.RetryCap,
+		RetryJitterFrac:      mc.RetryJitter,
+		HedgeAfterP99Mult:    mc.HedgeMult,
+		HedgeFallbackSeconds: mc.HedgeFallback,
+		MaxBacklog:           mc.MaxBacklog,
+		Seed:                 mc.Seed,
+	}
+	if mc.Shocks != nil {
+		cfg.Shocks = *mc.Shocks
+	}
+	return cfg, nil
 }
