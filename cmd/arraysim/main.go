@@ -22,14 +22,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	diskarray "repro"
 	"repro/cmd/internal/runcmd"
-	"repro/internal/des"
 	"repro/internal/experiment"
 	"repro/internal/faults"
-	"repro/internal/opsserver"
 	"repro/internal/runstore"
 	"repro/internal/telemetry"
 )
@@ -140,7 +137,7 @@ func main() {
 		// manifest; any flag that would change it contradicts the point.
 		allowed := map[string]bool{
 			"replay-decisions": true, "override": true,
-			"checkpoint-every": true, "table": true, "progress": true,
+			"checkpoint-every": true, "progress": true,
 			"v": true, "quiet": true, "ops-addr": true,
 		}
 		var clash []string
@@ -153,7 +150,9 @@ func main() {
 		if len(clash) > 0 {
 			usageErr("-replay-decisions derives the run configuration from the recorded manifest; drop -%s", strings.Join(clash, ", -"))
 		}
-		if err := runReplay(*replayDir, *overrideArg, record.CkptEvery); err != nil {
+		mon := cmd.Observe(*progress)
+		defer mon.Close()
+		if err := runReplay(*replayDir, *overrideArg, record.CkptEvery, mon); err != nil {
 			logg.Fatal(err)
 		}
 		return
@@ -221,29 +220,21 @@ func main() {
 			logg.Fatal(err)
 		}
 	}
-	if rec == nil && (*progress || cmd.OpsAddr != "") {
-		rec = &telemetry.Recorder{}
-	}
-	var prog *telemetry.Progress
-	if *progress {
-		prog = telemetry.NewProgress(logg, 2*time.Second)
-		rec.Progress = prog
-	}
 
-	// The live ops plane: a read-only HTTP server over lock-free snapshots.
-	// Attaching Live/Watch is observation-only — the run is bit-identical
-	// with or without -ops-addr.
-	var live *telemetry.Live
-	var watch *des.Watch
-	if cmd.OpsAddr != "" {
-		live, watch = telemetry.NewLive(), des.NewWatch()
+	// The live surface: the ops plane and the -progress ticker read the
+	// run's lock-free Live and Watch. Attaching them is observation-only —
+	// the run is bit-identical with or without -ops-addr and -progress.
+	mon := cmd.Observe(*progress)
+	defer mon.Close()
+	live, watch := mon.Run(record.Name, 0)
+	if live != nil {
+		if rec == nil {
+			rec = &telemetry.Recorder{}
+		}
 		rec.Live = live
 	}
-	srv := cmd.StartOps(opsserver.Options{Run: record.Name, Live: live, Watch: watch})
-	defer srv.Close()
 
 	perfCap := runstore.StartPerf()
-	prog.Phase("load-trace")
 	simCfg, duration, err := mc.simConfig()
 	if err != nil {
 		logg.Fatal(err)
@@ -261,6 +252,9 @@ func main() {
 			ConfigDigest:    record.Manifest.ConfigDigest,
 		}
 	}
+	if *progress {
+		logg.Infof("phase simulate")
+	}
 	var res *diskarray.SimResult
 	if record.Resume {
 		var state json.RawMessage
@@ -268,19 +262,19 @@ func main() {
 			rec.Close()
 			logg.Fatal(err)
 		}
-		prog.Phase("resume")
 		res, err = diskarray.ResumeSimulation(simCfg, state)
 	} else {
-		prog.Phase("simulate")
 		res, err = diskarray.Simulate(simCfg)
 	}
 	if err != nil {
 		rec.Close()
 		logg.Fatal(err)
 	}
-	prog.Done("simulate", res.Duration, res.EventsFired)
 	perf := perfCap.Sample(res.Duration, res.EventsFired, false)
-	srv.MarkDone()
+	if *progress {
+		logg.Infof("done simulate sim=%.1fs events=%d wall=%.3fs", res.Duration, res.EventsFired, perf.WallSeconds)
+	}
+	mon.MarkDone()
 	if err := rec.Close(); err != nil {
 		logg.Fatal(err)
 	}
@@ -425,7 +419,7 @@ func recordedConfig(m *runstore.Manifest) (manifestConfig, error) {
 // bit-identically (no -override) or force one decision and report the
 // energy/AFR/p99 cost of that single choice. Replay never writes into the
 // run directory.
-func runReplay(runDir, override string, ckptEvery float64) error {
+func runReplay(runDir, override string, ckptEvery float64, mon *runcmd.Monitor) error {
 	m, err := runstore.ReadManifest(runDir)
 	if err != nil {
 		return err
@@ -452,7 +446,9 @@ func runReplay(runDir, override string, ckptEvery float64) error {
 		return err
 	}
 	dlog := telemetry.NewDecisionLog()
-	cfg.Telemetry = &telemetry.Recorder{Decisions: dlog}
+	live, watch := mon.Run(filepath.Base(runDir), 0)
+	cfg.Telemetry = &telemetry.Recorder{Decisions: dlog, Live: live}
+	cfg.Watch = watch
 	if ckptEvery > 0 {
 		// The recorded run's checkpoint ticks are DES events; replaying with
 		// the same cadence (into a discarding sink) keeps the event streams —
@@ -493,6 +489,7 @@ func runReplay(runDir, override string, ckptEvery float64) error {
 	if err != nil {
 		return err
 	}
+	mon.MarkDone()
 	sum := runstore.SummaryFromResult(res, mc.Faults != nil)
 
 	if forcedSeq == 0 {

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -25,23 +28,37 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// command returns arraysim with args as a child process.
+func command(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "ARRAYSIM_MAIN=1")
+	return cmd
+}
+
 // runMain runs arraysim with args in a child process and returns its
 // stderr and exit code.
 func runMain(t *testing.T, args ...string) (string, int) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "ARRAYSIM_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	_, stderr, code := runOutput(t, args...)
+	return stderr, code
+}
+
+// runOutput runs arraysim with args in a child process and returns its
+// stdout, stderr and exit code.
+func runOutput(t *testing.T, args ...string) (string, string, int) {
+	t.Helper()
+	cmd := command(args...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
 	if errors.As(err, &exit) {
-		return stderr.String(), exit.ExitCode()
+		return stdout.String(), stderr.String(), exit.ExitCode()
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stderr.String(), 0
+	return stdout.String(), stderr.String(), 0
 }
 
 // TestRunIDsGolden pins the run IDs of recorded invocations: the config
@@ -116,6 +133,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-override", "1:skip"}, "arraysim: -override requires -replay-decisions"},
 		{[]string{"-checkpoint-every", "5"}, "arraysim: -checkpoint-every requires -runs-dir"},
 		{[]string{"-replay-decisions", "runs/x", "-disks", "4"}, "arraysim: -replay-decisions derives the run configuration from the recorded manifest; drop -disks"},
+		{[]string{"-replay-decisions", "runs/x", "-table=false"}, "arraysim: -replay-decisions derives the run configuration from the recorded manifest; drop -table"},
 	}
 	for _, tc := range cases {
 		stderr, code := runMain(t, tc.args...)
@@ -130,5 +148,81 @@ func TestUsageErrors(t *testing.T) {
 func TestUnrecordedRun(t *testing.T) {
 	if stderr, code := runMain(t, "-disks", "4", "-requests", "500", "-table=false"); code != 0 {
 		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+}
+
+// The live surface only observes: a run prints the same report with
+// -progress and -ops-addr as without them, and -progress logs the run's
+// phase and done lines.
+func TestProgressOnOffIdentical(t *testing.T) {
+	args := []string{"-disks", "4", "-requests", "3000", "-faults", "-spares", "1"}
+	plain, _, code := runOutput(t, args...)
+	if code != 0 {
+		t.Fatalf("plain run: exit %d", code)
+	}
+	observed, stderr, code := runOutput(t, append(args, "-progress", "-ops-addr", "127.0.0.1:0")...)
+	if code != 0 {
+		t.Fatalf("observed run: exit %d\n%s", code, stderr)
+	}
+	if plain != observed {
+		t.Errorf("-progress/-ops-addr changed the report:\n--- plain ---\n%s--- observed ---\n%s", plain, observed)
+	}
+	for _, want := range []string{"phase simulate", "done simulate sim="} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("-progress stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+}
+
+// A -replay-decisions run is a full simulation, and -ops-addr serves it:
+// /healthz answers while the replay runs, and the replay still reproduces
+// the recorded run.
+func TestReplayServesOpsPlane(t *testing.T) {
+	dir := t.TempDir()
+	if stderr, code := runMain(t, "-runs-dir", dir, "-disks", "4", "-requests", "100000",
+		"-trace-decisions", "-table=false", "-quiet"); code != 0 {
+		t.Fatalf("record: exit %d\n%s", code, stderr)
+	}
+	runs, _ := filepath.Glob(filepath.Join(dir, "arraysim-*"))
+	if len(runs) != 1 {
+		t.Fatalf("store holds %v", runs)
+	}
+	cmd := command("-replay-decisions", runs[0], "-ops-addr", "127.0.0.1:0")
+	var stdout bytes.Buffer
+	cmd.Stdout = &stdout
+	pipe, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The server logs its bound address before the replay starts.
+	sc := bufio.NewScanner(pipe)
+	var addr string
+	for addr == "" && sc.Scan() {
+		if _, rest, ok := strings.Cut(sc.Text(), "listening on http://"); ok {
+			addr = strings.Fields(rest)[0]
+		}
+	}
+	if addr == "" {
+		cmd.Wait()
+		t.Fatal("replay never started the ops server")
+	}
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatalf("/healthz: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	io.Copy(io.Discard, pipe)
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("replay: %v\n%s", err, stdout.String())
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"status"`) {
+		t.Errorf("/healthz answered %d: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(stdout.String(), "reproduces the baseline bit-identically") {
+		t.Errorf("replay under the ops plane diverged:\n%s", stdout.String())
 	}
 }

@@ -14,14 +14,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
 	"repro/cmd/internal/runcmd"
 	"repro/internal/atomicio"
 	"repro/internal/experiment"
-	"repro/internal/opsserver"
 	"repro/internal/reliability"
 	"repro/internal/runstore"
 	"repro/internal/telemetry"
@@ -30,23 +28,24 @@ import (
 // logg is the command-wide leveled logger (level set from -quiet/-v).
 var logg *telemetry.Logger
 
-// harness carries what every sweep condition shares: the run store, the ops
-// server, the execution flags, and the count of failed cells that becomes
-// the exit code.
+// harness carries what every sweep condition shares: the run store, the
+// live surface, the execution flags, and the count of failed cells that
+// becomes the exit code.
 type harness struct {
-	store  *runstore.Store
-	srv    *opsserver.Server
-	exec   experiment.Exec // -workers, -retries, -progress, -trace-decisions
-	resume bool
-	failed int
+	store    *runstore.Store
+	mon      *runcmd.Monitor
+	exec     experiment.Exec // -workers, -retries, -trace-decisions
+	progress bool
+	resume   bool
+	failed   int
 }
 
 // sweep runs one sweep condition of either kind; x is cfg's embedded Exec,
 // id and run are the kind's ManifestID and Run functions. It skips the
-// condition when -resume finds it already recorded, attaches a fresh ops
-// tracker, runs it, records it, and counts its failed cells. It returns the
-// result and the condition's wall time, or nil when the condition was
-// skipped.
+// condition when -resume finds it already recorded, attaches a fresh
+// tracker to the live surface, runs it, records it, and counts its failed
+// cells. It returns the result and the condition's wall time, or nil when
+// the condition was skipped.
 func sweep[C, R any, P interface {
 	*R
 	experiment.Finished
@@ -58,14 +57,9 @@ func sweep[C, R any, P interface {
 			return nil, 0
 		}
 	}
-	if h.srv != nil {
-		par := x.Parallelism
-		if par <= 0 {
-			par = runtime.NumCPU()
-		}
-		x.Track = telemetry.NewSweepTracker(keys, par)
-		h.srv.SetSweep(x.Track)
-		h.srv.SetRun(name, nil, nil)
+	x.Track = h.mon.Sweep(name, keys, x.Parallelism)
+	if h.progress {
+		logg.Infof("phase %s: run %d cells", name, len(keys))
 	}
 	start := time.Now()
 	pc := runstore.StartPerf()
@@ -75,6 +69,9 @@ func sweep[C, R any, P interface {
 	}
 	if err != nil {
 		logg.Errorf("sweep %s: %v", name, err)
+	}
+	if h.progress {
+		logg.Infof("done %s %s", name, runcmd.SweepLine(x.Track.Snapshot()))
 	}
 	h.record(name, res, start, pc)
 	return res, time.Since(start)
@@ -168,7 +165,7 @@ func run() int {
 		resume   = flag.Bool("resume", false, "skip sweep conditions already recorded with an ok status in -runs-dir")
 		retries  = flag.Int("retries", 0, "extra attempts per failed sweep cell (exponential backoff between attempts)")
 		workers  = flag.Int("workers", 0, "sweep worker-pool size; 0 means one worker per CPU. Results are bit-identical for every value — -workers=1 is the sequential reference the CI identity gate diffs against")
-		progress = flag.Bool("progress", false, "log sweep phases and per-cell progress to stderr")
+		progress = flag.Bool("progress", false, "log sweep phases and, every 2 s, sweep progress (cells done, events/s, ETA) to stderr")
 	)
 	cmd.Parse()
 	logg = cmd.Log
@@ -197,25 +194,20 @@ func run() int {
 	}
 	defer cmd.StartProfiles()()
 
-	var prog *telemetry.Progress
-	if *progress {
-		prog = telemetry.NewProgress(logg, 2*time.Second)
-	}
-
-	// One ops server for the whole invocation: each sweep condition installs
-	// its tracker via SetSweep, so /progress and /metrics follow whichever
-	// sweep is currently running. Observation-only — results are
-	// bit-identical with or without -ops-addr.
-	srv := cmd.StartOps(opsserver.Options{})
-	defer srv.Close()
+	// One live surface for the whole invocation: each sweep condition
+	// installs its tracker, so /progress, /metrics and the -progress line
+	// follow whichever sweep is currently running. Observation-only —
+	// results are bit-identical with or without -ops-addr and -progress.
+	mon := cmd.Observe(*progress)
+	defer mon.Close()
 	h := &harness{
-		store:  store,
-		srv:    srv,
-		resume: *resume,
+		store:    store,
+		mon:      mon,
+		progress: *progress,
+		resume:   *resume,
 		exec: experiment.Exec{
 			Parallelism:    *workers,
 			CellAttempts:   1 + *retries,
-			Progress:       prog,
 			TraceDecisions: *traceDec,
 		},
 	}
@@ -346,12 +338,17 @@ func run() int {
 		}
 	}
 
+	// -scale, and -heavy's intensity, apply to every sweep's trace.
+	trace := func(t *experiment.TraceSpec) {
+		t.Scale = *scale
+		if *heavy {
+			t.Intensity = experiment.HeavyIntensity
+		}
+	}
+
 	if want("faults") {
 		cfg := experiment.DefaultFaultSweepConfig()
-		cfg.Scale = *scale
-		if *heavy {
-			cfg.Intensity = experiment.HeavyIntensity
-		}
+		trace(&cfg.TraceSpec)
 		if res, took := sweep(h, "faults-"+load, &cfg, &cfg.Exec, cfg.CellKeys(), experiment.SweepManifestID, experiment.RunSweep); res != nil {
 			fmt.Printf("Fault sweep — energy vs observed data loss (scale %.3g, accel %.0g, %d spare(s), %s)\n\n",
 				*scale, experiment.FaultSweepAcceleration, cfg.Spares, took.Round(time.Millisecond))
@@ -369,10 +366,7 @@ func run() int {
 
 	if want("raidloss") {
 		cfg := experiment.DefaultRAIDLossSweepConfig()
-		cfg.Scale = *scale
-		if *heavy {
-			cfg.Intensity = experiment.HeavyIntensity
-		}
+		trace(&cfg.TraceSpec)
 		if res, took := sweep(h, "raidloss-"+load, &cfg, &cfg.Exec, cfg.CellKeys(), experiment.SweepManifestID, experiment.RunSweep); res != nil {
 			fmt.Printf("RAID-loss sweep — MTTDL per RAID organization × energy policy (scale %.3g, accel %.0g, %d spare(s), %s)\n\n",
 				*scale, experiment.RAIDLossAcceleration, cfg.Spares, took.Round(time.Millisecond))
@@ -389,7 +383,7 @@ func run() int {
 	}
 
 	if want("calibration") {
-		pts, err := experiment.IntensityScan(experiment.AblationConfig{Scale: *scale}, nil, nil)
+		pts, err := experiment.IntensityScan(experiment.AblationConfig{TraceSpec: experiment.TraceSpec{Scale: *scale}}, nil, nil)
 		if err != nil {
 			logg.Fatal(err)
 		}
@@ -399,10 +393,8 @@ func run() int {
 	}
 
 	if want("ablations") {
-		acfg := experiment.AblationConfig{Scale: *scale}
-		if *heavy {
-			acfg.Intensity = experiment.HeavyIntensity
-		}
+		var acfg experiment.AblationConfig
+		trace(&acfg.TraceSpec)
 		caps, err := experiment.TransitionCapAblation(acfg, nil)
 		if err != nil {
 			logg.Fatal(err)
@@ -428,10 +420,7 @@ func run() int {
 	// a whole fleet on one engine, so "all" deliberately excludes it.
 	if *fig == "fleet" {
 		cfg := experiment.DefaultFleetSweepConfig()
-		cfg.Scale = *scale
-		if *heavy {
-			cfg.Intensity = experiment.HeavyIntensity
-		}
+		trace(&cfg.TraceSpec)
 		if res, took := sweep(h, "fleet-"+load, &cfg, &cfg.Exec, cfg.CellKeys(), experiment.FleetManifestID, experiment.RunFleetSweep); res != nil {
 			fmt.Printf("Fleet sweep — routing × policy over fleet sizes (scale %.3g, replicas %d, %s)\n\n",
 				*scale, cfg.Replicas, took.Round(time.Millisecond))
@@ -447,7 +436,7 @@ func run() int {
 		}
 	}
 
-	srv.MarkDone()
+	mon.MarkDone()
 	if csvFile != nil {
 		if err := csvFile.Close(); err != nil {
 			logg.Errorf("%v", err)

@@ -18,10 +18,8 @@ import (
 	diskarray "repro"
 	"repro/cmd/internal/runcmd"
 	"repro/internal/cluster"
-	"repro/internal/des"
 	"repro/internal/experiment"
 	"repro/internal/faults"
-	"repro/internal/opsserver"
 	"repro/internal/runstore"
 	"repro/internal/telemetry"
 )
@@ -157,11 +155,18 @@ func main() {
 	if err != nil {
 		logg.Fatal(err)
 	}
+	// The live ops plane: the router's clock, counters and per-array health
+	// in one live view, next to the shared engine's watchdog position.
+	// Observation-only — the run is bit-identical with or without -ops-addr.
+	mon := cmd.Observe(false)
+	defer mon.Close()
+	live, watch := mon.Run(record.Name, *arrays)
+	cfg.Watch = watch
 	var dlog *telemetry.DecisionLog
 	if *traceDec {
 		dlog = telemetry.NewDecisionLog()
-		cfg.Telemetry = &telemetry.Recorder{Decisions: dlog}
 	}
+	cfg.Telemetry = &telemetry.Recorder{Decisions: dlog, Live: live}
 	if record.CkptEvery > 0 {
 		cfg.Checkpoint = &cluster.CheckpointSpec{
 			EverySimSeconds: record.CkptEvery,
@@ -170,15 +175,6 @@ func main() {
 			ConfigDigest:    record.Manifest.ConfigDigest,
 		}
 	}
-
-	// The live ops plane: fleet counters and per-array health next to the
-	// shared engine's watchdog position. Observation-only — the run is
-	// bit-identical with or without -ops-addr.
-	if cmd.OpsAddr != "" {
-		cfg.FleetLive, cfg.Watch = telemetry.NewFleetLive(*arrays), des.NewWatch()
-	}
-	srv := cmd.StartOps(opsserver.Options{Run: record.Name, Watch: cfg.Watch, Fleet: cfg.FleetLive})
-	defer srv.Close()
 
 	perfCap := runstore.StartPerf()
 	var res *cluster.Result
@@ -195,7 +191,7 @@ func main() {
 		logg.Fatal(err)
 	}
 	perf := perfCap.Sample(res.Duration, res.EventsFired, false)
-	srv.MarkDone()
+	mon.MarkDone()
 
 	var logs []runcmd.DecisionFile
 	if m := record.Manifest; m != nil {

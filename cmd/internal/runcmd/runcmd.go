@@ -1,7 +1,8 @@
 // Package runcmd is the harness the simulation commands (arraysim, fleetsim,
 // experiments) share: the common flags and startup, usage errors,
-// profiling, the ops server, a single run's record in a run store, the
-// manifest commit, and the synthetic trace generator.
+// profiling, the live surface (the ops server and the -progress log line),
+// a single run's record in a run store, the manifest commit, and the
+// synthetic trace generator.
 package runcmd
 
 import (
@@ -16,7 +17,6 @@ import (
 
 	diskarray "repro"
 	"repro/internal/atomicio"
-	"repro/internal/opsserver"
 	"repro/internal/runstore"
 	"repro/internal/telemetry"
 )
@@ -109,20 +109,6 @@ func Strings[T ~string](vals []T) []string {
 		out[i] = string(v)
 	}
 	return out
-}
-
-// StartOps serves the live ops plane on -ops-addr with o's views, or
-// returns nil (a valid no-op server) when the flag is unset.
-func (c *Command) StartOps(o opsserver.Options) *opsserver.Server {
-	if c.OpsAddr == "" {
-		return nil
-	}
-	o.Addr, o.Tool, o.Log = c.OpsAddr, c.Name, c.Log
-	srv, err := opsserver.Start(o)
-	if err != nil {
-		c.Log.Fatal(err)
-	}
-	return srv
 }
 
 // profiles holds -cpuprofile, -memprofile and -runtime-trace.

@@ -31,7 +31,6 @@ package diskarray
 
 import (
 	"io"
-	"time"
 
 	"repro/internal/array"
 	"repro/internal/cluster"
@@ -276,11 +275,8 @@ type TelemetryRecorder = telemetry.Recorder
 // schema telemetry exports on every epoch boundary).
 type TelemetryDiskSample = telemetry.DiskSample
 
-// TelemetryProgress is a rate-limited structured progress logger.
-type TelemetryProgress = telemetry.Progress
-
-// TelemetryLogger is the leveled logger all commands and progress
-// reporting write through (error/info/debug, -quiet/-v mapping).
+// TelemetryLogger is the leveled logger all commands write through
+// (error/info/debug, -quiet/-v mapping).
 type TelemetryLogger = telemetry.Logger
 
 // NewTelemetryLogger builds a leveled logger named like the producing
@@ -294,13 +290,6 @@ func NewTelemetryLogger(name string, w io.Writer, level telemetry.LogLevel) *Tel
 // series files and write metrics.json.
 func OpenTelemetry(cfg TelemetryConfig) (*TelemetryRecorder, error) {
 	return telemetry.Open(cfg)
-}
-
-// NewTelemetryProgress builds a progress logger that writes through l at
-// most once per `every` (rate-limiting applies to Tick/Stepf; phase
-// boundaries always log).
-func NewTelemetryProgress(l *TelemetryLogger, every time.Duration) *TelemetryProgress {
-	return telemetry.NewProgress(l, every)
 }
 
 // READConfig parameterizes the paper's READ policy.

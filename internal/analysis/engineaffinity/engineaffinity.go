@@ -5,10 +5,10 @@
 // (Registry, Counter, Gauge, Histogram, DecisionLog, Recorder) are
 // single-goroutine objects: the goroutine that constructs a cell owns them
 // for the cell's whole life, and nothing else may call their methods. The
-// sanctioned cross-goroutine views are the mediated APIs — des.Watch
-// (seqlock), telemetry.Live/FleetLive (seqlock), telemetry.SweepTracker,
-// telemetry.Progress, and telemetry.Logger (mutex) — which exist precisely
-// so observers never touch the affine objects.
+// sanctioned cross-goroutine views are the mediated APIs — des.Watch and
+// telemetry.Live (seqlock), telemetry.SweepTracker and telemetry.Logger
+// (mutex) — which exist precisely so observers never touch the affine
+// objects.
 //
 // The analyzer inspects every function literal launched as a goroutine (a
 // `go` statement or a Go/Submit worker-pool submission) and flags method
@@ -56,9 +56,7 @@ var mediated = map[string]map[string]bool{
 	"des": {"Watch": true},
 	"telemetry": {
 		"Live":         true,
-		"FleetLive":    true,
 		"SweepTracker": true,
-		"Progress":     true,
 		"Logger":       true,
 	},
 }

@@ -23,9 +23,9 @@
 //
 // Captures of mediated constructs are always fine: channels, sync.* and
 // sync/atomic.* types, des.Watch, and the telemetry types that are
-// documented as cross-goroutine safe (Live, FleetLive, SweepTracker,
-// Progress, Logger). Everything else needs a `//simlint:allow sharedcapture
-// -- reason` at the capture site.
+// documented as cross-goroutine safe (Live, SweepTracker, Logger).
+// Everything else needs a `//simlint:allow sharedcapture -- reason` at the
+// capture site.
 package sharedcapture
 
 import (
@@ -57,9 +57,7 @@ var sharedPtrTypes = map[string]bool{
 // across goroutines (seqlock- or mutex-mediated).
 var mediatedTelemetry = map[string]bool{
 	"Live":         true,
-	"FleetLive":    true,
 	"SweepTracker": true,
-	"Progress":     true,
 	"Logger":       true,
 }
 

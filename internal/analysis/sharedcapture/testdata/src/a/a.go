@@ -133,7 +133,7 @@ func foreignIndex(cells []cell, n int) {
 
 // mediated captures are always legal: channels, sync, atomics, the watch,
 // and the mutex/seqlock telemetry types.
-func mediatedCaptures(w *des.Watch, lv *telemetry.Live, tr *telemetry.SweepTracker, pr *telemetry.Progress, lg *telemetry.Logger) {
+func mediatedCaptures(w *des.Watch, lv *telemetry.Live, tr *telemetry.SweepTracker, lg *telemetry.Logger) {
 	results := make(chan uint64, 1)
 	var mu sync.Mutex
 	go func() {
@@ -141,7 +141,6 @@ func mediatedCaptures(w *des.Watch, lv *telemetry.Live, tr *telemetry.SweepTrack
 		defer mu.Unlock()
 		lv.Tick(w.Snapshot())
 		tr.CellDone("cell")
-		pr.Stepf("done")
 		lg.Infof("done")
 		results <- w.Snapshot()
 	}()

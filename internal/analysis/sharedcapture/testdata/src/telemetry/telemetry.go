@@ -21,9 +21,6 @@ type Live struct{ v uint64 }
 // Tick publishes one observation.
 func (l *Live) Tick(v uint64) { l.v = v }
 
-// FleetLive is Live's fleet-wide sibling; safe to share.
-type FleetLive struct{ v uint64 }
-
 // SweepTracker tracks cell states under a mutex; safe to share.
 type SweepTracker struct{ n int }
 
@@ -31,16 +28,6 @@ type SweepTracker struct{ n int }
 func (t *SweepTracker) CellDone(key string) {
 	if t != nil {
 		t.n++
-	}
-}
-
-// Progress is the rate-limited progress reporter; safe to share.
-type Progress struct{ n int }
-
-// Stepf logs one step.
-func (p *Progress) Stepf(format string, args ...any) {
-	if p != nil {
-		p.n++
 	}
 }
 

@@ -913,7 +913,6 @@ func (s *sim) onEpoch(e *des.Engine) {
 	// nothing, so it cannot perturb the run.
 	if s.cfg.Telemetry != nil {
 		s.sampleDisks(e.Now(), s.epochs)
-		s.cfg.Telemetry.Progress.Tick(e.Now(), e.Fired())
 	}
 	if s.trc != nil {
 		s.snapEpochAttribution(s.epochs)

@@ -179,14 +179,32 @@ func TestTelemetryMetricsMatchResult(t *testing.T) {
 	}
 }
 
-// The ops plane inherits the central telemetry invariant: attaching a Live
-// publisher and an engine Watch changes nothing about the result, and the
-// handles end the run agreeing with it.
+// The ops plane and -progress inherit the central telemetry invariant:
+// attaching a Live publisher and an engine Watch — and reading them from
+// another goroutine while the run goes, as the ops server and the progress
+// ticker do — changes nothing about the result, and the handles end the run
+// agreeing with it.
 func TestOpsPlaneOnOffResultsIdentical(t *testing.T) {
 	off := telemetryRun(t, nil)
 
-	live := telemetry.NewLive()
+	live := telemetry.NewLive(0)
 	watch := des.NewWatch()
+	started, stop, stopped := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for first := true; ; first = false {
+			_, _ = live.Snapshot(), watch.Snapshot()
+			if first {
+				close(started)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-started
 	tr := tinyTrace(t, 40, 3000, 0.02)
 	on, err := Run(Config{
 		Disks:          4,
@@ -197,6 +215,8 @@ func TestOpsPlaneOnOffResultsIdentical(t *testing.T) {
 		Telemetry:      &telemetry.Recorder{Live: live},
 		Watch:          watch,
 	})
+	close(stop)
+	<-stopped
 	if err != nil {
 		t.Fatal(err)
 	}

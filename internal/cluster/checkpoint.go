@@ -55,17 +55,17 @@ type savedRouterEvent struct {
 }
 
 // clusterState is the fleet checkpoint payload. Ignored clusterSim fields
-// are re-derived on restore: cfg and traceEnd come from the caller's config,
-// eng is reconstructed and carried as Clock/Seq/Fired, members and racks are
-// rebuilt (member state travels in Members), failure aborts a run before
-// a checkpoint could be written, and recs — the pending router events'
-// records — travels inside Events and is refilled as restore re-schedules
-// them. freeReqs holds only settled request states and healthy is a
-// buffer reused by every attempt; neither carries state between events.
-// ckptSize, the last snapshot's length, only sizes the next snapshot's
-// buffer.
+// are re-derived on restore: cfg, live and traceEnd come from the caller's
+// config, eng is reconstructed and carried as Clock/Seq/Fired, members and
+// racks are rebuilt (member state travels in Members), failure aborts a run
+// before a checkpoint could be written, and recs — the pending router
+// events' records — travels inside Events and is refilled as restore
+// re-schedules them. freeReqs holds only settled request states and
+// healthy is a buffer reused by every attempt; neither carries state
+// between events. ckptSize, the last snapshot's length, only sizes the
+// next snapshot's buffer.
 //
-//simlint:checkpoint-for clusterSim ignore=cfg,eng,members,racks,traceEnd,failure,recs,freeReqs,healthy,ckptSize
+//simlint:checkpoint-for clusterSim ignore=cfg,live,eng,members,racks,traceEnd,failure,recs,freeReqs,healthy,ckptSize
 type clusterState struct {
 	Clock float64 `json:"clock"`
 	Seq   uint64  `json:"seq"`

@@ -164,16 +164,14 @@ type Config struct {
 
 	// StallLimit is the shared engine's watchdog. Zero means 1,000,000.
 	StallLimit uint64
-	// Telemetry, when non-nil, supplies the engine tracer and the decision
-	// log that records retry/hedge/failover decisions. Member simulations
-	// always run bare (nil recorder): fleet observability lives at the
-	// router.
+	// Telemetry, when non-nil, supplies the engine tracer, the decision
+	// log that records retry/hedge/failover decisions, and the live view
+	// the router publishes its clock, counters and (when the view has
+	// rows) per-array health into. Member simulations always run bare (nil
+	// recorder): fleet observability lives at the router.
 	Telemetry *telemetry.Recorder
 	// Watch receives the shared engine's live position for the ops plane.
 	Watch *des.Watch
-	// FleetLive, when non-nil, receives router counters and per-array
-	// health rows for the ops plane. Observation-only.
-	FleetLive *telemetry.FleetLive
 	// Checkpoint, when non-nil, snapshots the whole fleet (router + every
 	// member) periodically; see Resume.
 	Checkpoint *CheckpointSpec

@@ -352,23 +352,24 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestFleetLivePublishing: the ops-plane fleet view reflects the run.
-func TestFleetLivePublishing(t *testing.T) {
+// TestRouterLivePublishing: the recorder's live view, given one health row
+// per array, reads back as a fleet view that reflects the run.
+func TestRouterLivePublishing(t *testing.T) {
 	tr := fleetTrace(t, 20, 500, 0.01)
-	fl := telemetry.NewFleetLive(2)
+	live := telemetry.NewLive(2)
 	cfg := Config{
 		Arrays:     2,
 		Replicas:   2,
 		Trace:      tr,
 		Proto:      array.Config{Disks: 2},
 		MakePolicy: alwaysOn,
-		FleetLive:  fl,
+		Telemetry:  &telemetry.Recorder{Live: live},
 	}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := fl.Snapshot()
+	snap := live.Snapshot().Fleet
 	if snap.Requests != uint64(res.Requests) || snap.Served != uint64(res.Served) {
 		t.Errorf("fleet live counters %+v disagree with result %+v", snap, res)
 	}
@@ -382,27 +383,29 @@ func TestFleetLivePublishing(t *testing.T) {
 	}
 }
 
-// TestFleetLiveOnOffIdentical: the ops-plane fleet view is observation-only.
+// TestRouterLiveOnOffIdentical: the recorder's live view, with health rows,
+// is observation-only.
 // Attaching it changes neither the result nor a byte of the decision log,
 // under the routing that reads backlog and under the one that reads PRESS
 // AFR, and the attached view still carries every health-row field.
-func TestFleetLiveOnOffIdentical(t *testing.T) {
+func TestRouterLiveOnOffIdentical(t *testing.T) {
 	tr := fleetTrace(t, 40, 4000, 0.002)
 	for _, rp := range []RoutingPolicy{LeastLoaded, AFRAware} {
-		run := func(fl *telemetry.FleetLive) (*Result, []byte, uint64) {
+		run := func(live *telemetry.Live) (*Result, []byte, uint64) {
 			cfg := resilientConfig(tr)
 			cfg.Routing = rp
 			cfg.DeadlineSeconds = 0.02
 			cfg.RetryBaseSeconds = 0.002
 			cfg.HedgeAfterP99Mult = 1
-			cfg.FleetLive = fl
-			rec := &telemetry.Recorder{Decisions: telemetry.NewDecisionLog()}
+			rec := &telemetry.Recorder{Decisions: telemetry.NewDecisionLog(), Live: live}
 			cfg.Telemetry = rec
 			// The checkpoint sink doubles as a mid-run probe of the view.
 			var maxBacklog uint64
 			cfg.Checkpoint = &CheckpointSpec{EverySimSeconds: 0.25, Sink: func([]byte) error {
-				for _, a := range fl.Snapshot().PerArray {
-					maxBacklog = max(maxBacklog, a.Backlog)
+				if fv := live.Snapshot().Fleet; fv != nil {
+					for _, a := range fv.PerArray {
+						maxBacklog = max(maxBacklog, a.Backlog)
+					}
 				}
 				return nil
 			}}
@@ -414,15 +417,15 @@ func TestFleetLiveOnOffIdentical(t *testing.T) {
 			return res, log.Bytes(), maxBacklog
 		}
 		off, offLog, _ := run(nil)
-		fl := telemetry.NewFleetLive(off.Arrays)
-		on, onLog, maxBacklog := run(fl)
+		live := telemetry.NewLive(off.Arrays)
+		on, onLog, maxBacklog := run(live)
 		if !reflect.DeepEqual(off, on) {
-			t.Errorf("%s: attaching FleetLive changed the result:\noff %+v\non  %+v", rp, off, on)
+			t.Errorf("%s: attaching a live view changed the result:\noff %+v\non  %+v", rp, off, on)
 		}
 		if len(offLog) == 0 || !bytes.Equal(offLog, onLog) {
-			t.Errorf("%s: decision logs differ with FleetLive attached (%d vs %d bytes)", rp, len(offLog), len(onLog))
+			t.Errorf("%s: decision logs differ with a live view attached (%d vs %d bytes)", rp, len(offLog), len(onLog))
 		}
-		rows := fl.Snapshot().PerArray
+		rows := live.Snapshot().Fleet.PerArray
 		if len(rows) != off.Arrays {
 			t.Fatalf("%s: %d health rows for %d arrays", rp, len(rows), off.Arrays)
 		}

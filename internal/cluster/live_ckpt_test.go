@@ -19,7 +19,7 @@ func TestFleetRecorderLiveTicks(t *testing.T) {
 	tr := fleetTrace(t, 40, 1000, 0.01)
 	plain := runLedgered(t, resilientConfig(tr))
 
-	live := telemetry.NewLive()
+	live := telemetry.NewLive(0)
 	cfg := resilientConfig(tr)
 	cfg.Telemetry = &telemetry.Recorder{Live: live}
 	got := runLedgered(t, cfg)

@@ -146,6 +146,8 @@ type clusterSim struct {
 	traceEnd float64 // last fleet arrival time; bounds the shock chains
 	failure  error
 	ckptSize int // last snapshot's length; sizes the next one's buffer
+
+	live *telemetry.Live // cfg.Telemetry's live view; nil when unobserved
 }
 
 func newClusterSim(cfg *Config) (*clusterSim, error) {
@@ -173,6 +175,7 @@ func newClusterSim(cfg *Config) (*clusterSim, error) {
 		if tr := cfg.Telemetry.Tracer(); tr != nil {
 			c.eng.SetTracer(tr)
 		}
+		c.live = cfg.Telemetry.Live
 	}
 	c.eng.SetWatch(cfg.Watch)
 	return c, nil
@@ -559,7 +562,7 @@ func (c *clusterSim) eligible(file int) (healthy []int, draining int) {
 // evalHealth gates one member: ejected on declared data loss (sticky by
 // construction — data loss never un-happens), draining while its rack is in
 // a power outage, while rebuilding, or while its backlog exceeds the limit.
-// With the ops plane attached it also publishes the member's health row;
+// When the live view has health rows it also publishes the member's row;
 // the row's values (a PRESS snapshot of every disk among them) are computed
 // only then, since they decide nothing.
 func (c *clusterSim) evalHealth(a int) string {
@@ -573,8 +576,8 @@ func (c *clusterSim) evalHealth(a int) string {
 	case c.cfg.MaxBacklog > 0 && m.Backlog() > c.cfg.MaxBacklog:
 		h = telemetry.ArrayDraining
 	}
-	if fl := c.cfg.FleetLive; fl != nil {
-		fl.PublishArray(a, h, m.Backlog(), m.FailedDisks(), m.Rebuilding(), m.PeekWorstAFR())
+	if c.live.Rows() > 0 {
+		c.live.PublishArray(a, h, m.Backlog(), m.FailedDisks(), m.Rebuilding(), m.PeekWorstAFR())
 	}
 	return h
 }
@@ -656,15 +659,23 @@ func (c *clusterSim) decide(kind, cause string, st *reqState, target int, now fl
 	})
 }
 
-// publishLive publishes the router's counters to both live views: the
-// fleet's own (FleetLive) and the recorder's per-run Live, the per-cell row
-// a sweep tracker shows on /progress, which reports fleet arrivals
-// delivered and fleet requests served.
+// publishLive publishes the router's clock and counters into the live
+// view: a fleetsim run's /progress "fleet" block, or a fleet sweep cell's
+// row in the sweep tracker, which reports fleet arrivals delivered and
+// fleet requests served.
 func (c *clusterSim) publishLive() {
-	if rec := c.cfg.Telemetry; rec != nil {
-		rec.Live.Tick(c.eng.Now(), c.eng.Fired(), c.hist.N(), uint64(c.delivered))
+	if c.live == nil {
+		return
 	}
-	c.cfg.FleetLive.PublishCounters(c.eng.Now(), uint64(c.delivered), c.hist.N(),
-		uint64(c.retries), uint64(c.hedges), uint64(c.hedgeWins), uint64(c.failovers),
-		uint64(c.timeouts), uint64(c.deferred), uint64(c.shed), uint64(c.failed), uint64(c.shocks))
+	c.live.TickRouter(c.eng.Now(), c.eng.Fired(), c.hist.N(), uint64(c.delivered), telemetry.RouterCounters{
+		Retries:   uint64(c.retries),
+		Hedges:    uint64(c.hedges),
+		HedgeWins: uint64(c.hedgeWins),
+		Failovers: uint64(c.failovers),
+		Timeouts:  uint64(c.timeouts),
+		Deferred:  uint64(c.deferred),
+		Shed:      uint64(c.shed),
+		Failed:    uint64(c.failed),
+		Shocks:    uint64(c.shocks),
+	})
 }

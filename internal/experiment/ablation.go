@@ -6,21 +6,18 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/policy"
-	"repro/internal/workload"
 )
 
 // AblationConfig parameterizes the single-workload ablation runs.
 type AblationConfig struct {
 	// Disks is the array size. Zero means 10.
 	Disks int
-	// Workload is the base generator configuration (churn and diurnal
-	// profile from DefaultSweepConfig if zero-valued).
-	Workload workload.GenConfig
-	// Scale and Intensity as in SweepConfig. Zero means 0.05 / light.
-	Scale     float64
-	Intensity float64
-	// EpochsPerTrace as in SweepConfig; zero means 24.
-	EpochsPerTrace int
+	// TraceSpec is the trace the variants replay, as in SweepConfig. A
+	// zero Workload means DefaultSweepConfig's churning, diurnal one. Zero
+	// Intensity means 1, the trace's native arrival rate: the ablations
+	// probe transition behaviour, which needs the idle gaps the diurnal
+	// valley leaves.
+	TraceSpec
 }
 
 func (c *AblationConfig) setDefaults() {
@@ -30,18 +27,7 @@ func (c *AblationConfig) setDefaults() {
 	if c.Workload.NumFiles == 0 {
 		c.Workload = DefaultSweepConfig().Workload
 	}
-	if c.Scale == 0 {
-		c.Scale = 0.05
-	}
-	if c.Intensity == 0 {
-		// The ablations probe transition behaviour, which needs idle
-		// gaps to exist: run at the trace's native arrival rate, where
-		// the diurnal valley leaves disks genuinely idle.
-		c.Intensity = 1
-	}
-	if c.EpochsPerTrace <= 0 {
-		c.EpochsPerTrace = 24
-	}
+	c.TraceSpec.setDefaults()
 }
 
 // VariantResult is one ablation cell: a named policy variant's outcome.
@@ -56,7 +42,7 @@ func runVariants(cfg AblationConfig, variants []struct {
 	make  func() array.Policy
 }) ([]VariantResult, error) {
 	cfg.setDefaults()
-	trace, epoch, err := sweepTrace(cfg.Workload, cfg.Intensity, cfg.Scale, 0, cfg.EpochsPerTrace)
+	trace, epoch, err := cfg.trace()
 	if err != nil {
 		return nil, err
 	}

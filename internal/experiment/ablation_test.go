@@ -10,7 +10,7 @@ import (
 )
 
 func tinyAblation() AblationConfig {
-	return AblationConfig{Disks: 6, Scale: 0.004}
+	return AblationConfig{Disks: 6, TraceSpec: TraceSpec{Scale: 0.004}}
 }
 
 func TestTransitionCapAblation(t *testing.T) {
@@ -128,7 +128,7 @@ func TestEq3ReadingRobustness(t *testing.T) {
 }
 
 func TestIntensityScan(t *testing.T) {
-	pts, err := IntensityScan(AblationConfig{Disks: 4, Scale: 0.003},
+	pts, err := IntensityScan(AblationConfig{Disks: 4, TraceSpec: TraceSpec{Scale: 0.003}},
 		[]float64{1, 4}, []PolicyKind{KindREAD, KindPDC})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestIntensityScan(t *testing.T) {
 		t.Fatal("render missing header")
 	}
 	// Defaults path.
-	if _, err := IntensityScan(AblationConfig{Disks: 4, Scale: 0.002}, nil, nil); err != nil {
+	if _, err := IntensityScan(AblationConfig{Disks: 4, TraceSpec: TraceSpec{Scale: 0.002}}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -34,12 +34,9 @@ func IntensityScan(cfg AblationConfig, intensities []float64, kinds []PolicyKind
 		c := cfg
 		c.Intensity = intensity
 		sweep := SweepConfig{
-			DiskCounts:     []int{c.Disks},
-			Policies:       kinds,
-			Workload:       c.Workload,
-			Scale:          c.Scale,
-			Intensity:      intensity,
-			EpochsPerTrace: c.EpochsPerTrace,
+			DiskCounts: []int{c.Disks},
+			Policies:   kinds,
+			TraceSpec:  c.TraceSpec,
 		}
 		res, err := RunSweep(sweep)
 		if err != nil {

@@ -75,19 +75,8 @@ type SweepConfig struct {
 	DiskCounts []int
 	// Policies compared at every array size.
 	Policies []PolicyKind
-	// Workload is the base generator configuration.
-	Workload workload.GenConfig
-	// Scale shrinks the trace (request count) by this factor in (0,1] to
-	// trade fidelity for runtime. 1 replays the full paper-scale day.
-	Scale float64
-	// Intensity multiplies the arrival rate; the paper's heavy-workload
-	// condition is the same trace at a higher intensity.
-	Intensity float64
-	// EpochSeconds is the policy epoch; zero derives it from the trace
-	// duration so that EpochsPerTrace epochs fire regardless of Scale.
-	EpochSeconds float64
-	// EpochsPerTrace is used when EpochSeconds is zero; zero means 24.
-	EpochsPerTrace int
+	// TraceSpec is the trace every cell replays and its policy epoch.
+	TraceSpec
 	// Press overrides the reliability model used for AFRs (nil = default).
 	// Used for robustness checks, e.g. swapping in the literal OCR reading
 	// of Equation 3.
@@ -118,8 +107,8 @@ type SweepConfig struct {
 	// RunGuarded watchdog aborts a cell whose event loop fires that many
 	// events without advancing virtual time. Zero uses the array default.
 	StallLimit uint64
-	// Exec holds the execution knobs (workers, cell retries, progress,
-	// ops tracking, decision tracing), none of which enters the digest.
+	// Exec holds the execution knobs (workers, cell retries, ops
+	// tracking, decision tracing), none of which enters the digest.
 	Exec
 }
 
@@ -135,9 +124,7 @@ func DefaultSweepConfig() SweepConfig {
 	return SweepConfig{
 		DiskCounts: []int{6, 8, 10, 12, 14, 16},
 		Policies:   []PolicyKind{KindREAD, KindMAID, KindPDC},
-		Workload:   wl,
-		Scale:      0.05,
-		Intensity:  LightIntensity,
+		TraceSpec:  TraceSpec{Workload: wl, Scale: 0.05, Intensity: LightIntensity},
 	}
 }
 
@@ -164,24 +151,13 @@ func (c *SweepConfig) setDefaults() {
 	if len(c.Policies) == 0 {
 		c.Policies = []PolicyKind{KindREAD, KindMAID, KindPDC}
 	}
-	if c.Workload.NumFiles == 0 {
-		c.Workload = workload.DefaultGenConfig()
-	}
-	if c.Scale == 0 {
-		c.Scale = 0.05
-	}
-	if c.Intensity == 0 {
-		c.Intensity = 1
-	}
-	if c.EpochsPerTrace <= 0 {
-		c.EpochsPerTrace = 24
-	}
+	c.TraceSpec.setDefaults()
 	c.Exec.setDefaults()
 }
 
 // Validate reports the first invalid sweep parameter.
 func (c *SweepConfig) Validate() error {
-	if err := validateGrid(c.Scale, c.Intensity, c.Policies, c.Faults, c.Spares); err != nil {
+	if err := validateGrid(&c.TraceSpec, c.Policies, c.Faults, c.Spares); err != nil {
 		return err
 	}
 	for _, n := range c.DiskCounts {
@@ -205,16 +181,14 @@ func (c *SweepConfig) Validate() error {
 			}
 		}
 	}
-	return c.Workload.Validate()
+	return nil
 }
 
-// validateGrid checks the parameters both sweep kinds share.
-func validateGrid(scale, intensity float64, policies []PolicyKind, fc *faults.Config, spares int) error {
-	if scale <= 0 || scale > 1 {
-		return fmt.Errorf("experiment: scale %v outside (0,1]", scale)
-	}
-	if intensity <= 0 {
-		return fmt.Errorf("experiment: intensity %v must be positive", intensity)
+// validateGrid checks the parameters both sweep kinds share: the trace,
+// the policies, the fault model and the spare pool.
+func validateGrid(t *TraceSpec, policies []PolicyKind, fc *faults.Config, spares int) error {
+	if err := t.validate(); err != nil {
+		return err
 	}
 	for _, k := range policies {
 		if _, err := NewPolicy(k); err != nil {
@@ -354,8 +328,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.Progress.Phase("sweep: generate workload")
-	trace, epoch, err := sweepTrace(cfg.Workload, cfg.Intensity, cfg.Scale, cfg.EpochSeconds, cfg.EpochsPerTrace)
+	trace, epoch, err := cfg.trace()
 	if err != nil {
 		return nil, err
 	}

@@ -40,18 +40,9 @@ type FleetSweepConfig struct {
 	// Disks is the per-array size. Zero means 8.
 	Disks int
 
-	// Workload is the FLEET trace generator configuration; the router splits
-	// the trace over the arrays by the replica placement.
-	Workload workload.GenConfig
-	// Scale and Intensity shrink/intensify the trace exactly as in
-	// SweepConfig.
-	Scale     float64
-	Intensity float64
-	// EpochSeconds is the member policy epoch; zero derives it from the
-	// trace duration so EpochsPerTrace epochs fire regardless of Scale.
-	EpochSeconds float64
-	// EpochsPerTrace is used when EpochSeconds is zero; zero means 24.
-	EpochsPerTrace int
+	// TraceSpec is the FLEET trace and the member policy epoch; the router
+	// splits the trace over the arrays by the replica placement.
+	TraceSpec
 
 	// Resilience knobs, applied to every cell (see cluster.Config).
 	DeadlineSeconds      float64
@@ -94,9 +85,7 @@ func DefaultFleetSweepConfig() FleetSweepConfig {
 		Replicas:          2,
 		Racks:             2,
 		Disks:             8,
-		Workload:          DefaultSweepConfig().Workload,
-		Scale:             0.05,
-		Intensity:         LightIntensity,
+		TraceSpec:         DefaultSweepConfig().TraceSpec,
 		DeadlineSeconds:   5,
 		MaxAttempts:       3,
 		RetryBaseSeconds:  0.25,
@@ -127,18 +116,7 @@ func (c *FleetSweepConfig) setDefaults() {
 	if c.Disks == 0 {
 		c.Disks = 8
 	}
-	if c.Workload.NumFiles == 0 {
-		c.Workload = workload.DefaultGenConfig()
-	}
-	if c.Scale == 0 {
-		c.Scale = 0.05
-	}
-	if c.Intensity == 0 {
-		c.Intensity = 1
-	}
-	if c.EpochsPerTrace <= 0 {
-		c.EpochsPerTrace = 24
-	}
+	c.TraceSpec.setDefaults()
 	c.Exec.setDefaults()
 }
 
@@ -146,7 +124,7 @@ func (c *FleetSweepConfig) setDefaults() {
 // parameters are validated again by cluster.Run; the checks here catch the
 // cross-cell constraints a single cell cannot see.
 func (c *FleetSweepConfig) Validate() error {
-	if err := validateGrid(c.Scale, c.Intensity, c.Policies, c.Faults, c.Spares); err != nil {
+	if err := validateGrid(&c.TraceSpec, c.Policies, c.Faults, c.Spares); err != nil {
 		return err
 	}
 	if c.Disks < 2 {
@@ -172,10 +150,7 @@ func (c *FleetSweepConfig) Validate() error {
 			return fmt.Errorf("experiment: unknown routing policy %q", r)
 		}
 	}
-	if err := c.Shocks.Validate(); err != nil {
-		return err
-	}
-	return c.Workload.Validate()
+	return c.Shocks.Validate()
 }
 
 // FleetCell is one fleet sweep cell result. Result is nil exactly when
@@ -284,8 +259,7 @@ func RunFleetSweep(cfg FleetSweepConfig) (*FleetSweepResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.Progress.Phase("fleet: generate workload")
-	trace, epoch, err := sweepTrace(cfg.Workload, cfg.Intensity, cfg.Scale, cfg.EpochSeconds, cfg.EpochsPerTrace)
+	trace, epoch, err := cfg.trace()
 	if err != nil {
 		return nil, err
 	}

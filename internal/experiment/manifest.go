@@ -10,7 +10,7 @@ import (
 
 // SweepManifestConfig is the digested configuration block of one sweep
 // condition's manifest. It carries exactly the parameters that determine the
-// sweep's results — execution knobs (Parallelism, Progress) and the
+// sweep's results — execution knobs (Parallelism, Track) and the
 // non-serializable Press override are deliberately excluded, the latter
 // surfaced as a marker instead so a custom-model run never shares a digest
 // with a default-model run.

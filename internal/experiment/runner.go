@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/des"
@@ -36,14 +35,9 @@ type Exec struct {
 	// RetryBaseDelay is the first retry's backoff; each further retry
 	// doubles it. Zero means 500ms.
 	RetryBaseDelay time.Duration
-	// Progress, when non-nil, receives structured phase and per-cell
-	// completion lines while the sweep runs. It is rate-limited and
-	// goroutine-safe, so a large sweep logs a steady trickle rather than a
-	// burst per cell.
-	Progress *telemetry.Progress
 	// Track, when non-nil, receives the sweep's live per-cell state for the
-	// ops plane (pending/running/done/failed/retried, live counters,
-	// watchdog positions, ETA). Build it with
+	// ops plane and the -progress log line (pending/running/done/failed/
+	// retried, live counters, watchdog positions, ETA). Build it with
 	// telemetry.NewSweepTracker(cfg.CellKeys(), ...). Results are
 	// bit-identical with or without it.
 	Track *telemetry.SweepTracker
@@ -125,7 +119,7 @@ type Finished interface {
 type sweepCell interface {
 	// Key is the cell's ops-plane and manifest identity.
 	Key() string
-	// desc names the cell's coordinates in progress and error lines.
+	// desc names the cell's coordinates in error lines.
 	desc() string
 	// cost reports the simulated seconds and fired events of the cell's
 	// result; only called once the cell has one.
@@ -156,8 +150,7 @@ var testCellHook func(key string)
 // grid is one sweep's cells and the function that runs one attempt of one.
 type grid[C any, P cellPtr[C]] struct {
 	x *Exec
-	// kind prefixes progress lines and the failure summary: "sweep" or
-	// "fleet".
+	// kind prefixes the failure summary: "sweep" or "fleet".
 	kind string
 	// seed keys the retry backoff jitter.
 	seed  int64
@@ -165,7 +158,6 @@ type grid[C any, P cellPtr[C]] struct {
 	// attempt runs cell c once under the given observers and stores its
 	// result in c — nil with an error when the attempt fails.
 	attempt func(c P, rec *telemetry.Recorder, watch *des.Watch) error
-	done    atomic.Int64
 }
 
 // runGrid runs every cell of a sweep grid in place and returns an error
@@ -179,13 +171,11 @@ type grid[C any, P cellPtr[C]] struct {
 // Exactly min(Parallelism, len(cells)) workers drain a job channel. Each
 // worker owns one cell end to end — attempt constructs the cell's engine,
 // RNG, and telemetry fresh per try — so concurrent cells share only the
-// read-only config and trace plus the mutex/seqlock-mediated progress and
-// tracker handles. Each result lands in the cell's own grid slot, so the
-// grid, and every manifest rendered from it, is identical for every worker
-// count; only the interleaving of progress lines varies.
+// read-only config and trace plus the mutex/seqlock-mediated tracker
+// handles. Each result lands in the cell's own grid slot, so the grid, and
+// every manifest rendered from it, is identical for every worker count.
 func runGrid[C any, P cellPtr[C]](x *Exec, kind string, seed int64, cells []C, attempt func(c P, rec *telemetry.Recorder, watch *des.Watch) error) error {
 	g := &grid[C, P]{x: x, kind: kind, seed: seed, cells: cells, attempt: attempt}
-	x.Progress.Phase(fmt.Sprintf("%s: run %d cells", kind, len(cells)))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < min(x.Parallelism, len(cells)); w++ {
@@ -228,7 +218,6 @@ func (g *grid[C, P]) runCell(i int) {
 		out.Attempts = attempt
 		if attempt > 1 {
 			time.Sleep(retryDelay(x.RetryBaseDelay, g.seed, i, attempt))
-			x.Progress.Stepf("%s: retrying %s (attempt %d/%d)", g.kind, c.desc(), attempt, x.CellAttempts)
 		}
 		// Fresh per-attempt ops handles (nil when no tracker): the cell
 		// publishes its live position through them, and the /progress and
@@ -255,8 +244,6 @@ func (g *grid[C, P]) runCell(i int) {
 			out.Status = CellRetried
 		}
 		x.Track.CellDone(key, perf.WallSeconds, events)
-		x.Progress.Stepf("%s: cell %d/%d done (%s, %d events)",
-			g.kind, g.done.Add(1), len(g.cells), c.desc(), events)
 		return
 	}
 	out.Status = CellFailed
@@ -265,8 +252,6 @@ func (g *grid[C, P]) runCell(i int) {
 		out.Stall = serr
 	}
 	x.Track.CellFailed(key, lastErr, lastWall)
-	x.Progress.Stepf("%s: cell %d/%d FAILED (%s, %d attempts)",
-		g.kind, g.done.Add(1), len(g.cells), c.desc(), out.Attempts)
 }
 
 // try runs one attempt of cell c. A panic anywhere in the cell — the
@@ -305,29 +290,76 @@ func retryDelay(base time.Duration, seed int64, cell, attempt int) time.Duration
 	return time.Duration(float64(d) * (0.5 + faults.Jitter01(seed, uint64(cell), uint64(attempt))))
 }
 
-// sweepTrace generates the trace a sweep replays through every cell — wl at
-// intensity and scale, with the popularity phases shortened by the same
-// scale so churn-driven behaviour is scale-invariant — and the policy
-// epoch: epochSeconds, or the trace duration over epochsPerTrace when zero.
-func sweepTrace(wl workload.GenConfig, intensity, scale, epochSeconds float64, epochsPerTrace int) (*workload.Trace, float64, error) {
+// TraceSpec is the synthetic trace a sweep replays through every cell and
+// the policy epoch the cells run at. SweepConfig, FleetSweepConfig and
+// AblationConfig embed it.
+type TraceSpec struct {
+	// Workload is the base generator configuration.
+	Workload workload.GenConfig
+	// Scale shrinks the trace (request count) by this factor in (0,1] to
+	// trade fidelity for runtime. 1 replays the full paper-scale day; zero
+	// means 0.05.
+	Scale float64
+	// Intensity multiplies the arrival rate; the paper's heavy-workload
+	// condition is the same trace at a higher intensity. Zero means 1.
+	Intensity float64
+	// EpochSeconds is the policy epoch; zero derives it from the trace
+	// duration so that EpochsPerTrace epochs fire regardless of Scale.
+	EpochSeconds float64
+	// EpochsPerTrace is used when EpochSeconds is zero; zero means 24.
+	EpochsPerTrace int
+}
+
+func (t *TraceSpec) setDefaults() {
+	if t.Workload.NumFiles == 0 {
+		t.Workload = workload.DefaultGenConfig()
+	}
+	if t.Scale == 0 {
+		t.Scale = 0.05
+	}
+	if t.Intensity == 0 {
+		t.Intensity = 1
+	}
+	if t.EpochsPerTrace <= 0 {
+		t.EpochsPerTrace = 24
+	}
+}
+
+func (t *TraceSpec) validate() error {
+	if t.Scale <= 0 || t.Scale > 1 {
+		return fmt.Errorf("experiment: scale %v outside (0,1]", t.Scale)
+	}
+	if t.Intensity <= 0 {
+		return fmt.Errorf("experiment: intensity %v must be positive", t.Intensity)
+	}
+	return t.Workload.Validate()
+}
+
+// trace generates the trace — Workload at Intensity and Scale, with the
+// popularity phases shortened by the same scale so churn-driven behaviour
+// is scale-invariant — and the policy epoch: EpochSeconds, or the trace
+// duration over EpochsPerTrace when zero.
+func (t *TraceSpec) trace() (*workload.Trace, float64, error) {
+	wl := t.Workload
 	var err error
-	if intensity != 1 {
-		if wl, err = wl.WithIntensity(intensity); err != nil {
+	if t.Intensity != 1 {
+		if wl, err = wl.WithIntensity(t.Intensity); err != nil {
 			return nil, 0, err
 		}
 	}
-	if scale != 1 {
-		if wl, err = wl.Scaled(scale); err != nil {
+	if t.Scale != 1 {
+		if wl, err = wl.Scaled(t.Scale); err != nil {
 			return nil, 0, err
 		}
-		wl.PhaseSeconds *= scale
+		wl.PhaseSeconds *= t.Scale
 	}
 	trace, err := workload.Generate(wl)
 	if err != nil {
 		return nil, 0, err
 	}
+	epochSeconds := t.EpochSeconds
 	if epochSeconds == 0 {
-		epochSeconds = float64(wl.NumRequests) * wl.MeanInterarrival / float64(epochsPerTrace)
+		epochSeconds = float64(wl.NumRequests) * wl.MeanInterarrival / float64(t.EpochsPerTrace)
 	}
 	return trace, epochSeconds, nil
 }

@@ -240,8 +240,9 @@ func TestSweepRetriesTransientFailure(t *testing.T) {
 }
 
 // A tracked sweep and an untracked sweep of the same config remain
-// bit-identical — the ops plane never perturbs results — and the tracker
-// sees every cell through to done.
+// bit-identical — neither the ops plane nor the -progress ticker, both of
+// which read the tracker from another goroutine while the sweep runs,
+// perturbs results — and the tracker sees every cell through to done.
 func TestSweepTrackerOnOffResultsIdentical(t *testing.T) {
 	for _, tc := range gridCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -250,7 +251,25 @@ func TestSweepTrackerOnOffResultsIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			track := telemetry.NewSweepTracker(tc.keys, 2)
+			started, stop, stopped := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(stopped)
+				for first := true; ; first = false {
+					track.Snapshot()
+					if first {
+						close(started)
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+			<-started
 			tracked, err := tc.run(Exec{Track: track})
+			close(stop)
+			<-stopped
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,8 +11,8 @@
 //     hung event chain is visible to an operator before the process dies.
 //
 // The server only ever *reads* the simulation through lock-free snapshot
-// APIs (telemetry.Live, des.Watch — seqlocks with the simulation as sole
-// writer) and the mutex-based telemetry.SweepTracker (touched at cell
+// APIs (telemetry.Live, des.Watch — seqlocks with the simulation, or a
+// fleet's router, as sole writer) and the mutex-based telemetry.SweepTracker (touched at cell
 // granularity only). It never feeds anything back, so ops-on runs are
 // bit-identical to ops-off runs; with no server attached the simulation's
 // hot path pays one nil check and zero allocations.
@@ -42,16 +42,14 @@ type Options struct {
 	// Tool and Run identify the process in /metrics (sim_info) and /progress.
 	Tool string
 	Run  string
-	// Live is the single-run live view (arraysim); nil when only a sweep
-	// tracker is attached.
+	// Live is the single run's live view: an array run (arraysim) or a
+	// fleet, whose view carries health rows (fleetsim). Nil when only a
+	// sweep tracker is attached.
 	Live *telemetry.Live
 	// Watch is the single-run engine watch backing /healthz.
 	Watch *des.Watch
 	// Sweep is the sweep tracker (experiments); nil for single runs.
 	Sweep *telemetry.SweepTracker
-	// Fleet is the fleet live view (fleetsim): router counters and
-	// per-array health rows; nil for single-array runs and sweeps.
-	Fleet *telemetry.FleetLive
 	// Log receives server lifecycle lines; nil is silent.
 	Log *telemetry.Logger
 	// StaleAfter is how long the event counters may sit still (while not
@@ -124,37 +122,16 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// SetSweep swaps the sweep tracker the server reports — experiments runs
-// several sweeps sequentially through one server.
-func (s *Server) SetSweep(tr *telemetry.SweepTracker) {
+// SetView swaps the views the server reports: a single run's live view and
+// watch, or a sweep's tracker — experiments runs several sweeps
+// sequentially through one server.
+func (s *Server) SetView(name string, live *telemetry.Live, watch *des.Watch, sweep *telemetry.SweepTracker) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.opts.Sweep = tr
-}
-
-// SetRun swaps the single-run live view and watch.
-func (s *Server) SetRun(name string, live *telemetry.Live, watch *des.Watch) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.opts.Run = name
-	s.opts.Live = live
-	s.opts.Watch = watch
-}
-
-// SetFleet swaps the fleet live view the server reports.
-func (s *Server) SetFleet(f *telemetry.FleetLive) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.opts.Fleet = f
+	s.opts.Run, s.opts.Live, s.opts.Watch, s.opts.Sweep = name, live, watch, sweep
 }
 
 // MarkDone flags the workload finished: /healthz keeps answering 200 with
@@ -300,64 +277,29 @@ func (s *Server) health(opts Options) (int, healthReport) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	opts := s.snapshotOpts()
 	code, rep := s.health(opts)
+	writeJSON(w, code, rep)
+}
+
+// writeJSON writes v as an indented JSON body with status code.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(rep)
+	_ = enc.Encode(v)
 }
 
-// progressReport is the /progress JSON body and the SSE event payload.
+// progressReport is the /progress JSON body and the SSE event payload. A
+// single run shows its live view as "live", or as "fleet" when the view
+// carries health rows.
 type progressReport struct {
 	Tool           string                   `json:"tool,omitempty"`
 	Run            string                   `json:"run,omitempty"`
 	Status         string                   `json:"status"` // running | done
 	ElapsedSeconds float64                  `json:"elapsed_seconds"`
-	Live           *liveReport              `json:"live,omitempty"`
+	Live           *telemetry.LiveSnapshot  `json:"live,omitempty"`
 	Sweep          *telemetry.SweepSnapshot `json:"sweep,omitempty"`
-	Fleet          *fleetReport             `json:"fleet,omitempty"`
-}
-
-// fleetReport mirrors telemetry.FleetSnapshot with JSON names.
-type fleetReport struct {
-	SimSeconds float64            `json:"sim_seconds"`
-	Requests   uint64             `json:"requests"`
-	Served     uint64             `json:"served"`
-	Retries    uint64             `json:"retries"`
-	Hedges     uint64             `json:"hedges"`
-	HedgeWins  uint64             `json:"hedge_wins"`
-	Failovers  uint64             `json:"failovers"`
-	Timeouts   uint64             `json:"timeouts"`
-	Deferred   uint64             `json:"deferred"`
-	Shed       uint64             `json:"shed"`
-	Failed     uint64             `json:"failed"`
-	Shocks     uint64             `json:"shocks"`
-	PerArray   []fleetArrayReport `json:"per_array"`
-}
-
-// fleetArrayReport is one array's row in a fleetReport.
-type fleetArrayReport struct {
-	Array       int     `json:"array"`
-	Health      string  `json:"health"`
-	Backlog     uint64  `json:"backlog"`
-	FailedDisks uint64  `json:"failed_disks"`
-	Rebuilding  bool    `json:"rebuilding,omitempty"`
-	WorstAFRPct float64 `json:"worst_afr_pct"`
-}
-
-// liveReport mirrors telemetry.LiveSnapshot with JSON names.
-type liveReport struct {
-	SimSeconds  float64 `json:"sim_seconds"`
-	Events      uint64  `json:"events"`
-	Requests    uint64  `json:"requests"`
-	Arrivals    uint64  `json:"arrivals"`
-	EnergyJ     float64 `json:"energy_j"`
-	WorstAFRPct float64 `json:"worst_afr_pct"`
-	QueueDepth  uint64  `json:"queue_depth"`
-	DisksHigh   uint64  `json:"disks_high"`
-	DisksLow    uint64  `json:"disks_low"`
-	Epoch       uint64  `json:"epoch"`
-	EventsPerS  float64 `json:"events_per_second"`
+	Fleet          *telemetry.FleetView     `json:"fleet,omitempty"`
 }
 
 func (s *Server) progress(opts Options) progressReport {
@@ -373,54 +315,16 @@ func (s *Server) progress(opts Options) progressReport {
 	}
 	if opts.Live != nil {
 		ls := opts.Live.Snapshot()
-		lr := &liveReport{
-			SimSeconds:  ls.SimSeconds,
-			Events:      ls.Events,
-			Requests:    ls.Requests,
-			Arrivals:    ls.Arrivals,
-			EnergyJ:     ls.EnergyJ,
-			WorstAFRPct: ls.WorstAFRPct,
-			QueueDepth:  ls.QueueDepth,
-			DisksHigh:   ls.DisksHigh,
-			DisksLow:    ls.DisksLow,
-			Epoch:       ls.Epoch,
+		if rep.Fleet = ls.Fleet; rep.Fleet == nil {
+			if rep.ElapsedSeconds > 0 {
+				ls.EventsPerSecond = float64(ls.Events) / rep.ElapsedSeconds
+			}
+			rep.Live = &ls
 		}
-		if rep.ElapsedSeconds > 0 {
-			lr.EventsPerS = float64(ls.Events) / rep.ElapsedSeconds
-		}
-		rep.Live = lr
 	}
 	if opts.Sweep != nil {
 		snap := opts.Sweep.Snapshot()
 		rep.Sweep = &snap
-	}
-	if opts.Fleet != nil {
-		fs := opts.Fleet.Snapshot()
-		fr := &fleetReport{
-			SimSeconds: fs.SimSeconds,
-			Requests:   fs.Requests,
-			Served:     fs.Served,
-			Retries:    fs.Retries,
-			Hedges:     fs.Hedges,
-			HedgeWins:  fs.HedgeWins,
-			Failovers:  fs.Failovers,
-			Timeouts:   fs.Timeouts,
-			Deferred:   fs.Deferred,
-			Shed:       fs.Shed,
-			Failed:     fs.Failed,
-			Shocks:     fs.Shocks,
-		}
-		for i, a := range fs.PerArray {
-			fr.PerArray = append(fr.PerArray, fleetArrayReport{
-				Array:       i,
-				Health:      a.Health,
-				Backlog:     a.Backlog,
-				FailedDisks: a.FailedDisks,
-				Rebuilding:  a.Rebuilding,
-				WorstAFRPct: a.WorstAFRPct,
-			})
-		}
-		rep.Fleet = fr
 	}
 	return rep
 }
@@ -435,10 +339,7 @@ func wantsSSE(r *http.Request) bool {
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	opts := s.snapshotOpts()
 	if !wantsSSE(r) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.progress(opts))
+		writeJSON(w, http.StatusOK, s.progress(opts))
 		return
 	}
 	fl, ok := w.(http.Flusher)

@@ -39,7 +39,7 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 }
 
 func TestServerServesAllEndpoints(t *testing.T) {
-	live := telemetry.NewLive()
+	live := telemetry.NewLive(0)
 	live.Tick(10, 1000, 300, 301)
 	eng := des.New()
 	watch := des.NewWatch()
@@ -146,7 +146,7 @@ func TestHealthzReportsSweepCellStall(t *testing.T) {
 }
 
 func TestHealthzDetectsWallClockStuckness(t *testing.T) {
-	live := telemetry.NewLive()
+	live := telemetry.NewLive(0)
 	watch := des.NewWatch()
 	s := startTestServer(t, Options{Tool: "arraysim", Live: live, Watch: watch, StaleAfter: 30 * time.Second})
 	// First probe arms the staleness clock at "now".
@@ -236,13 +236,43 @@ func TestServerSetSweepSwapsTracker(t *testing.T) {
 	tr1 := telemetry.NewSweepTracker([]string{"a"}, 1)
 	s := startTestServer(t, Options{Tool: "experiments", Sweep: tr1})
 	tr2 := telemetry.NewSweepTracker([]string{"x", "y", "z"}, 1)
-	s.SetSweep(tr2)
+	s.SetView("fig7-heavy", nil, nil, tr2)
 	_, body, _ := get(t, "http://"+s.Addr()+"/progress")
 	var rep progressReport
 	if err := json.Unmarshal([]byte(body), &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Sweep == nil || rep.Sweep.Total != 3 {
-		t.Fatalf("SetSweep not visible: %s", body)
+		t.Fatalf("SetView not visible: %s", body)
+	}
+}
+
+// A fleet's live view shows on /progress as the "fleet" block — router
+// counters and one row per array — and not as an array run's "live" block.
+func TestProgressShowsFleetView(t *testing.T) {
+	live := telemetry.NewLive(2)
+	live.TickRouter(5, 50, 9, 10, telemetry.RouterCounters{Retries: 1})
+	live.PublishArray(1, telemetry.ArrayEjected, 0, 2, false, 3)
+	s := startTestServer(t, Options{Tool: "fleetsim", Live: live})
+	_, body, _ := get(t, "http://"+s.Addr()+"/progress")
+	var rep struct {
+		Live  map[string]any `json:"live"`
+		Fleet map[string]any `json:"fleet"`
+	}
+	if err := json.Unmarshal([]byte(body), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Live != nil || rep.Fleet == nil {
+		t.Fatalf("fleet /progress blocks wrong: %s", body)
+	}
+	for _, k := range []string{"sim_seconds", "requests", "served", "retries", "hedges", "hedge_wins",
+		"failovers", "timeouts", "deferred", "shed", "failed", "shocks", "per_array"} {
+		if _, ok := rep.Fleet[k]; !ok {
+			t.Errorf("fleet block lacks %q: %s", k, body)
+		}
+	}
+	rows, _ := rep.Fleet["per_array"].([]any)
+	if len(rows) != 2 || rows[1].(map[string]any)["health"] != telemetry.ArrayEjected {
+		t.Fatalf("per_array rows wrong: %s", body)
 	}
 }

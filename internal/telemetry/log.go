@@ -33,9 +33,9 @@ func LevelFromFlags(quiet, verbose bool) LogLevel {
 	}
 }
 
-// Logger is the leveled logger shared by all commands and by Progress. One
-// mutex serializes every line, so rate-limited progress output and ops-plane
-// lines never interleave mid-line. Lines render as "name: message", matching
+// Logger is the leveled logger shared by all commands. One mutex serializes
+// every line, so progress output and ops-plane lines never interleave
+// mid-line. Lines render as "name: message", matching
 // the historical log.SetPrefix style; debug lines as "name: debug: message".
 //
 // A nil *Logger is a valid no-op sink for Infof/Debugf; Errorf and Fatalf

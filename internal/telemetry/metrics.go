@@ -1,11 +1,12 @@
 // Package telemetry is the simulator's observability layer: a lightweight
 // metrics registry (counters, gauges, fixed-bucket histograms), per-disk
 // time-series export (NDJSON and CSV), a Chrome trace_event writer for the
-// DES event stream, and structured progress logging.
+// DES event stream, the policy decision log, and the lock-free live views
+// the ops plane and the -progress log line read.
 //
 // The package is built around one invariant: instrumentation must cost
 // nothing when it is off. Every handle type (*Counter, *Gauge, *Histogram,
-// *Recorder, *Progress) treats the nil pointer as a fully valid no-op sink —
+// *Recorder, *Live) treats the nil pointer as a fully valid no-op sink —
 // a hot path updates its pre-bound handles unconditionally and pays exactly
 // one nil check and zero allocations per update when telemetry is disabled.
 // Telemetry is also observationally pure: it only reads simulation state

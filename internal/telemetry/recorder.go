@@ -28,22 +28,22 @@ type Config struct {
 }
 
 // Recorder bundles the telemetry sinks one simulation writes to: a metrics
-// registry, the per-disk time series, an optional DES event tracer, and an
-// optional progress logger. A nil *Recorder disables everything; the zero
-// value is a valid in-memory-only recorder (set Metrics/Progress as needed).
+// registry, the per-disk time series, an optional DES event tracer, an
+// optional decision log, and an optional live view. A nil *Recorder
+// disables everything; the zero value is a valid in-memory-only recorder
+// (set Metrics/Decisions/Live as needed).
 type Recorder struct {
 	// Metrics is the run's metrics registry; nil disables metric recording
 	// (handles bound from a nil registry are no-op sinks).
 	Metrics *Registry
-	// Progress, when non-nil, receives phase/progress/done lines.
-	Progress *Progress
 	// Decisions, when non-nil, receives one record per policy decision;
 	// Close writes it to decisions.ndjson when the recorder has a
 	// directory.
 	Decisions *DecisionLog
-	// Live, when non-nil, receives the lock-free ops-plane snapshot the
-	// simulation publishes for /metrics and /progress. Nil (the default)
-	// keeps the hot path at one nil check and zero allocations.
+	// Live, when non-nil, receives the lock-free snapshot the simulation
+	// (or a fleet's router) publishes for /metrics, /progress and the
+	// -progress log line. Nil (the default) keeps the hot path at one nil
+	// check and zero allocations.
 	Live *Live
 
 	series *SeriesWriter

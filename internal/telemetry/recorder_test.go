@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestSeriesWriterFormats(t *testing.T) {
@@ -183,47 +182,6 @@ func TestChromeTracerNilAndClosed(t *testing.T) {
 		t.Fatal("tracer wrote after Close")
 	}
 	parseTrace(t, buf.Bytes())
-}
-
-func TestProgressLogging(t *testing.T) {
-	var buf bytes.Buffer
-	p := NewProgress(NewLogger("test", &buf, LogInfo), time.Hour)
-	p.Phase("simulate")
-	p.Tick(10, 100) // first tick: admitted immediately
-	p.Tick(20, 200) // inside the rate window: suppressed
-	p.Stepf("cell %d", 1)
-	p.Done("simulate", 30, 300)
-	out := buf.String()
-	if !strings.Contains(out, "phase simulate") {
-		t.Fatalf("missing phase line: %q", out)
-	}
-	if !strings.Contains(out, "progress sim=10.0s events=100") {
-		t.Fatalf("first tick suppressed: %q", out)
-	}
-	if strings.Contains(out, "sim=20.0s") || strings.Contains(out, "cell 1") {
-		t.Fatalf("rate-limited lines leaked through: %q", out)
-	}
-	if !strings.Contains(out, "done simulate sim=30.0s events=300") {
-		t.Fatalf("missing done line: %q", out)
-	}
-}
-
-func TestProgressRateLimitAdmitsAfterInterval(t *testing.T) {
-	var buf bytes.Buffer
-	p := NewProgress(NewLogger("test", &buf, LogInfo), time.Nanosecond)
-	time.Sleep(10 * time.Microsecond)
-	p.Tick(1, 1)
-	if !strings.Contains(buf.String(), "progress sim=1.0s events=1") {
-		t.Fatalf("tick after interval suppressed: %q", buf.String())
-	}
-}
-
-func TestNilProgressIsNoOp(t *testing.T) {
-	var p *Progress
-	p.Phase("x")
-	p.Tick(1, 1)
-	p.Stepf("y")
-	p.Done("x", 1, 1)
 }
 
 func TestRecorderLifecycle(t *testing.T) {

@@ -4,6 +4,7 @@ package telemetry
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"time"
 
@@ -108,10 +109,10 @@ func (t *SweepTracker) SetClock(now func() time.Time) {
 
 // NewSweepTracker returns a tracker with every cell pending, in the given
 // (deterministic) order. parallelism is the sweep's worker-lane count, used
-// by the ETA; values < 1 mean 1.
+// by the ETA; values < 1 mean one lane per CPU, as for Exec.Parallelism.
 func NewSweepTracker(cells []string, parallelism int) *SweepTracker {
 	if parallelism < 1 {
-		parallelism = 1
+		parallelism = runtime.NumCPU()
 	}
 	t := &SweepTracker{
 		now:         time.Now,
@@ -139,7 +140,7 @@ func (t *SweepTracker) StartCell(key string) (*Live, *des.Watch) {
 	c.state = CellStateRunning
 	c.attempts++
 	c.startedAt = t.now()
-	c.live = NewLive()
+	c.live = NewLive(0)
 	c.watch = des.NewWatch()
 	return c.live, c.watch
 }
