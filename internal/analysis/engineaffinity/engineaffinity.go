@@ -50,25 +50,6 @@ var affineTelemetry = map[string]bool{
 	"Recorder":    true,
 }
 
-// mediated are the types designed for cross-goroutine access, by package
-// suffix and type name.
-var mediated = map[string]map[string]bool{
-	"des": {"Watch": true},
-	"telemetry": {
-		"Live":         true,
-		"SweepTracker": true,
-		"Logger":       true,
-	},
-}
-
-func pkgIs(pkg *types.Package, name string) bool {
-	if pkg == nil {
-		return false
-	}
-	p := pkg.Path()
-	return p == name || strings.HasSuffix(p, "/"+name)
-}
-
 // classify returns the affinity class of a receiver type: "affine" for
 // single-goroutine simulation state, "mediated" for the sanctioned
 // cross-goroutine views, "" for everything else.
@@ -85,17 +66,14 @@ func classify(t types.Type) (class string, display string) {
 		return "", ""
 	}
 	name := obj.Name()
-	for suffix, names := range mediated {
-		if pkgIs(obj.Pkg(), suffix) && names[name] {
-			return "mediated", name
-		}
-	}
 	switch {
-	case pkgIs(obj.Pkg(), "des") && name == "Engine":
+	case framework.Mediated(obj):
+		return "mediated", name
+	case framework.PkgIs(obj.Pkg(), "des") && name == "Engine":
 		return "affine", "des.Engine"
-	case pkgIs(obj.Pkg(), "telemetry") && affineTelemetry[name]:
+	case framework.PkgIs(obj.Pkg(), "telemetry") && affineTelemetry[name]:
 		return "affine", "telemetry." + name
-	case pkgIs(obj.Pkg(), "policy"):
+	case framework.PkgIs(obj.Pkg(), "policy"):
 		return "affine", "policy." + name
 	}
 	return "", ""
@@ -148,33 +126,11 @@ func run(pass *framework.Pass) error {
 	ex := buildExemptions(pass)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			if lit := goroutineLit(n); lit != nil {
+			if lit := framework.GoroutineLit(n); lit != nil {
 				checkLit(pass, ex, lit)
 			}
 			return true
 		})
-	}
-	return nil
-}
-
-// goroutineLit mirrors sharedcapture's launch detection: `go func(){...}()`
-// and worker-pool Go/Submit calls with a function-literal argument.
-func goroutineLit(n ast.Node) *ast.FuncLit {
-	switch x := n.(type) {
-	case *ast.GoStmt:
-		if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
-			return lit
-		}
-	case *ast.CallExpr:
-		sel, ok := x.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Go" && sel.Sel.Name != "Submit") {
-			return nil
-		}
-		for _, arg := range x.Args {
-			if lit, ok := arg.(*ast.FuncLit); ok {
-				return lit
-			}
-		}
 	}
 	return nil
 }
@@ -199,7 +155,7 @@ func checkLit(pass *framework.Pass, ex exemptions, lit *ast.FuncLit) {
 		if class != "affine" {
 			return true
 		}
-		root := rootIdent(sel)
+		root := framework.RootIdent(sel)
 		if root == nil {
 			return true
 		}
@@ -217,18 +173,4 @@ func checkLit(pass *framework.Pass, ex exemptions, lit *ast.FuncLit) {
 		pass.Reportf(call.Pos(), "cross-goroutine call to (%s).%s on captured %s; the receiver is goroutine-affine — read through des.Watch/telemetry.Live instead, or annotate //simlint:affinity-exempt -- <reason>", display, sel.Sel.Name, root.Name)
 		return true
 	})
-}
-
-// rootIdent returns the leftmost identifier of a selector chain.
-func rootIdent(sel *ast.SelectorExpr) *ast.Ident {
-	for {
-		switch x := sel.X.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			sel = x
-		default:
-			return nil
-		}
-	}
 }

@@ -22,8 +22,8 @@
 //     the jobs channel, stays legal).
 //
 // Captures of mediated constructs are always fine: channels, sync.* and
-// sync/atomic.* types, des.Watch, and the telemetry types that are
-// documented as cross-goroutine safe (Live, SweepTracker, Logger).
+// sync/atomic.* types, and the types framework.Mediated lists (des.Watch
+// and the telemetry types documented as cross-goroutine safe).
 // Everything else needs a `//simlint:allow sharedcapture -- reason` at the
 // capture site.
 package sharedcapture
@@ -32,7 +32,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis/framework"
 )
@@ -51,24 +50,6 @@ var sharedPtrTypes = map[string]bool{
 	"Registry":    true, // telemetry.Registry
 	"Recorder":    true, // telemetry.Recorder
 	"DecisionLog": true, // telemetry.DecisionLog
-}
-
-// mediatedTelemetry are the telemetry types documented as safe to share
-// across goroutines (seqlock- or mutex-mediated).
-var mediatedTelemetry = map[string]bool{
-	"Live":         true,
-	"SweepTracker": true,
-	"Logger":       true,
-}
-
-// pkgIs reports whether pkg's import path is name or ends in "/name", so the
-// check works for both the real module layout and fixture packages.
-func pkgIs(pkg *types.Package, name string) bool {
-	if pkg == nil {
-		return false
-	}
-	p := pkg.Path()
-	return p == name || strings.HasSuffix(p, "/"+name)
 }
 
 // namedOf unwraps t to its named type, looking through one pointer.
@@ -100,9 +81,7 @@ func allowlisted(t types.Type) bool {
 		return false
 	case obj.Pkg().Path() == "sync" || obj.Pkg().Path() == "sync/atomic":
 		return true
-	case pkgIs(obj.Pkg(), "telemetry") && mediatedTelemetry[obj.Name()]:
-		return true
-	case pkgIs(obj.Pkg(), "des") && obj.Name() == "Watch":
+	case framework.Mediated(obj):
 		return true
 	}
 	return false
@@ -123,7 +102,7 @@ func sharedPointer(t types.Type) (string, bool) {
 	if !sharedPtrTypes[obj.Name()] {
 		return "", false
 	}
-	if pkgIs(obj.Pkg(), "des") || pkgIs(obj.Pkg(), "telemetry") {
+	if framework.PkgIs(obj.Pkg(), "des") || framework.PkgIs(obj.Pkg(), "telemetry") {
 		return types.TypeString(t, nil), true
 	}
 	return "", false
@@ -139,35 +118,12 @@ func run(pass *framework.Pass) error {
 				return true
 			}
 			stack = append(stack, n)
-			if lit := goroutineLit(n); lit != nil {
+			if lit := framework.GoroutineLit(n); lit != nil {
 				checkLit(pass, lit, stack)
 			}
 			return true
 		}
 		ast.Inspect(file, func(n ast.Node) bool { return walk(n) })
-	}
-	return nil
-}
-
-// goroutineLit returns the function literal launched by n when n is a `go`
-// statement or a worker-pool submission (a call to a method named Go or
-// Submit with a function-literal argument); nil otherwise.
-func goroutineLit(n ast.Node) *ast.FuncLit {
-	switch x := n.(type) {
-	case *ast.GoStmt:
-		if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
-			return lit
-		}
-	case *ast.CallExpr:
-		sel, ok := x.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Go" && sel.Sel.Name != "Submit") {
-			return nil
-		}
-		for _, arg := range x.Args {
-			if lit, ok := arg.(*ast.FuncLit); ok {
-				return lit
-			}
-		}
 	}
 	return nil
 }
@@ -243,7 +199,7 @@ func checkWrite(pass *framework.Pass, lit *ast.FuncLit, lhs ast.Expr, captured f
 			pass.Reportf(x.Pos(), "goroutine writes to captured variable %s; the write races with the spawning goroutine — move the variable into the goroutine or guard it with an allowlisted sync construct", x.Name)
 		}
 	case *ast.SelectorExpr:
-		if root := rootIdent(x); root != nil {
+		if root := framework.RootIdent(x); root != nil {
 			if obj := pass.TypesInfo.Uses[root]; obj != nil && captured(obj) && !allowlisted(obj.Type()) {
 				pass.Reportf(x.Pos(), "goroutine writes through captured variable %s; the write races with the spawning goroutine — move the state into the goroutine or guard it with an allowlisted sync construct", root.Name)
 			}
@@ -290,20 +246,6 @@ func indexOwnedBy(pass *framework.Pass, lit *ast.FuncLit, index ast.Expr) bool {
 		return true
 	})
 	return owned
-}
-
-// rootIdent returns the leftmost identifier of a selector chain (a.b.c → a).
-func rootIdent(sel *ast.SelectorExpr) *ast.Ident {
-	for {
-		switch x := sel.X.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			sel = x
-		default:
-			return nil
-		}
-	}
 }
 
 // loopVarAssignedOutside reports whether obj is the iteration variable of an

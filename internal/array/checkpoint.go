@@ -306,7 +306,7 @@ type raidCkptState struct {
 // state carried as Clock/Seq/Fired, writer is the configured policy until
 // its next Context.EnqueueWrite, live is observation-only (re-cached from
 // cfg.Telemetry on restore), failure aborts the run before a checkpoint
-// could be taken, ctx is a stateless singleton rebuilt by newSimOn (it
+// could be taken, ctx is a stateless singleton rebuilt by newSim (it
 // carries only the sim pointer), recs — the pending events' records —
 // travels inside Events and is refilled as restore re-schedules them,
 // freeConts and freeStamps hold only released continuations and stamps that
@@ -947,11 +947,7 @@ func decodeState(cfg *Config, stateJSON []byte) (*simState, error) {
 // resume is Resume up to running the restored simulation: it rebuilds the
 // sim and re-schedules its pending events.
 func resume(cfg Config, stateJSON []byte) (*sim, error) {
-	cfg.setDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateCheckpointSpec(&cfg); err != nil {
+	if err := cfg.prepare(false); err != nil {
 		return nil, err
 	}
 	st, err := decodeState(&cfg, stateJSON)
@@ -985,7 +981,7 @@ func resume(cfg Config, stateJSON []byte) (*sim, error) {
 // several sims sharing one engine. The errors left are the callees' own: a
 // configuration the constructors reject, and the policy's LoadState.
 func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []RestoredEvent, error) {
-	s, err := newSimOn(cfg, eng, host)
+	s, err := newSim(cfg, eng, host)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -24,7 +24,7 @@ func BenchmarkArrayDispatch(b *testing.B) {
 	}
 	cfg := Config{Disks: 4, Trace: trace, Policy: &staticPolicy{}}
 	cfg.setDefaults()
-	s, err := newSim(cfg)
+	s, err := newSim(cfg, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func LegacyState(ctx *Context) ([]byte, error) {
 // ReencodeState parses a checkpoint payload and encodes it again, the
 // file-keyed maps in the wire order of cfg's files.
 func ReencodeState(cfg Config, state []byte) ([]byte, error) {
-	s, err := newSim(cfg)
+	s, err := newSim(cfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}

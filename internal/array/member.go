@@ -8,31 +8,31 @@ package array
 //
 //   - Arrivals come from Member.Submit (called by the router's own arrival
 //     events) instead of evArrival trace replay; each submitted request
-//     carries a contFleet continuation that reports its resolution back
+//     enters the same admission path as a trace request (sim.admit),
+//     carrying a contFleet continuation that reports its resolution back
 //     through the Host interface.
 //   - Liveness questions ("does work remain?") defer to the Host, which sees
 //     the whole fleet: a locally idle member must keep its fault-tick chain
 //     alive while another array's retry may still land here.
 //   - The engine is run by the cluster, exactly once, after every member is
-//     constructed; NewMember therefore performs Run's entire setup but stops
-//     short of RunGuarded.
+//     constructed; NewMember therefore calls the same setup as Run
+//     (sim.start) but stops short of RunGuarded.
 //
 // Determinism note: construction order is the scheduling order. The cluster
 // constructs members in index order, so member i's initial events (idle
 // timers, epoch, sampler, fault tick) occupy lower engine sequence numbers
-// than member i+1's, and a fleet of one reproduces the standalone
-// simulator's event sequence exactly (the firstArrival callback slots the
-// router's arrival chain where Run schedules its first trace arrival).
+// than member i+1's. Because Run and NewMember share sim.start, a fleet of
+// one reproduces the standalone simulator's event sequence by construction:
+// the firstArrival callback slots the router's arrival chain where Run
+// schedules its first trace arrival.
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/des"
 	"repro/internal/diskmodel"
 	"repro/internal/reliability"
-	"repro/internal/thermal"
 )
 
 // Host is the cluster-side surface a fleet member reports into. The router
@@ -66,102 +66,30 @@ func NewMember(cfg Config, eng *des.Engine, host Host, firstArrival func() error
 	if eng == nil || host == nil {
 		return nil, errors.New("array: member needs a shared engine and a host")
 	}
-	cfg.setDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.prepare(true); err != nil {
 		return nil, err
 	}
-	if len(cfg.Trace.Requests) != 0 {
-		return nil, errors.New("array: member trace must have no requests; arrivals come from Submit")
-	}
-	if cfg.Checkpoint != nil {
-		return nil, errors.New("array: member checkpointing is driven by the cluster, not Config.Checkpoint")
-	}
-	s, err := newSimOn(cfg, eng, host)
+	s, err := newSim(cfg, eng, host)
 	if err != nil {
 		return nil, err
 	}
-	for i := range s.disks {
-		s.disks[i].disk = diskmodel.New(i, cfg.DiskParams, diskmodel.High)
-		s.disks[i].temp = thermal.NewTracker(cfg.Thermal, diskmodel.High)
-	}
-
-	ctx := s.ctx
-	if err := cfg.Policy.Init(ctx); err != nil {
-		return nil, fmt.Errorf("array: policy init: %w", err)
-	}
-	ids := make([]int, 0, len(s.files))
-	for id := range s.files {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if _, ok := s.place[id]; !ok {
-			return nil, fmt.Errorf("array: policy %q left file %d unplaced", cfg.Policy.Name(), id)
-		}
-	}
-	// Init-time transitions are free, exactly as in Run.
-	for i, ds := range s.disks {
-		if ds.pending != nil && *ds.pending != ds.disk.Speed() {
-			target := *ds.pending
-			ds.disk = diskmodel.New(i, cfg.DiskParams, target)
-			ds.temp = thermal.NewTracker(cfg.Thermal, target)
-		}
-		ds.pending = nil
-	}
-	for i := range s.disks {
-		s.armIdleTimer(i)
-	}
-	if firstArrival != nil {
-		if err := firstArrival(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.EpochSeconds > 0 {
-		s.schedule(cfg.EpochSeconds, eventRecord{Kind: evEpoch})
-	}
-	s.installSampler()
-	if err := s.installFaults(); err != nil {
+	if err := s.start(firstArrival); err != nil {
 		return nil, err
 	}
 	return &Member{s: s}, nil
 }
 
-// Submit injects one request attempt, mirroring the body of onArrival.
-// arrival is the latency reference point for the member's own response
+// Submit injects one request attempt through the array's own admission
+// path, with a contFleet continuation that reports its resolution to the
+// host. arrival is the latency reference point for the member's own response
 // statistics: the fleet arrival time for first attempts, the retry/hedge
 // issue time for later ones.
-//
-//simlint:hotpath
 func (m *Member) Submit(reqID uint64, attempt, fileID int, arrival float64) {
 	s := m.s
 	if s.failure != nil {
 		return
 	}
-	f, ok := s.files[fileID]
-	if !ok {
-		s.fail(fmt.Errorf("array: request for unknown file %d", fileID)) //simlint:allow hotalloc -- error branch: fails the run once
-		return
-	}
-	s.counts[fileID]++
-	s.met.arrivals.Inc()
-	ctx := s.ctx
-	s.setHook(hookArrival)
-	defer s.endHook()
-
-	done := s.newCont(cont{kind: contFleet, reqID: reqID, attempt: attempt}) //simlint:allow hotalloc -- freelist growth inside the inlined newCont
-	if sp, ok := s.cfg.Policy.(StripePolicy); ok {
-		targets := sp.StripeTargets(ctx, fileID)
-		if len(targets) >= 2 {
-			s.dispatchStripedDone(fileID, f.SizeMB, arrival, targets, done)
-			return
-		}
-	}
-	target := s.cfg.Policy.TargetDisk(ctx, fileID)
-	if target < 0 || target >= len(s.disks) {
-		s.fail(fmt.Errorf("array: policy %q targeted invalid disk %d", s.cfg.Policy.Name(), target)) //simlint:allow hotalloc -- error branch: fails the run once
-		return
-	}
-	s.enqueue(target, op{kind: opUser, fileID: fileID, sizeMB: f.SizeMB, arrival: arrival, done: done})
+	s.admit(fileID, arrival, s.newCont(cont{kind: contFleet, reqID: reqID, attempt: attempt}))
 }
 
 // Err returns the member's sticky failure, if any (queue overload, policy
@@ -293,15 +221,8 @@ type MemberSnapshot struct {
 // DecodeMember parses an AppendCheckpointState payload and checks it against
 // the member configuration cfg, as Resume does; nothing is rebuilt.
 func DecodeMember(cfg Config, stateJSON []byte) (*MemberSnapshot, error) {
-	cfg.setDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.prepare(true); err != nil {
 		return nil, err
-	}
-	if len(cfg.Trace.Requests) != 0 {
-		return nil, errors.New("array: member trace must have no requests; arrivals come from Submit")
-	}
-	if cfg.Checkpoint != nil {
-		return nil, errors.New("array: member checkpointing is driven by the cluster, not Config.Checkpoint")
 	}
 	st, err := decodeState(&cfg, stateJSON)
 	if err != nil {

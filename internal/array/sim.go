@@ -480,23 +480,19 @@ type sim struct {
 	failure error // sticky abort (queue explosion etc.)
 }
 
-// newSim builds the simulation shell shared by Run and Resume: metric
-// bindings, file table, and empty disk scheduler states. Disk contents and
-// the event queue are filled in by the caller (fresh for Run, from a
-// snapshot for Resume).
-func newSim(cfg Config) (*sim, error) {
-	return newSimOn(cfg, nil, nil)
-}
-
-// newSimOn is newSim with an optional shared engine and host for fleet
-// members. When eng is non-nil the sim schedules onto it instead of owning
-// one, and leaves the engine's tracer/watch alone — the cluster that owns
-// the engine installs those exactly once.
 // The response-time histogram spans 1 µs to 10^5 s with 50 buckets a
 // decade; a snapshot's must have the same geometry.
 const respLoExp, respHiExp, respPerDecade = -6, 5, 50
 
-func newSimOn(cfg Config, eng *des.Engine, host Host) (*sim, error) {
+// newSim builds the simulation shell shared by every entry point (Run,
+// Resume, and a fleet member's NewMember and Restore): metric bindings, file
+// table, and empty disk scheduler states. Disk contents and the event queue
+// are filled in by the caller (fresh through start, or from a snapshot).
+// A standalone sim passes a nil eng and host and owns a new engine; a fleet
+// member schedules onto the cluster's shared eng and leaves the engine's
+// tracer/watch alone — the cluster that owns the engine installs those
+// exactly once.
+func newSim(cfg Config, eng *des.Engine, host Host) (*sim, error) {
 	hist, err := stats.NewLatencyHistogram(respLoExp, respHiExp, respPerDecade)
 	if err != nil {
 		return nil, err
@@ -540,27 +536,57 @@ func newSimOn(cfg Config, eng *des.Engine, host Host) (*sim, error) {
 	return s, nil
 }
 
+// prepare sets cfg's defaults and validates it for a standalone run (Run,
+// Resume) or, when member is set, for a fleet member (NewMember,
+// DecodeMember): a member's arrivals come from Submit and its checkpoint
+// cadence from the cluster.
+func (c *Config) prepare(member bool) error {
+	c.setDefaults()
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if !member {
+		return validateCheckpointSpec(c)
+	}
+	if len(c.Trace.Requests) != 0 {
+		return errors.New("array: member trace must have no requests; arrivals come from Submit")
+	}
+	if c.Checkpoint != nil {
+		return errors.New("array: member checkpointing is driven by the cluster, not Config.Checkpoint")
+	}
+	return nil
+}
+
 // Run executes one simulation and returns its result.
 func Run(cfg Config) (*Result, error) {
-	cfg.setDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.prepare(false); err != nil {
 		return nil, err
 	}
-	if err := validateCheckpointSpec(&cfg); err != nil {
-		return nil, err
-	}
-	s, err := newSim(cfg)
+	s, err := newSim(cfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	if err := s.start(s.scheduleFirstArrival); err != nil {
+		return nil, err
+	}
+	s.installCheckpoints()
+	return s.finish()
+}
+
+// start brings a fresh sim to time zero, for Run and NewMember alike. The
+// order of its steps is the engine's scheduling order, which a fleet of one
+// relies on to reproduce the standalone event sequence (DESIGN §15):
+// policy placement and Init-time speeds, idle timers, firstArrival (which
+// slots in the run's arrival chain), the epoch, the sampler, and the fault
+// tick.
+func (s *sim) start(firstArrival func() error) error {
+	cfg := &s.cfg
 	for i := range s.disks {
 		s.disks[i].disk = diskmodel.New(i, cfg.DiskParams, diskmodel.High)
 		s.disks[i].temp = thermal.NewTracker(cfg.Thermal, diskmodel.High)
 	}
-
-	ctx := s.ctx
-	if err := cfg.Policy.Init(ctx); err != nil {
-		return nil, fmt.Errorf("array: policy init: %w", err)
+	if err := cfg.Policy.Init(s.ctx); err != nil {
+		return fmt.Errorf("array: policy init: %w", err)
 	}
 	// Every file must be placed. Check in sorted ID order so the reported
 	// file is the lowest unplaced one, not whichever map iteration found.
@@ -571,7 +597,7 @@ func Run(cfg Config) (*Result, error) {
 	sort.Ints(ids)
 	for _, id := range ids {
 		if _, ok := s.place[id]; !ok {
-			return nil, fmt.Errorf("array: policy %q left file %d unplaced", cfg.Policy.Name(), id)
+			return fmt.Errorf("array: policy %q left file %d unplaced", cfg.Policy.Name(), id)
 		}
 	}
 	// Apply initial speeds instantly: Init-time transitions model the
@@ -585,28 +611,28 @@ func Run(cfg Config) (*Result, error) {
 		}
 		ds.pending = nil
 	}
-
-	// Arm initial idle timers.
 	for i := range s.disks {
 		s.armIdleTimer(i)
 	}
-
-	// Schedule the first arrival and epochs.
-	if len(cfg.Trace.Requests) > 0 {
-		first := cfg.Trace.Requests[0].Arrival
-		if err := s.at(first, eventRecord{Kind: evArrival}); err != nil {
-			return nil, err
+	if firstArrival != nil {
+		if err := firstArrival(); err != nil {
+			return err
 		}
 	}
 	if cfg.EpochSeconds > 0 {
 		s.schedule(cfg.EpochSeconds, eventRecord{Kind: evEpoch})
 	}
 	s.installSampler()
-	if err := s.installFaults(); err != nil {
-		return nil, err
+	return s.installFaults()
+}
+
+// scheduleFirstArrival is Run's first-arrival hook: it starts the replay of
+// the trace.
+func (s *sim) scheduleFirstArrival() error {
+	if len(s.cfg.Trace.Requests) == 0 {
+		return nil
 	}
-	s.installCheckpoints()
-	return s.finish()
+	return s.at(s.cfg.Trace.Requests[0].Arrival, eventRecord{Kind: evArrival})
 }
 
 // finish drives the event loop to completion and collects the result; it is
@@ -631,7 +657,6 @@ func (s *sim) onArrival(e *des.Engine) {
 	}
 	req := s.cfg.Trace.Requests[s.nextReq]
 	s.nextReq++
-	s.met.arrivals.Inc()
 	if s.nextReq < len(s.cfg.Trace.Requests) {
 		next := s.cfg.Trace.Requests[s.nextReq].Arrival
 		if next < e.Now() {
@@ -642,40 +667,47 @@ func (s *sim) onArrival(e *des.Engine) {
 			return
 		}
 	}
+	s.admit(req.FileID, req.Arrival, nil)
+}
 
-	f, ok := s.files[req.FileID]
+// admit injects one user request for fileID, from the trace (onArrival) or
+// from a fleet router (Member.Submit): it counts the access, asks the policy
+// for the target disk or stripe inside the arrival hook bracket, and
+// enqueues the work. arrival is the latency reference point; done is the
+// request's continuation, nil for a standalone request.
+//
+//simlint:hotpath
+func (s *sim) admit(fileID int, arrival float64, done *cont) {
+	f, ok := s.files[fileID]
 	if !ok {
-		s.fail(fmt.Errorf("array: request for unknown file %d", req.FileID))
+		s.fail(fmt.Errorf("array: request for unknown file %d", fileID)) //simlint:allow hotalloc -- error branch: fails the run once
 		return
 	}
-	s.counts[req.FileID]++
+	s.counts[fileID]++
+	s.met.arrivals.Inc()
 	ctx := s.ctx
 	s.setHook(hookArrival)
 	defer s.endHook()
 
 	if sp, ok := s.cfg.Policy.(StripePolicy); ok {
-		targets := sp.StripeTargets(ctx, req.FileID)
+		targets := sp.StripeTargets(ctx, fileID)
 		if len(targets) >= 2 {
-			s.dispatchStriped(req.FileID, f.SizeMB, req.Arrival, targets)
+			s.dispatchStriped(fileID, f.SizeMB, arrival, targets, done)
 			return
 		}
 	}
-	target := s.cfg.Policy.TargetDisk(ctx, req.FileID)
+	target := s.cfg.Policy.TargetDisk(ctx, fileID)
 	if target < 0 || target >= len(s.disks) {
-		s.fail(fmt.Errorf("array: policy %q targeted invalid disk %d", s.cfg.Policy.Name(), target))
+		s.fail(fmt.Errorf("array: policy %q targeted invalid disk %d", s.cfg.Policy.Name(), target)) //simlint:allow hotalloc -- error branch: fails the run once
 		return
 	}
-	s.enqueue(target, op{kind: opUser, fileID: req.FileID, sizeMB: f.SizeMB, arrival: req.Arrival})
+	s.enqueue(target, op{kind: opUser, fileID: fileID, sizeMB: f.SizeMB, arrival: arrival, done: done})
 }
 
 // dispatchStriped fans a request out as equal chunks, one per target disk.
-func (s *sim) dispatchStriped(fileID int, sizeMB, arrival float64, targets []int) {
-	s.dispatchStripedDone(fileID, sizeMB, arrival, targets, nil)
-}
-
-// dispatchStripedDone is dispatchStriped with a fleet continuation attached
-// to the stripe job; done runs once, when the whole request resolves.
-func (s *sim) dispatchStripedDone(fileID int, sizeMB, arrival float64, targets []int, done *cont) {
+// done, when non-nil, is attached to the stripe job and runs once, when the
+// whole request resolves.
+func (s *sim) dispatchStriped(fileID int, sizeMB, arrival float64, targets []int, done *cont) {
 	for _, d := range targets {
 		if d < 0 || d >= len(s.disks) {
 			s.fail(fmt.Errorf("array: policy %q striped file %d to invalid disk %d",

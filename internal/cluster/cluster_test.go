@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -57,49 +58,80 @@ func runLedgered(t *testing.T, cfg Config) *Result {
 
 // TestFleetOfOneMatchesStandalone: with the resilience tier disabled, a
 // 1-array fleet must reproduce the standalone simulator exactly — same event
-// count, same clock, same latency statistics, same energy.
+// count, same clock, same latency statistics, same energy, the same member
+// Result down to the per-disk rows — for every shipped policy, with fault
+// injection off and on.
 func TestFleetOfOneMatchesStandalone(t *testing.T) {
-	tr := fleetTrace(t, 40, 1500, 0.01)
+	tr := fleetTrace(t, 40, 1500, 0.1)
+	policies := []struct {
+		name string
+		make func() array.Policy
+	}{
+		{"always-on", func() array.Policy { return policy.NewAlwaysOn() }},
+		{"read", func() array.Policy { return policy.NewREAD(policy.READConfig{}) }},
+		{"maid", func() array.Policy { return policy.NewMAID(policy.MAIDConfig{}) }},
+		{"pdc", func() array.Policy { return policy.NewPDC(policy.PDCConfig{}) }},
+		{"drpm", func() array.Policy { return policy.NewDRPM(policy.DRPMConfig{}) }},
+		{"read-replica", func() array.Policy { return policy.NewREADReplica(policy.READReplicaConfig{}) }},
+		{"striped", func() array.Policy { return policy.NewStripedAlwaysOn(policy.StripedConfig{}) }},
+	}
+	failures := 0
+	for _, pc := range policies {
+		for _, withFaults := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/faults=%v", pc.name, withFaults), func(t *testing.T) {
+				proto := array.Config{Disks: 4, EpochSeconds: 2}
+				if withFaults {
+					proto.Disks, proto.Spares = 6, 1
+					proto.Faults = &faults.Config{Enabled: true, Seed: 7, Acceleration: 2e6, PRESSScaling: true}
+				}
+				standalone := proto
+				standalone.Trace, standalone.Policy = tr, pc.make()
+				single, err := array.Run(standalone)
+				if err != nil {
+					t.Fatal(err)
+				}
+				failures += single.DiskFailures
+				fleet, err := Run(Config{
+					Arrays:     1,
+					Trace:      tr,
+					Proto:      proto,
+					MakePolicy: func(int) (array.Policy, error) { return pc.make(), nil },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
 
-	single, err := array.Run(array.Config{Disks: 4, Trace: tr, Policy: policy.NewAlwaysOn(), EpochSeconds: 2})
-	if err != nil {
-		t.Fatal(err)
+				if fleet.EventsFired != single.EventsFired {
+					t.Errorf("events fired: fleet %d, standalone %d", fleet.EventsFired, single.EventsFired)
+				}
+				if fleet.Duration != single.Duration {
+					t.Errorf("duration: fleet %v, standalone %v", fleet.Duration, single.Duration)
+				}
+				if fleet.Served != single.Requests {
+					t.Errorf("served: fleet %d, standalone %d", fleet.Served, single.Requests)
+				}
+				if fleet.MeanResponse != single.MeanResponse {
+					t.Errorf("mean response: fleet %v, standalone %v", fleet.MeanResponse, single.MeanResponse)
+				}
+				if fleet.P99Response != single.P99Response {
+					t.Errorf("p99: fleet %v, standalone %v", fleet.P99Response, single.P99Response)
+				}
+				if fleet.EnergyJ != single.EnergyJ {
+					t.Errorf("energy: fleet %v, standalone %v", fleet.EnergyJ, single.EnergyJ)
+				}
+				// The member's whole Result, PerDisk included, is the
+				// standalone one.
+				if m := fleet.PerArray[0].Result; !reflect.DeepEqual(m, single) {
+					t.Errorf("member result diverged from standalone:\n fleet %+v\n single %+v", m, single)
+				}
+				if fleet.Retries != 0 || fleet.Hedges != 0 || fleet.Failovers != 0 || fleet.Timeouts != 0 {
+					t.Errorf("resilience counters nonzero with the tier disabled: %+v", fleet)
+				}
+			})
+		}
 	}
-	fleet, err := Run(Config{
-		Arrays:     1,
-		Trace:      tr,
-		Proto:      array.Config{Disks: 4, EpochSeconds: 2},
-		MakePolicy: alwaysOn,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if fleet.EventsFired != single.EventsFired {
-		t.Errorf("events fired: fleet %d, standalone %d", fleet.EventsFired, single.EventsFired)
-	}
-	if fleet.Duration != single.Duration {
-		t.Errorf("duration: fleet %v, standalone %v", fleet.Duration, single.Duration)
-	}
-	if fleet.Served != single.Requests {
-		t.Errorf("served: fleet %d, standalone %d", fleet.Served, single.Requests)
-	}
-	if fleet.MeanResponse != single.MeanResponse {
-		t.Errorf("mean response: fleet %v, standalone %v", fleet.MeanResponse, single.MeanResponse)
-	}
-	if fleet.P99Response != single.P99Response {
-		t.Errorf("p99: fleet %v, standalone %v", fleet.P99Response, single.P99Response)
-	}
-	if fleet.EnergyJ != single.EnergyJ {
-		t.Errorf("energy: fleet %v, standalone %v", fleet.EnergyJ, single.EnergyJ)
-	}
-	m := fleet.PerArray[0]
-	if m.MeanResponse != single.MeanResponse || m.EnergyJ != single.EnergyJ ||
-		m.EventsFired != single.EventsFired || m.ArrayAFR != single.ArrayAFR {
-		t.Errorf("member result diverged from standalone:\n fleet %+v\n single %+v", m.Result, single)
-	}
-	if fleet.Retries != 0 || fleet.Hedges != 0 || fleet.Failovers != 0 || fleet.Timeouts != 0 {
-		t.Errorf("resilience counters nonzero with the tier disabled: %+v", fleet)
+	if failures == 0 {
+		t.Error("no faults-on case injected a disk failure; the table does not exercise failover")
 	}
 }
 

@@ -35,6 +35,26 @@ func byLoadDesc(files workload.FileSet) workload.FileSet {
 	return out
 }
 
+// rankByEpochAccess returns the files ordered by counts, this epoch's
+// accesses (ctx.AccessCounts), most accessed first, with ties broken by
+// static access rate (so quiet epochs do not randomize the tail) and then by
+// ID. READ, READ-Replica and PDC all re-rank through it. The caller takes
+// the counts, so the map does not outlive its epoch on the heap.
+func rankByEpochAccess(ctx *array.Context, counts map[int]int) workload.FileSet {
+	files := ctx.Files().Clone()
+	sort.Slice(files, func(i, j int) bool {
+		ci, cj := counts[files[i].ID], counts[files[j].ID]
+		if ci != cj {
+			return ci > cj
+		}
+		if files[i].AccessRate != files[j].AccessRate {
+			return files[i].AccessRate > files[j].AccessRate
+		}
+		return files[i].ID < files[j].ID
+	})
+	return files
+}
+
 // placeLeastLoaded assigns each file (in the given order) to the disk in
 // `disks` with the least accumulated load so far (greedy LPT balancing).
 func placeLeastLoaded(ctx *array.Context, files workload.FileSet, disks []int) error {

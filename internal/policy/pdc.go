@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"sort"
-
 	"repro/internal/array"
 	"repro/internal/diskmodel"
 	"repro/internal/workload"
@@ -134,20 +132,7 @@ func (p *PDC) OnRequestComplete(*array.Context, int, int) {}
 // OnEpoch refreshes the popularity ranking from observed counts and
 // migrates files whose concentrated position changed.
 func (p *PDC) OnEpoch(ctx *array.Context) {
-	files := ctx.Files().Clone()
-	counts := ctx.AccessCounts()
-	// Blend observed counts with the static rate for files unseen this
-	// epoch, so quiet epochs do not randomize the tail.
-	sort.Slice(files, func(i, j int) bool {
-		ci, cj := counts[files[i].ID], counts[files[j].ID]
-		if ci != cj {
-			return ci > cj
-		}
-		if files[i].AccessRate != files[j].AccessRate {
-			return files[i].AccessRate > files[j].AccessRate
-		}
-		return files[i].ID < files[j].ID
-	})
+	files := rankByEpochAccess(ctx, ctx.AccessCounts())
 	target := p.layout(ctx, files)
 	moved := 0
 	for _, f := range files {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -311,23 +312,43 @@ func TestREADAdaptiveThresholdDoubles(t *testing.T) {
 		clock += 100
 	}
 	tr := &workload.Trace{Files: files, Requests: reqs}
-	r := NewREAD(READConfig{MaxTransitionsPerDay: 6, InitialIdleThreshold: 30})
-	probe := &thresholdProbe{READ: r}
-	run(t, array.Config{Disks: 2, Trace: tr, Policy: probe, EpochSeconds: 500})
-	if !probe.doubled {
-		t.Fatal("idleness threshold never doubled despite budget pressure")
+	policies := []struct {
+		name string
+		make func(READConfig) array.Policy
+	}{
+		{"read", func(c READConfig) array.Policy { return NewREAD(c) }},
+		{"read-replica", func(c READConfig) array.Policy { return NewREADReplica(READReplicaConfig{READ: c}) }},
+	}
+	for _, pc := range policies {
+		for _, disabled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/disabled=%v", pc.name, disabled), func(t *testing.T) {
+				probe := &thresholdProbe{Policy: pc.make(READConfig{
+					MaxTransitionsPerDay:     6,
+					InitialIdleThreshold:     30,
+					DisableAdaptiveThreshold: disabled,
+				})}
+				run(t, array.Config{Disks: 2, Trace: tr, Policy: probe, EpochSeconds: 500})
+				switch {
+				case !disabled && !probe.doubled:
+					t.Fatal("idleness threshold never doubled despite budget pressure")
+				case disabled && probe.doubled:
+					t.Fatal("idleness threshold doubled with DisableAdaptiveThreshold set")
+				}
+			})
+		}
 	}
 }
 
-// thresholdProbe wraps READ to observe the adaptive threshold.
+// thresholdProbe wraps a READ-family policy to observe the adaptive
+// threshold.
 type thresholdProbe struct {
-	*READ
+	array.Policy
 	doubled bool
 	initial float64
 }
 
 func (p *thresholdProbe) Init(ctx *array.Context) error {
-	if err := p.READ.Init(ctx); err != nil {
+	if err := p.Policy.Init(ctx); err != nil {
 		return err
 	}
 	p.initial = ctx.IdleTimeout(0)
@@ -335,7 +356,7 @@ func (p *thresholdProbe) Init(ctx *array.Context) error {
 }
 
 func (p *thresholdProbe) OnEpoch(ctx *array.Context) {
-	p.READ.OnEpoch(ctx)
+	p.Policy.OnEpoch(ctx)
 	for d := 0; d < ctx.NumDisks(); d++ {
 		if ctx.IdleTimeout(d) > p.initial {
 			p.doubled = true

@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"sort"
-
 	"repro/internal/array"
 	"repro/internal/diskmodel"
 	"repro/internal/workload"
@@ -241,44 +239,7 @@ func (r *READ) OnIdleTimeout(ctx *array.Context, d int) {
 
 // OnEpoch runs Figure 6 steps 9-24.
 func (r *READ) OnEpoch(ctx *array.Context) {
-	files := ctx.Files().Clone()
-	counts := ctx.AccessCounts()
-
-	// Step 10: re-sort by accesses during the current epoch.
-	sort.Slice(files, func(i, j int) bool {
-		ci, cj := counts[files[i].ID], counts[files[j].ID]
-		if ci != cj {
-			return ci > cj
-		}
-		if files[i].AccessRate != files[j].AccessRate {
-			return files[i].AccessRate > files[j].AccessRate
-		}
-		return files[i].ID < files[j].ID
-	})
-
-	// Step 11: re-calculate θ and re-categorize. A sparse epoch window
-	// (fewer observations than files) cannot support a skew estimate —
-	// zero-count files would masquerade as extreme skew — so θ is only
-	// refreshed from a reasonably dense window.
-	countVec := make([]int, len(files))
-	total := 0
-	for i, f := range files {
-		countVec[i] = counts[f.ID]
-		total += counts[f.ID]
-	}
-	if total >= len(files) {
-		if th, err := workload.MeasureTheta(countVec); err == nil && th > 0 && th < 1 {
-			r.theta = th
-		}
-	}
-	// Re-categorize with the refreshed θ. Zone sizes stay as Figure 6
-	// step 3 set them: the paper's epoch loop (steps 8-25) migrates files
-	// between the zones but never moves the hot/cold boundary — and an
-	// epoch window cannot support Eq. 5 anyway, because the unpopular
-	// class's observed load is near zero by construction (they are
-	// unpopular precisely because the window barely touched them).
-	newPopular, _, _ := classify(files, r.theta,
-		func(f workload.File) float64 { return float64(counts[f.ID]) * f.SizeMB })
+	files, newPopular := r.reclassify(ctx)
 	n := ctx.NumDisks()
 
 	// Steps 12-19: migrate reclassified files, round-robin per zone.
@@ -309,14 +270,52 @@ func (r *READ) OnEpoch(ctx *array.Context) {
 			}
 		}
 	}
-	r.setPopular(newPopular)
+	r.endEpoch(ctx, newPopular)
+}
 
-	// Steps 20-24: adaptive idleness threshold. Once a disk has spent half
-	// its budget, double its H to slow future transitions.
+// reclassify runs Figure 6 steps 10-11, the head of every READ-family
+// epoch: it ranks the files by this epoch's accesses, refreshes θ, and
+// returns the ranking with the new popular set.
+func (r *READ) reclassify(ctx *array.Context) (workload.FileSet, map[int]bool) {
+	counts := ctx.AccessCounts()
+	files := rankByEpochAccess(ctx, counts)
+
+	// Step 11: re-calculate θ and re-categorize. A sparse epoch window
+	// (fewer observations than files) cannot support a skew estimate —
+	// zero-count files would masquerade as extreme skew — so θ is only
+	// refreshed from a reasonably dense window.
+	countVec := make([]int, len(files))
+	total := 0
+	for i, f := range files {
+		countVec[i] = counts[f.ID]
+		total += counts[f.ID]
+	}
+	if total >= len(files) {
+		if th, err := workload.MeasureTheta(countVec); err == nil && th > 0 && th < 1 {
+			r.theta = th
+		}
+	}
+	// Re-categorize with the refreshed θ. Zone sizes stay as Figure 6
+	// step 3 set them: the paper's epoch loop (steps 8-25) migrates files
+	// between the zones but never moves the hot/cold boundary — and an
+	// epoch window cannot support Eq. 5 anyway, because the unpopular
+	// class's observed load is near zero by construction (they are
+	// unpopular precisely because the window barely touched them).
+	newPopular, _, _ := classify(files, r.theta,
+		func(f workload.File) float64 { return float64(counts[f.ID]) * f.SizeMB })
+	return files, newPopular
+}
+
+// endEpoch is the tail of every READ-family epoch: it installs the new
+// popular set and runs Figure 6 steps 20-24, the adaptive idleness
+// threshold — once a disk has spent half its budget, its H doubles to slow
+// future transitions.
+func (r *READ) endEpoch(ctx *array.Context, newPopular map[int]bool) {
+	r.setPopular(newPopular)
 	if r.cfg.DisableAdaptiveThreshold {
 		return
 	}
-	for d := 0; d < n; d++ {
+	for d := 0; d < ctx.NumDisks(); d++ {
 		if 2*ctx.DiskTransitions(d) >= r.budget(ctx) {
 			h := ctx.IdleTimeout(d) * 2
 			if h > r.cfg.MaxIdleThreshold {

@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"sort"
-
 	"repro/internal/array"
 	"repro/internal/workload"
 )
@@ -87,33 +85,7 @@ func (r *READReplica) TargetDisk(ctx *array.Context, fileID int) int {
 // by dropping replicas. Files whose primary already sits in the hot zone
 // are left to the base policy's bookkeeping.
 func (r *READReplica) OnEpoch(ctx *array.Context) {
-	files := ctx.Files().Clone()
-	counts := ctx.AccessCounts()
-	sort.Slice(files, func(i, j int) bool {
-		ci, cj := counts[files[i].ID], counts[files[j].ID]
-		if ci != cj {
-			return ci > cj
-		}
-		if files[i].AccessRate != files[j].AccessRate {
-			return files[i].AccessRate > files[j].AccessRate
-		}
-		return files[i].ID < files[j].ID
-	})
-
-	countVec := make([]int, len(files))
-	total := 0
-	for i, f := range files {
-		countVec[i] = counts[f.ID]
-		total += counts[f.ID]
-	}
-	if total >= len(files) {
-		if th, err := workload.MeasureTheta(countVec); err == nil && th > 0 && th < 1 {
-			r.theta = th
-		}
-	}
-	newPopular, _, _ := classify(files, r.theta,
-		func(f workload.File) float64 { return float64(counts[f.ID]) * f.SizeMB })
-
+	files, newPopular := r.reclassify(ctx)
 	hot := r.HotDisks()
 	promoted := 0
 	for _, f := range files {
@@ -138,18 +110,7 @@ func (r *READReplica) OnEpoch(ctx *array.Context) {
 			r.replicasDropped++
 		}
 	}
-	r.setPopular(newPopular)
-
-	// Base policy's adaptive threshold maintenance (Figure 6 steps 20-24).
-	for d := 0; d < ctx.NumDisks(); d++ {
-		if 2*ctx.DiskTransitions(d) >= r.budget(ctx) {
-			h := ctx.IdleTimeout(d) * 2
-			if h > r.cfg.READ.MaxIdleThreshold {
-				h = r.cfg.READ.MaxIdleThreshold
-			}
-			ctx.SetIdleTimeout(d, h)
-		}
-	}
+	r.endEpoch(ctx, newPopular)
 }
 
 // promote copies the file onto the least replica-loaded hot disk.
