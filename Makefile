@@ -15,7 +15,8 @@ test:
 
 # lint runs formatting, go vet, and the repository's own simlint suite
 # (internal/analysis): determinism, map-order, checkpoint-coverage,
-# atomic-write and telemetry-handle contracts. See DESIGN.md §11.
+# atomic-write, concurrency and hot-path allocation contracts. See DESIGN.md
+# §11 and §16.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:"; echo "$$out"; exit 1; fi

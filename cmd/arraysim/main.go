@@ -278,7 +278,14 @@ func main() {
 	if err := rec.Close(); err != nil {
 		logg.Fatal(err)
 	}
+	// One ledger: the run's Summary is both the manifest's summary and, next
+	// to the telemetry series, metrics.json. It is written before Commit,
+	// which lists the run directory's artifacts.
+	summary := runstore.SummaryFromResult(res, *withFaults)
 	if rec.Dir() != "" {
+		if err := runstore.WriteJSONFile(filepath.Join(rec.Dir(), "metrics.json"), summary); err != nil {
+			logg.Fatal(err)
+		}
 		logg.Infof("telemetry written to %s", rec.Dir())
 	}
 	if m := record.Manifest; m != nil {
@@ -289,7 +296,7 @@ func main() {
 		} else {
 			m.Workload = fmt.Sprintf("synthetic %d requests, intensity %g", *requests, *intensity)
 		}
-		m.Summary = runstore.SummaryFromResult(res, *withFaults)
+		m.Summary = summary
 		m.Attribution = res.Attribution
 		m.Perf = &runstore.Perf{Run: &perf}
 	}

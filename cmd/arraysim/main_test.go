@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -148,6 +149,58 @@ func TestUsageErrors(t *testing.T) {
 func TestUnrecordedRun(t *testing.T) {
 	if stderr, code := runMain(t, "-disks", "4", "-requests", "500", "-table=false"); code != 0 {
 		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+}
+
+// metrics.json is the run's Summary, the same value the manifest records:
+// next to the manifest, where the artifacts list names it, and under a
+// separate -telemetry-dir.
+func TestMetricsJSONIsTheSummary(t *testing.T) {
+	args := []string{"-policy", "read", "-disks", "4", "-requests", "2000", "-faults", "-spares", "1", "-table=false", "-quiet"}
+	readSummary := func(path string) runstore.Summary {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s runstore.Summary
+		if err := json.Unmarshal(raw, &s); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return s
+	}
+	for _, telDir := range []string{"", filepath.Join(t.TempDir(), "tel")} {
+		runsDir := t.TempDir()
+		runArgs := append([]string{"-runs-dir", runsDir}, args...)
+		if telDir != "" {
+			runArgs = append(runArgs, "-telemetry-dir", telDir)
+		}
+		if stderr, code := runMain(t, runArgs...); code != 0 {
+			t.Fatalf("arraysim %v: exit %d\n%s", runArgs, code, stderr)
+		}
+		runs, _ := filepath.Glob(filepath.Join(runsDir, "arraysim-*"))
+		if len(runs) != 1 {
+			t.Fatalf("store holds %v", runs)
+		}
+		m, err := runstore.ReadManifest(filepath.Join(runs[0], runstore.ManifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Summary.Requests != 2000 || !m.Summary.FaultsOn {
+			t.Fatalf("manifest summary %+v: want 2000 requests and the fault block", m.Summary)
+		}
+		wantArtifacts := []string{"disks.csv", "disks.ndjson", "metrics.json"}
+		if telDir != "" {
+			wantArtifacts = nil // the telemetry went elsewhere
+		} else {
+			telDir = runs[0]
+		}
+		if !reflect.DeepEqual(m.Artifacts, wantArtifacts) {
+			t.Errorf("artifacts %v, want %v", m.Artifacts, wantArtifacts)
+		}
+		if got := readSummary(filepath.Join(telDir, "metrics.json")); !reflect.DeepEqual(got, m.Summary) {
+			t.Errorf("metrics.json in %s:\n%+v\nmanifest summary:\n%+v", telDir, got, m.Summary)
+		}
 	}
 }
 

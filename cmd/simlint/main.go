@@ -13,11 +13,10 @@
 // wall-clock or ambient entropy in simulation packages (detrand), no
 // map-iteration order leaking into results (maporder), checkpoint records
 // covering their state structs (ckptcover), artifact writes through
-// internal/atomicio (atomicwrite), telemetry handles obtained from
-// registries (nilhandle), no shared mutable state captured by sweep
-// goroutines (sharedcapture), engine/telemetry/policy methods confined to
-// their constructing goroutine (engineaffinity), and allocation-free
-// //simlint:hotpath functions (hotalloc). Violations are suppressed
+// internal/atomicio (atomicwrite), no shared mutable state captured by
+// sweep goroutines (sharedcapture), engine/telemetry/policy methods
+// confined to their constructing goroutine (engineaffinity), and
+// allocation-free //simlint:hotpath functions (hotalloc). Violations are suppressed
 // case-by-case with `//simlint:allow <analyzer> -- reason` comments, never
 // by editing the suite's scope.
 //

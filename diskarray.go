@@ -266,9 +266,10 @@ func WriteTimelineCSV(w io.Writer, samples []Sample) error {
 // Chrome trace_event recording, sampling).
 type TelemetryConfig = telemetry.Config
 
-// TelemetryRecorder collects a run's metrics, per-disk time-series, and DES
-// event trace. Assign one to SimConfig.Telemetry; a nil recorder disables
-// telemetry entirely and the simulation result is identical either way.
+// TelemetryRecorder collects a run's per-disk time-series, DES event trace
+// and policy decision log. Assign one to SimConfig.Telemetry; a nil recorder
+// disables telemetry entirely and the simulation result is identical either
+// way. The run's totals are in the SimResult, not the recorder.
 type TelemetryRecorder = telemetry.Recorder
 
 // TelemetryDiskSample is one per-disk time-series row (the NDJSON/CSV
@@ -287,7 +288,7 @@ func NewTelemetryLogger(name string, w io.Writer, level telemetry.LogLevel) *Tel
 
 // OpenTelemetry creates the telemetry output directory and returns a
 // recorder writing into it. Close the recorder after the run to flush the
-// series files and write metrics.json.
+// series files.
 func OpenTelemetry(cfg TelemetryConfig) (*TelemetryRecorder, error) {
 	return telemetry.Open(cfg)
 }

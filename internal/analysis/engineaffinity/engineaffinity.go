@@ -2,8 +2,7 @@
 // goroutine affinity for simulation state (DESIGN.md §16).
 //
 // A des.Engine, a policy instance, and the plain telemetry handles
-// (Registry, Counter, Gauge, Histogram, DecisionLog, Recorder) are
-// single-goroutine objects: the goroutine that constructs a cell owns them
+// (DecisionLog, Recorder) are single-goroutine objects: the goroutine that constructs a cell owns them
 // for the cell's whole life, and nothing else may call their methods. The
 // sanctioned cross-goroutine views are the mediated APIs — des.Watch and
 // telemetry.Live (seqlock), telemetry.SweepTracker and telemetry.Logger
@@ -42,10 +41,6 @@ var Analyzer = &framework.Analyzer{
 
 // affineTelemetry are the telemetry types whose methods are goroutine-affine.
 var affineTelemetry = map[string]bool{
-	"Registry":    true,
-	"Counter":     true,
-	"Gauge":       true,
-	"Histogram":   true,
 	"DecisionLog": true,
 	"Recorder":    true,
 }

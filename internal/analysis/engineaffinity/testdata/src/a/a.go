@@ -19,11 +19,10 @@ func crossEngine(eng *des.Engine, out chan<- float64) {
 }
 
 // crossHandles touches captured telemetry handles off-goroutine.
-func crossHandles(c *telemetry.Counter, h *telemetry.Histogram, dlog *telemetry.DecisionLog) {
+func crossHandles(rec *telemetry.Recorder, dlog *telemetry.DecisionLog) {
 	go func() {
-		c.Inc()        // want `cross-goroutine call to \(telemetry\.Counter\)\.Inc on captured c`
-		h.Observe(1)   // want `cross-goroutine call to \(telemetry\.Histogram\)\.Observe on captured h`
-		dlog.Append(1) // want `cross-goroutine call to \(telemetry\.DecisionLog\)\.Append on captured dlog`
+		rec.RecordDiskSample(1) // want `cross-goroutine call to \(telemetry\.Recorder\)\.RecordDiskSample on captured rec`
+		dlog.Append(1)          // want `cross-goroutine call to \(telemetry\.DecisionLog\)\.Append on captured dlog`
 	}()
 }
 
@@ -34,15 +33,15 @@ func crossPolicy(p *policy.FPT) {
 	}()
 }
 
-// crossRegistryViaField reaches affine state through a captured struct.
+// cellState reaches affine state through a captured struct.
 type cellState struct {
-	reg *telemetry.Registry
+	rec *telemetry.Recorder
 }
 
 // crossField flags calls reached through a selector chain too.
 func crossField(cs *cellState) {
 	go func() {
-		_ = cs.reg.Counter("x") // want `cross-goroutine call to \(telemetry\.Registry\)\.Counter on captured cs`
+		cs.rec.RecordDiskSample(1) // want `cross-goroutine call to \(telemetry\.Recorder\)\.RecordDiskSample on captured cs`
 	}()
 }
 
@@ -64,8 +63,8 @@ func submitted(p pool, eng *des.Engine) {
 func ownState(run func(*des.Engine) uint64) {
 	go func() {
 		eng := &des.Engine{}
-		reg := &telemetry.Registry{}
-		reg.Counter("events").Inc()
+		dlog := &telemetry.DecisionLog{}
+		dlog.Append(1)
 		_ = run(eng)
 		_ = eng.Fired()
 	}()

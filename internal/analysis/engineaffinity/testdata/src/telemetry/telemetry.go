@@ -2,29 +2,13 @@
 // for the engineaffinity fixtures: affine handles plus mediated views.
 package telemetry
 
-// Registry hands out handles; goroutine-affine.
-type Registry struct{ n int }
+// Recorder bundles a run's sinks; goroutine-affine.
+type Recorder struct{ n int }
 
-// Counter returns the named counter handle.
-func (r *Registry) Counter(name string) *Counter { return &Counter{} }
-
-// Counter is an affine metric handle.
-type Counter struct{ v uint64 }
-
-// Inc increments the counter.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Histogram is an affine distribution handle.
-type Histogram struct{ sum float64 }
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h != nil {
-		h.sum += v
+// RecordDiskSample appends one sample.
+func (r *Recorder) RecordDiskSample(v int) {
+	if r != nil {
+		r.n++
 	}
 }
 

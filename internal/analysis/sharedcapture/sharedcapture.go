@@ -12,8 +12,8 @@
 //     statement (`var i int; for i = ...`) — the only loop-capture form that
 //     still aliases across iterations under Go ≥1.22 per-iteration semantics;
 //   - capture of a pointer to goroutine-affine shared state: *des.Engine,
-//     *telemetry.Registry, *telemetry.Recorder, *telemetry.DecisionLog, or
-//     any map (manifest/index maps are the canonical offender);
+//     *telemetry.Recorder, *telemetry.DecisionLog, or any map
+//     (manifest/index maps are the canonical offender);
 //   - writes to captured variables (`done = true`, `lastErr = err`) — racy
 //     unless the variable is moved inside the goroutine;
 //   - writes to a captured slice indexed by anything other than the
@@ -39,7 +39,7 @@ import (
 // Analyzer is the sharedcapture check.
 var Analyzer = &framework.Analyzer{
 	Name: "sharedcapture",
-	Doc:  "flag goroutine closures capturing mutable state shared across sweep cells (loop variables, engines, registries, maps, captured writes)",
+	Doc:  "flag goroutine closures capturing mutable state shared across sweep cells (loop variables, engines, recorders, maps, captured writes)",
 	Run:  run,
 }
 
@@ -47,7 +47,6 @@ var Analyzer = &framework.Analyzer{
 // captured into a goroutine: each belongs to exactly one cell.
 var sharedPtrTypes = map[string]bool{
 	"Engine":      true, // des.Engine
-	"Registry":    true, // telemetry.Registry
 	"Recorder":    true, // telemetry.Recorder
 	"DecisionLog": true, // telemetry.DecisionLog
 }

@@ -75,10 +75,10 @@ func sharedEngine(eng *des.Engine) {
 	}()
 }
 
-// sharedRegistry leaks a telemetry registry across the goroutine boundary.
-func sharedRegistry(reg *telemetry.Registry) {
+// sharedRecorder leaks a telemetry recorder across the goroutine boundary.
+func sharedRecorder(rec *telemetry.Recorder) {
 	go func() {
-		_ = reg.Counter("x") // want `captures \*telemetry\.Registry reg`
+		_ = rec.Close() // want `captures \*telemetry\.Recorder rec`
 	}()
 }
 

@@ -3,14 +3,11 @@
 // sharedcapture allowlist recognizes.
 package telemetry
 
-// Registry hands out registered handles; goroutine-affine.
-type Registry struct{ n int }
-
-// Counter returns a handle.
-func (r *Registry) Counter(name string) int { return r.n }
-
 // Recorder bundles a cell's observation sinks; goroutine-affine.
 type Recorder struct{ n int }
+
+// Close flushes the sinks.
+func (r *Recorder) Close() error { return nil }
 
 // DecisionLog records policy decisions; goroutine-affine.
 type DecisionLog struct{ n int }

@@ -68,9 +68,8 @@ func TestScopeMapping(t *testing.T) {
 		{"repro/internal/atomicio", "atomicwrite", false},
 		// Commands are not part of the deterministic core.
 		{"repro/cmd/arraysim", "detrand", false},
-		// ckptcover and nilhandle are global.
+		// ckptcover is global.
 		{"repro/internal/analysis/load", "ckptcover", true},
-		{"repro/internal/analysis/load", "nilhandle", true},
 		{"repro/examples/quickstart", "atomicwrite", false},
 		// sharedcapture polices the goroutine-spawning sweep runners only.
 		{"repro/internal/experiment", "sharedcapture", true},

@@ -14,8 +14,7 @@
 //     experiment): map-ordered rendering makes "identical" runs diff.
 //   - atomicwrite covers every package that writes run artifacts, plus all
 //     commands.
-//   - ckptcover and nilhandle are global: directives and telemetry handles
-//     can appear anywhere.
+//   - ckptcover is global: checkpoint directives can appear anywhere.
 //
 // Concurrency scope (see DESIGN.md §16 "Concurrency contract"):
 //
@@ -46,7 +45,6 @@ import (
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/load"
 	"repro/internal/analysis/maporder"
-	"repro/internal/analysis/nilhandle"
 	"repro/internal/analysis/sharedcapture"
 )
 
@@ -114,7 +112,6 @@ func All() []*framework.Analyzer {
 		maporder.Analyzer,
 		ckptcover.Analyzer,
 		atomicwrite.Analyzer,
-		nilhandle.Analyzer,
 		sharedcapture.Analyzer,
 		engineaffinity.Analyzer,
 		hotalloc.Analyzer,
@@ -151,10 +148,9 @@ func AnalyzersFor(pkgPath string) []*framework.Analyzer {
 	if inScope(pkgPath, affinityPkgs) {
 		as = append(as, engineaffinity.Analyzer)
 	}
-	// Global contracts. ckptcover only acts on declared directives,
-	// nilhandle skips the telemetry implementation itself, and hotalloc
-	// acts only on //simlint:hotpath-annotated functions.
-	as = append(as, ckptcover.Analyzer, nilhandle.Analyzer, hotalloc.Analyzer)
+	// Global contracts. ckptcover only acts on declared directives, and
+	// hotalloc acts only on //simlint:hotpath-annotated functions.
+	as = append(as, ckptcover.Analyzer, hotalloc.Analyzer)
 	return as
 }
 

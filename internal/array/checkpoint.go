@@ -24,7 +24,6 @@ import (
 	"repro/internal/diskmodel"
 	"repro/internal/faults"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/thermal"
 )
 
@@ -315,7 +314,7 @@ type raidCkptState struct {
 // repeats RespHist.Stream: the wire format keeps both copies, and restore
 // rejects a state in which they differ.
 //
-//simlint:checkpoint-for sim ignore=cfg,eng,files,writer,failure,live,host,ctx,recs,freeConts,freeStamps,wireOrder,ckptSize alias=met:Metrics,flt:Faults,trc:Trace
+//simlint:checkpoint-for sim ignore=cfg,eng,files,writer,failure,live,host,ctx,recs,freeConts,freeStamps,wireOrder,ckptSize alias=flt:Faults,trc:Trace
 type simState struct {
 	Clock         float64                     `json:"clock"`
 	Seq           uint64                      `json:"seq"`
@@ -337,7 +336,6 @@ type simState struct {
 	Policy        json.RawMessage             `json:"policy"`
 	Faults        *faultCkptState             `json:"faults,omitempty"`
 	Events        []savedEvent                `json:"events"`
-	Metrics       *telemetry.RegistryState    `json:"metrics,omitempty"`
 	Trace         *traceCkptState             `json:"trace,omitempty"`
 }
 
@@ -529,9 +527,6 @@ func (s *sim) buildState() (*simState, error) {
 				Log:           r.log,
 			}
 		}
-	}
-	if s.cfg.Telemetry != nil {
-		st.Metrics = s.cfg.Telemetry.Metrics.State()
 	}
 	if s.trc != nil {
 		st.Trace = s.trc.ckpt()
@@ -1097,9 +1092,6 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 		}
 	}
 
-	if cfg.Telemetry != nil {
-		cfg.Telemetry.Metrics.SetState(st.Metrics)
-	}
 	if st.Trace != nil {
 		s.trc.restore(st.Trace)
 	}

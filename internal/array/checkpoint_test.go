@@ -12,6 +12,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/reliability"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -251,6 +252,49 @@ func TestKillResumeBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestResumeIgnoresOldMetricsPayload pins compatibility with snapshots from
+// builds that checkpointed a metrics registry next to Result: every
+// file-backed run wrote a "metrics" object into its state. Such a snapshot
+// must still resume, with the payload ignored, to the uninterrupted Result,
+// with or without a recorder attached.
+func TestResumeIgnoresOldMetricsPayload(t *testing.T) {
+	const interval = 0.9
+	const oldMetrics = `"metrics":{` +
+		`"counters":{"sim.arrivals":812,"sim.completions":809,"sim.epochs":3,"sim.migrations":0,"sim.speed_transitions":14},` +
+		`"gauges":{"sim.events_fired":4711,"sim.virtual_seconds":8.1},` +
+		`"histograms":{"sim.queue_depth_at_enqueue":{"bounds":[0,1,2,4],"counts":[700,90,15,5,2],"count":812,"sum":131,"min":0,"max":9},` +
+		`"sim.response_seconds":{"bounds":[0.0001,0.00025,0.0005],"counts":[0,0,1,808],"count":809,"sum":12.5,"min":0.0004,"max":0.9}}}`
+	cfg := Config{Disks: 4, Trace: tinyTrace(t, 40, 2000, 0.01), SampleInterval: 2,
+		Policy: &ckptSpinDown{spinDownPolicy{h: 0.3}}}
+	want, snaps := runWithSnapshots(t, cfg, interval)
+	env, err := checkpoint.Decode(snaps[len(snaps)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := bytes.TrimSpace(env.State)
+	if bytes.Contains(state, []byte(`"metrics":`)) || state[len(state)-1] != '}' {
+		t.Fatalf("unexpected state shape: ...%s", state[max(0, len(state)-80):])
+	}
+	old := append(append([]byte(nil), state[:len(state)-1]...), ","+oldMetrics+"}"...)
+	if !json.Valid(old) {
+		t.Fatal("spliced state is not valid JSON")
+	}
+	for _, rec := range []*telemetry.Recorder{nil, {}} {
+		rcfg := cfg
+		rcfg.Policy = &ckptSpinDown{spinDownPolicy{h: 0.3}}
+		rcfg.Telemetry = rec
+		rcfg.Checkpoint = &CheckpointSpec{EverySimSeconds: interval, Tool: "array-test",
+			ConfigDigest: "test-digest", Sink: func([]byte) error { return nil }}
+		got, err := Resume(rcfg, old)
+		if err != nil {
+			t.Fatalf("recorder %v: %v", rec != nil, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("recorder %v: resume with an old metrics payload diverged:\nwant %+v\ngot  %+v", rec != nil, want, got)
+		}
 	}
 }
 

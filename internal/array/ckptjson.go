@@ -107,12 +107,7 @@ func (st *simState) writeJSON(w *checkpoint.Writer) {
 		}
 		w.Raw(`]`)
 	}
-	// Telemetry and decision tracing are off by default; their states keep
-	// encoding/json.
-	if st.Metrics != nil {
-		w.Raw(`,"metrics":`)
-		w.Marshal(st.Metrics)
-	}
+	// Decision tracing is off by default; its state keeps encoding/json.
 	if st.Trace != nil {
 		w.Raw(`,"trace":`)
 		w.Marshal(st.Trace)

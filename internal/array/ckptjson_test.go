@@ -39,7 +39,7 @@ func TestStateEncodingMatchesEncodingJSON(t *testing.T) {
 	}
 	faulted := fixtureConfig(t)
 	traced := fixtureConfig(t)
-	traced.Telemetry = &telemetry.Recorder{Decisions: telemetry.NewDecisionLog(), Metrics: telemetry.NewRegistry()}
+	traced.Telemetry = &telemetry.Recorder{Decisions: telemetry.NewDecisionLog()}
 	runs := []struct {
 		name  string
 		cfg   array.Config
@@ -58,7 +58,7 @@ func TestStateEncodingMatchesEncodingJSON(t *testing.T) {
 	// Parts of the payload some snapshot must hold, so that the runs reach
 	// every encoder.
 	parts := map[string]int{`"counts":`: 0, `"migrating":`: 0, `"stripes":`: 0, `"timeline":`: 0, `"faults":`: 0,
-		`"raid":`: 0, `"log":`: 0, `"op":`: 0, `"fg":`: 0, `"bg":`: 0, `"policy-write"`: 0, `"metrics":`: 0, `"trace":`: 0}
+		`"raid":`: 0, `"log":`: 0, `"op":`: 0, `"fg":`: 0, `"bg":`: 0, `"policy-write"`: 0, `"trace":`: 0}
 	for _, run := range runs {
 		t.Run(run.name, func(t *testing.T) {
 			cfg := run.cfg

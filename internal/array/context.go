@@ -177,7 +177,6 @@ func (c *Context) Migrate(fileID, to int) bool {
 	}
 	s.migrating[fileID] = true
 	s.migrations++
-	s.met.migrations.Inc()
 	delay := 0.0
 	if s.cfg.EpochSeconds > 0 {
 		const slotsPerEpoch = 400

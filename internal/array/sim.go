@@ -434,8 +434,6 @@ type sim struct {
 	migsThisEpoch int          // for staggering migration starts
 	timeline      []Sample
 
-	met simMetrics // nil handles (no-ops) unless cfg.Telemetry is set
-
 	// live is the ops-plane snapshot publisher, cached from
 	// cfg.Telemetry.Live (nil when off: every publish is then a single
 	// nil-receiver check and zero allocations).
@@ -514,7 +512,6 @@ func newSim(cfg Config, eng *des.Engine, host Host) (*sim, error) {
 	s.ctx = &Context{s: s}
 	s.writer, _ = cfg.Policy.(WritePolicy)
 	if cfg.Telemetry != nil {
-		s.met = newSimMetrics(cfg.Telemetry.Metrics)
 		s.live = cfg.Telemetry.Live
 		if tr := cfg.Telemetry.Tracer(); tr != nil && !shared {
 			s.eng.SetTracer(tr)
@@ -684,7 +681,6 @@ func (s *sim) admit(fileID int, arrival float64, done *cont) {
 		return
 	}
 	s.counts[fileID]++
-	s.met.arrivals.Inc()
 	ctx := s.ctx
 	s.setHook(hookArrival)
 	defer s.endHook()
@@ -744,7 +740,6 @@ func (s *sim) enqueue(disk int, o op) {
 	if s.trc != nil {
 		s.noteEnqueue(disk, &o, s.eng.Now())
 	}
-	s.met.queueDepth.Observe(float64(ds.queueLen()))
 	ds.push(o)
 	if !s.checkQueue(disk) {
 		return
@@ -797,7 +792,6 @@ func (s *sim) kick(d int) {
 				ds.transStart = now
 			}
 			dur := ds.disk.BeginTransition(now, target)
-			s.met.transitions.Inc()
 			s.schedule(dur, diskEvent(evTransition, d))
 			return
 		}
@@ -837,8 +831,6 @@ func (s *sim) complete(d int, o op, now float64) {
 	case opUser:
 		resp := now - o.arrival
 		s.respHist.Add(resp)
-		s.met.completions.Inc()
-		s.met.respLatency.Observe(resp)
 		s.live.Tick(now, s.eng.Fired(), s.respHist.N(), uint64(s.nextReq))
 		s.eng.EmitSpan(labelRequestSpan, o.arrival, now)
 		ctx := s.ctx
@@ -862,8 +854,6 @@ func (s *sim) complete(d int, o op, now float64) {
 			// The striped request completes with its slowest chunk.
 			resp := now - o.stripe.arrival
 			s.respHist.Add(resp)
-			s.met.completions.Inc()
-			s.met.respLatency.Observe(resp)
 			s.live.Tick(now, s.eng.Fired(), s.respHist.N(), uint64(s.nextReq))
 			s.eng.EmitSpan(labelRequestSpan, o.stripe.arrival, now)
 			if s.trc != nil {
@@ -956,7 +946,6 @@ func (s *sim) onEpoch(e *des.Engine) {
 		return
 	}
 	s.epochs++
-	s.met.epochs.Inc()
 	s.migsThisEpoch = 0
 	ctx := s.ctx
 	s.setHook(hookEpoch)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -141,44 +140,6 @@ func TestTelemetryDiskSeriesContents(t *testing.T) {
 	}
 }
 
-func TestTelemetryMetricsMatchResult(t *testing.T) {
-	rec := &telemetry.Recorder{Metrics: telemetry.NewRegistry()}
-	res := telemetryRun(t, rec)
-
-	counter := func(name string) uint64 { return rec.Metrics.Counter(name).Value() }
-	if got := counter("sim.arrivals"); got != uint64(res.Requests) {
-		t.Fatalf("sim.arrivals = %d, want %d", got, res.Requests)
-	}
-	if got := counter("sim.completions"); got != uint64(res.Requests) {
-		t.Fatalf("sim.completions = %d, want %d", got, res.Requests)
-	}
-	if got := counter("sim.epochs"); got != uint64(res.Epochs) {
-		t.Fatalf("sim.epochs = %d, want %d", got, res.Epochs)
-	}
-	if got := counter("sim.migrations"); got != uint64(res.Migrations) {
-		t.Fatalf("sim.migrations = %d, want %d", got, res.Migrations)
-	}
-	var transitions uint64
-	for _, d := range res.PerDisk {
-		transitions += uint64(d.Transitions)
-	}
-	if got := counter("sim.speed_transitions"); got != transitions {
-		t.Fatalf("sim.speed_transitions = %d, want %d", got, transitions)
-	}
-	lat := rec.Metrics.Histogram("sim.response_seconds", telemetry.LatencyBounds())
-	if lat.Count() != uint64(res.Requests) {
-		t.Fatalf("latency observations = %d, want %d", lat.Count(), res.Requests)
-	}
-	// The histogram and the result's response stream accumulate the same
-	// observations in different summation orders; agree to float slack.
-	if mean := lat.Sum() / float64(lat.Count()); math.Abs(mean-res.MeanResponse) > 1e-9*res.MeanResponse {
-		t.Fatalf("histogram mean %v != result mean %v", mean, res.MeanResponse)
-	}
-	if got := rec.Metrics.Gauge("sim.events_fired").Value(); got != float64(res.EventsFired) {
-		t.Fatalf("sim.events_fired gauge = %v, want %d", got, res.EventsFired)
-	}
-}
-
 // The ops plane and -progress inherit the central telemetry invariant:
 // attaching a Live publisher and an engine Watch — and reading them from
 // another goroutine while the run goes, as the ops server and the progress
@@ -257,8 +218,8 @@ func TestTelemetryOffAddsNoAllocs(t *testing.T) {
 		}
 	}
 	base := testing.AllocsPerRun(5, run(nil))
-	// A zero-value Recorder has nil Metrics/series/tracer: every handle the
-	// sim binds is a nil no-op sink. Only the per-epoch sampleDisks walk
+	// A zero-value Recorder has nil series/tracer/decisions/live: every sink
+	// the sim reaches is a nil no-op. Only the per-epoch sampleDisks walk
 	// remains, which must not allocate.
 	withSink := testing.AllocsPerRun(5, run(&telemetry.Recorder{}))
 	if withSink > base {

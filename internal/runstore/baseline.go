@@ -56,7 +56,7 @@ func ReadBaselineFile(path string) (*BaselineFile, error) {
 
 // WriteBaselineFile writes bf as indented JSON.
 func WriteBaselineFile(path string, bf *BaselineFile) error {
-	return writeJSONFile(path, bf)
+	return WriteJSONFile(path, bf)
 }
 
 // Find returns the baseline entry for a run name, or nil.

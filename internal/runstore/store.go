@@ -73,7 +73,7 @@ func (st *Store) Write(m *Manifest) (string, error) {
 			m.Artifacts = append(m.Artifacts, name)
 		}
 	}
-	if err := writeJSONFile(filepath.Join(dir, ManifestName), m); err != nil {
+	if err := WriteJSONFile(filepath.Join(dir, ManifestName), m); err != nil {
 		return "", err
 	}
 	if err := st.writeIndex(); err != nil {
@@ -82,10 +82,11 @@ func (st *Store) Write(m *Manifest) (string, error) {
 	return dir, nil
 }
 
-// writeJSONFile writes v as indented JSON via an atomic replace (temp file,
-// fsync, rename), so a manifest or index killed mid-write never leaves a
-// truncated file behind — readers see the old version or the new one.
-func writeJSONFile(path string, v any) error {
+// WriteJSONFile writes v as indented JSON via an atomic replace (temp file,
+// fsync, rename), so a manifest, index or metrics.json killed mid-write
+// never leaves a truncated file behind — readers see the old version or the
+// new one.
+func WriteJSONFile(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("runstore: encode %s: %w", path, err)
@@ -111,7 +112,7 @@ func (st *Store) writeIndex() error {
 			CreatedAt:    m.CreatedAt,
 		})
 	}
-	return writeJSONFile(filepath.Join(st.root, indexName), struct {
+	return WriteJSONFile(filepath.Join(st.root, indexName), struct {
 		Schema int          `json:"schema"`
 		Runs   []IndexEntry `json:"runs"`
 	}{SchemaVersion, entries})

@@ -5,49 +5,6 @@ import (
 	"testing"
 )
 
-// The hot-path handle operations, live and disabled. The nil variants are
-// the disabled-telemetry cost: one predictable branch, zero allocations.
-
-func BenchmarkCounterInc(b *testing.B) {
-	c := NewRegistry().Counter("c")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkCounterIncNil(b *testing.B) {
-	var c *Counter
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkGaugeSet(b *testing.B) {
-	g := NewRegistry().Gauge("g")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Set(float64(i))
-	}
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewRegistry().Histogram("h", LatencyBounds())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i%100) * 1e-3)
-	}
-}
-
-func BenchmarkHistogramObserveNil(b *testing.B) {
-	var h *Histogram
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i%100) * 1e-3)
-	}
-}
-
 func BenchmarkChromeTracerEventFired(b *testing.B) {
 	tr := NewChromeTracer(io.Discard, 1, b.N+1)
 	b.ReportAllocs()

@@ -84,6 +84,22 @@ func TestLiveTickAddsNoAllocs(t *testing.T) {
 	}
 }
 
+// Live handles must not allocate either: every publish is a seqlock write
+// of fixed fields.
+func TestLiveHandlesDoNotAllocate(t *testing.T) {
+	l := NewLive(2)
+	var i uint64
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		l.TickRouter(float64(i), i, i, i, RouterCounters{Retries: i})
+		l.PublishEpoch(i, 3.5, 0.012, i, 2, 1)
+		l.PublishArray(1, ArrayDraining, 4, 1, true, 0.012)
+	})
+	if allocs != 0 {
+		t.Fatalf("live-handle updates allocated %v times per run, want 0", allocs)
+	}
+}
+
 // TestLiveSnapshotConsistentUnderRace hammers Snapshot during writes; under
 // -race this proves the seqlock protocol is data-race-free, and monotone
 // counters prove cross-field consistency.

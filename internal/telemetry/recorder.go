@@ -1,3 +1,18 @@
+// Package telemetry is the simulator's observability layer: per-disk
+// time-series export (NDJSON and CSV), a Chrome trace_event writer for the
+// DES event stream, the policy decision log, and the lock-free live views
+// the ops plane and the -progress log line read. The run's totals are not
+// counted here: they live in the simulation's Result, which arraysim
+// writes to metrics.json.
+//
+// The package is built around one invariant: instrumentation must cost
+// nothing when it is off. Every handle type (*Recorder, *ChromeTracer,
+// *DecisionLog, *Live) treats the nil pointer as a fully valid no-op sink —
+// a hot path calls its handles unconditionally and pays exactly one nil
+// check and zero allocations per call when telemetry is disabled.
+// Telemetry is also observationally pure: it only reads simulation state
+// through snapshot accessors and never schedules events, so enabling it
+// cannot change simulation results.
 package telemetry
 
 import (
@@ -12,8 +27,8 @@ import (
 // Config parameterizes a file-backed Recorder.
 type Config struct {
 	// Dir is the output directory (created if missing). The recorder
-	// writes disks.ndjson, disks.csv, metrics.json, and — with TraceEvents
-	// — trace.json into it.
+	// writes disks.ndjson, disks.csv, and — with TraceEvents — trace.json
+	// into it.
 	Dir string
 	// TraceEvents enables the Chrome trace_event DES trace.
 	TraceEvents bool
@@ -27,15 +42,12 @@ type Config struct {
 	TraceDecisions bool
 }
 
-// Recorder bundles the telemetry sinks one simulation writes to: a metrics
-// registry, the per-disk time series, an optional DES event tracer, an
-// optional decision log, and an optional live view. A nil *Recorder
-// disables everything; the zero value is a valid in-memory-only recorder
-// (set Metrics/Decisions/Live as needed).
+// Recorder bundles the telemetry sinks one simulation writes to: the
+// per-disk time series, an optional DES event tracer, an optional decision
+// log, and an optional live view. A nil *Recorder disables everything; the
+// zero value is a valid in-memory-only recorder (set Decisions/Live as
+// needed).
 type Recorder struct {
-	// Metrics is the run's metrics registry; nil disables metric recording
-	// (handles bound from a nil registry are no-op sinks).
-	Metrics *Registry
 	// Decisions, when non-nil, receives one record per policy decision;
 	// Close writes it to decisions.ndjson when the recorder has a
 	// directory.
@@ -60,7 +72,7 @@ func Open(cfg Config) (*Recorder, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("telemetry: %w", err)
 	}
-	r := &Recorder{Metrics: NewRegistry(), dir: cfg.Dir}
+	r := &Recorder{dir: cfg.Dir}
 	// Artifacts stream into atomic temp files and only appear under their
 	// final names when Close commits them, so a run killed mid-flight never
 	// leaves a truncated disks.ndjson / disks.csv / trace.json behind.
@@ -130,8 +142,8 @@ func (r *Recorder) closeFiles() error {
 	return first
 }
 
-// Close flushes the series, finalizes the Chrome trace, dumps the metrics
-// registry to metrics.json, and closes all files. It is safe on nil.
+// Close flushes the series, finalizes the Chrome trace, writes the decision
+// log, and closes all files. It is safe on nil.
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
@@ -144,15 +156,6 @@ func (r *Recorder) Close() error {
 	}
 	keep(r.series.Flush())
 	keep(r.tracer.Close())
-	if r.dir != "" && r.Metrics != nil {
-		f, err := atomicio.Create(filepath.Join(r.dir, "metrics.json"))
-		if err != nil {
-			keep(err)
-		} else {
-			keep(r.Metrics.WriteJSON(f))
-			keep(f.Close())
-		}
-	}
 	if r.dir != "" && r.Decisions != nil {
 		f, err := atomicio.Create(filepath.Join(r.dir, "decisions.ndjson"))
 		if err != nil {
