@@ -62,7 +62,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "generator seed")
 		epochs     = flag.Int("epochs", 24, "policy epochs across the trace")
 		table      = flag.Bool("table", true, "print the per-disk table")
-		timeline   = flag.Bool("timeline", false, "print a power/speed/queue timeline")
+		timeline   = flag.Bool("timeline", false, "print a power/speed/queue timeline, one row per epoch boundary plus the run's end")
 
 		telemetryDir = flag.String("telemetry-dir", "", "write per-disk NDJSON/CSV time-series and metrics.json into this directory")
 		traceEvents  = flag.Bool("trace-events", false, "also record a Chrome trace_event DES trace (trace.json; requires -telemetry-dir)")
@@ -158,6 +158,8 @@ func main() {
 		return
 	}
 	switch {
+	case record.RunsDir != "" && *telemetryDir != "":
+		usageErr("-telemetry-dir cannot be combined with -runs-dir: with -runs-dir, telemetry is written into the run directory")
 	case record.RunsDir == "" && *telemetryDir == "" && (*traceEvents || explicit["trace-sample"]):
 		usageErr("-trace-events/-trace-sample require -telemetry-dir or -runs-dir")
 	case record.RunsDir == "" && *telemetryDir == "" && *traceDec:
@@ -201,9 +203,9 @@ func main() {
 	if err := record.Open(mc); err != nil {
 		logg.Fatal(err)
 	}
-	// With -runs-dir, telemetry (unless routed elsewhere explicitly) lands
-	// next to the manifest so the artifacts travel with the run.
-	if *telemetryDir == "" {
+	// With -runs-dir, telemetry lands next to the manifest so the artifacts
+	// travel with the run.
+	if record.Dir != "" {
 		*telemetryDir = record.Dir
 	}
 
@@ -221,26 +223,25 @@ func main() {
 		}
 	}
 
-	// The live surface: the ops plane and the -progress ticker read the
-	// run's lock-free Live and Watch. Attaching them is observation-only —
-	// the run is bit-identical with or without -ops-addr and -progress.
+	// The live surface (the ops plane and the -progress ticker read the
+	// run's lock-free Live and Watch) and the timeline both read what the
+	// run's recorder collects, in memory when nothing is written. Attaching
+	// a recorder is observation-only: the run is bit-identical with or
+	// without -ops-addr, -progress and -timeline.
 	mon := cmd.Observe(*progress)
 	defer mon.Close()
 	live, watch := mon.Run(record.Name, 0)
+	if rec == nil && (live != nil || *timeline) {
+		rec = &telemetry.Recorder{}
+	}
 	if live != nil {
-		if rec == nil {
-			rec = &telemetry.Recorder{}
-		}
 		rec.Live = live
 	}
 
 	perfCap := runstore.StartPerf()
-	simCfg, duration, err := mc.simConfig()
+	simCfg, err := mc.simConfig()
 	if err != nil {
 		logg.Fatal(err)
-	}
-	if *timeline {
-		simCfg.SampleInterval = duration / 48
 	}
 	simCfg.Telemetry = rec
 	simCfg.Watch = watch
@@ -352,7 +353,7 @@ func main() {
 
 	if *timeline {
 		fmt.Println()
-		diskarray.RenderTimeline(os.Stdout, res.Timeline, 24)
+		diskarray.RenderTimeline(os.Stdout, rec.Timeline(), 24)
 	}
 
 	if *table {
@@ -366,22 +367,22 @@ func main() {
 	}
 }
 
-// simConfig builds the simulation mc describes, and returns the trace's
-// duration. It is the one place a configuration becomes a SimConfig: the
-// run builds mc from its flags and -replay-decisions decodes it from the
-// recorded manifest, so the two cannot drift apart.
-func (mc manifestConfig) simConfig() (diskarray.SimConfig, float64, error) {
+// simConfig builds the simulation mc describes. It is the one place a
+// configuration becomes a SimConfig: the run builds mc from its flags and
+// -replay-decisions decodes it from the recorded manifest, so the two cannot
+// drift apart.
+func (mc manifestConfig) simConfig() (diskarray.SimConfig, error) {
 	trace, err := mc.trace()
 	if err != nil {
-		return diskarray.SimConfig{}, 0, err
+		return diskarray.SimConfig{}, err
 	}
 	stats, err := trace.ComputeStats()
 	if err != nil {
-		return diskarray.SimConfig{}, 0, err
+		return diskarray.SimConfig{}, err
 	}
 	pol, err := experiment.NewPolicy(diskarray.PolicyKind(mc.Policy))
 	if err != nil {
-		return diskarray.SimConfig{}, 0, err
+		return diskarray.SimConfig{}, err
 	}
 	cfg := diskarray.SimConfig{
 		Disks:        mc.Disks,
@@ -395,7 +396,7 @@ func (mc manifestConfig) simConfig() (diskarray.SimConfig, float64, error) {
 			cfg.RAID = *mc.RAID
 		}
 	}
-	return cfg, stats.Duration, nil
+	return cfg, nil
 }
 
 // trace loads the trace file or generates the synthetic workload.
@@ -448,7 +449,7 @@ func runReplay(runDir, override string, ckptEvery float64, mon *runcmd.Monitor) 
 		return fmt.Errorf("replay: %s: %w", basePath, err)
 	}
 
-	cfg, _, err := mc.simConfig()
+	cfg, err := mc.simConfig()
 	if err != nil {
 		return err
 	}

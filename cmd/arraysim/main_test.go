@@ -101,7 +101,7 @@ func TestReplayBuildsTheRunsSimConfig(t *testing.T) {
 			Faults: &fc, Spares: 2, RebuildMBps: 40,
 			RAID: &diskarray.RAIDConfig{Level: "raid5", StripeWidth: 3}},
 	} {
-		run, runDur, err := mc.simConfig()
+		run, err := mc.simConfig()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,11 +113,11 @@ func TestReplayBuildsTheRunsSimConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay, replayDur, err := recorded.simConfig()
+		replay, err := recorded.simConfig()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(run, replay) || runDur != replayDur {
+		if !reflect.DeepEqual(run, replay) {
 			t.Errorf("policy %s: run and replay SimConfigs differ:\nrun    %+v\nreplay %+v", mc.Policy, run, replay)
 		}
 	}
@@ -152,55 +152,46 @@ func TestUnrecordedRun(t *testing.T) {
 	}
 }
 
-// metrics.json is the run's Summary, the same value the manifest records:
-// next to the manifest, where the artifacts list names it, and under a
-// separate -telemetry-dir.
+// metrics.json is the run's Summary, the same value the manifest records,
+// next to the manifest, where the artifacts list names it. With -runs-dir
+// the telemetry always goes there: a separate -telemetry-dir, which the
+// manifest would not point to, is a usage error.
 func TestMetricsJSONIsTheSummary(t *testing.T) {
 	args := []string{"-policy", "read", "-disks", "4", "-requests", "2000", "-faults", "-spares", "1", "-table=false", "-quiet"}
-	readSummary := func(path string) runstore.Summary {
-		t.Helper()
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var s runstore.Summary
-		if err := json.Unmarshal(raw, &s); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		return s
+	runsDir := t.TempDir()
+	if stderr, code := runMain(t, append([]string{"-runs-dir", runsDir}, args...)...); code != 0 {
+		t.Fatalf("arraysim %v: exit %d\n%s", args, code, stderr)
 	}
-	for _, telDir := range []string{"", filepath.Join(t.TempDir(), "tel")} {
-		runsDir := t.TempDir()
-		runArgs := append([]string{"-runs-dir", runsDir}, args...)
-		if telDir != "" {
-			runArgs = append(runArgs, "-telemetry-dir", telDir)
-		}
-		if stderr, code := runMain(t, runArgs...); code != 0 {
-			t.Fatalf("arraysim %v: exit %d\n%s", runArgs, code, stderr)
-		}
-		runs, _ := filepath.Glob(filepath.Join(runsDir, "arraysim-*"))
-		if len(runs) != 1 {
-			t.Fatalf("store holds %v", runs)
-		}
-		m, err := runstore.ReadManifest(filepath.Join(runs[0], runstore.ManifestName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Summary.Requests != 2000 || !m.Summary.FaultsOn {
-			t.Fatalf("manifest summary %+v: want 2000 requests and the fault block", m.Summary)
-		}
-		wantArtifacts := []string{"disks.csv", "disks.ndjson", "metrics.json"}
-		if telDir != "" {
-			wantArtifacts = nil // the telemetry went elsewhere
-		} else {
-			telDir = runs[0]
-		}
-		if !reflect.DeepEqual(m.Artifacts, wantArtifacts) {
-			t.Errorf("artifacts %v, want %v", m.Artifacts, wantArtifacts)
-		}
-		if got := readSummary(filepath.Join(telDir, "metrics.json")); !reflect.DeepEqual(got, m.Summary) {
-			t.Errorf("metrics.json in %s:\n%+v\nmanifest summary:\n%+v", telDir, got, m.Summary)
-		}
+	runs, _ := filepath.Glob(filepath.Join(runsDir, "arraysim-*"))
+	if len(runs) != 1 {
+		t.Fatalf("store holds %v", runs)
+	}
+	m, err := runstore.ReadManifest(filepath.Join(runs[0], runstore.ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Summary.Requests != 2000 || !m.Summary.FaultsOn {
+		t.Fatalf("manifest summary %+v: want 2000 requests and the fault block", m.Summary)
+	}
+	if want := []string{"disks.csv", "disks.ndjson", "metrics.json"}; !reflect.DeepEqual(m.Artifacts, want) {
+		t.Errorf("artifacts %v, want %v", m.Artifacts, want)
+	}
+	raw, err := os.ReadFile(filepath.Join(runs[0], "metrics.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got runstore.Summary
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, m.Summary) {
+		t.Errorf("metrics.json:\n%+v\nmanifest summary:\n%+v", got, m.Summary)
+	}
+
+	elsewhere := append([]string{"-runs-dir", t.TempDir(), "-telemetry-dir", filepath.Join(t.TempDir(), "tel")}, args...)
+	const want = "arraysim: -telemetry-dir cannot be combined with -runs-dir: with -runs-dir, telemetry is written into the run directory"
+	if stderr, code := runMain(t, elsewhere...); code != 2 || !strings.HasPrefix(stderr, want) {
+		t.Errorf("arraysim %v: exit %d, stderr %q; want exit 2 and %q", elsewhere, code, stderr, want)
 	}
 }
 
@@ -277,5 +268,34 @@ func TestReplayServesOpsPlane(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "reproduces the baseline bit-identically") {
 		t.Errorf("replay under the ops plane diverged:\n%s", stdout.String())
+	}
+}
+
+// -timeline only reads what the run's recorder collects: the recorded run
+// is the same with and without it, and the timeline is printed.
+func TestTimelineLeavesRunUnchanged(t *testing.T) {
+	args := []string{"-policy", "read", "-disks", "4", "-requests", "2000", "-faults", "-spares", "1",
+		"-run-name", "tl", "-table=false"}
+	metrics := make([][]byte, 2)
+	for i, extra := range [][]string{nil, {"-timeline"}} {
+		dir := t.TempDir()
+		stdout, stderr, code := runOutput(t, append(append([]string{"-runs-dir", dir}, args...), extra...)...)
+		if code != 0 {
+			t.Fatalf("arraysim %v: exit %d\n%s", extra, code, stderr)
+		}
+		if got := strings.Contains(stdout, "power(W)"); got != (extra != nil) {
+			t.Errorf("arraysim %v: timeline printed %v:\n%s", extra, got, stdout)
+		}
+		runs, _ := filepath.Glob(filepath.Join(dir, "tl-*", "metrics.json"))
+		if len(runs) != 1 {
+			t.Fatalf("store holds %v", runs)
+		}
+		var err error
+		if metrics[i], err = os.ReadFile(runs[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(metrics[0], metrics[1]) {
+		t.Errorf("-timeline changed metrics.json:\n%s\n%s", metrics[0], metrics[1])
 	}
 }

@@ -247,19 +247,20 @@ func ResumeSimulation(cfg SimConfig, state []byte) (*SimResult, error) {
 	return array.Resume(cfg, state)
 }
 
-// Sample is one point of a run's power/speed/queue timeline (recorded when
-// SimConfig.SampleInterval > 0).
-type Sample = array.Sample
+// Sample is one row of a run's energy/speed/queue timeline. A run with a
+// telemetry recorder (SimConfig.Telemetry) records one row per epoch
+// boundary plus a run-final row; read them with TelemetryRecorder.Timeline.
+type Sample = telemetry.Sample
 
 // RenderTimeline prints a compact view of a run's timeline.
 func RenderTimeline(w io.Writer, samples []Sample, maxRows int) {
-	array.RenderTimeline(w, samples, maxRows)
+	telemetry.RenderTimeline(w, samples, maxRows)
 }
 
 // WriteTimelineCSV exports a run's timeline as CSV with full round-trip
-// float precision.
+// float precision, each row's mean power derived from the previous row.
 func WriteTimelineCSV(w io.Writer, samples []Sample) error {
-	return array.WriteTimelineCSV(w, samples)
+	return telemetry.WriteTimelineCSV(w, samples)
 }
 
 // TelemetryConfig parameterizes a telemetry recorder (output directory,

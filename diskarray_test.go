@@ -168,17 +168,17 @@ func TestFacadeTimelineAndStriping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(SimConfig{
-		Disks: 4, Trace: trace, Policy: NewAlwaysOn(), SampleInterval: 10,
-	})
-	if err != nil {
+	rec := &TelemetryRecorder{}
+	if _, err := Simulate(SimConfig{
+		Disks: 4, Trace: trace, Policy: NewAlwaysOn(), EpochSeconds: 10, Telemetry: rec,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Timeline) == 0 {
+	if len(rec.Timeline()) == 0 {
 		t.Fatal("no timeline samples via facade")
 	}
 	var sb strings.Builder
-	RenderTimeline(&sb, res.Timeline, 8)
+	RenderTimeline(&sb, rec.Timeline(), 8)
 	if !strings.Contains(sb.String(), "power(W)") {
 		t.Fatal("timeline render missing header")
 	}

@@ -123,9 +123,14 @@ var Corruptions = []Corruption{
 	{"disk on migrate-start", func(st map[string]any) {
 		asKind(st, 0, "migrate-start", map[string]any{"disk": 2, "from": 1, "to": 3, "file_id": 7, "size_mb": 2.5})
 	}, "foreign"},
-	{"timeout on sample", func(st map[string]any) {
-		asKind(st, 0, "sample", map[string]any{"last_energy": 9.5, "timeout": 1.0})
+	{"timeout on rebuild-next", func(st map[string]any) {
+		asKind(st, 0, "rebuild-next", map[string]any{"disk": 2, "remaining_mb": 9.5, "timeout": 1.0})
 	}, "foreign"},
+	// Earlier builds checkpointed their timeline sampler's pending tick;
+	// with the sampler gone such a tick would have nothing to fire.
+	{"pending timeline sample", func(st map[string]any) {
+		asKind(st, 0, "sample", map[string]any{"last_energy": 9.5})
+	}, `unknown event kind "sample"`},
 	{"disk on fault-tick", func(st map[string]any) { event(st, 11)["disk"] = 2 }, "foreign"},
 	{"scrub pass past the array", func(st map[string]any) {
 		withDone(st, 5, map[string]any{"kind": "scrub-pass", "disk": 42, "size_mb": 256})

@@ -183,7 +183,6 @@ type savedEvent struct {
 	Gen         uint64   `json:"gen,omitempty"`
 	Deadline    float64  `json:"deadline,omitempty"`
 	Timeout     float64  `json:"timeout,omitempty"`
-	LastEnergy  float64  `json:"last_energy,omitempty"`
 	RemainingMB float64  `json:"remaining_mb,omitempty"`
 	FileID      int      `json:"file_id,omitempty"`
 	From        int      `json:"from,omitempty"`
@@ -206,8 +205,6 @@ func (rec eventRecord) toSaved(t float64, seq uint64) savedEvent {
 		se.Disk, se.Deadline, se.Timeout = d, rec.X, rec.Y
 	case evIdleRearm:
 		se.Disk, se.Timeout = d, rec.Y
-	case evSample:
-		se.LastEnergy = rec.X
 	case evMigrateStart:
 		se.From, se.To, se.FileID, se.SizeMB = d, int(rec.To), int(rec.N), rec.X
 	case evRebuildNext:
@@ -229,8 +226,6 @@ func recordFromSaved(se *savedEvent) eventRecord {
 		return idleArmEvent(se.Disk, se.Deadline, se.Timeout)
 	case evIdleRearm:
 		return idleRearmEvent(se.Disk, se.Timeout)
-	case evSample:
-		return sampleEvent(se.LastEnergy)
 	case evMigrateStart:
 		return migrateStartEvent(se.FileID, se.From, se.To, se.SizeMB)
 	case evRebuildNext:
@@ -332,7 +327,6 @@ type simState struct {
 	RespHist      stats.LatencyHistogramState `json:"resp_hist"`
 	Disks         []diskCkptState             `json:"disks"`
 	Stripes       []stripeState               `json:"stripes,omitempty"`
-	Timeline      []Sample                    `json:"timeline,omitempty"`
 	Policy        json.RawMessage             `json:"policy"`
 	Faults        *faultCkptState             `json:"faults,omitempty"`
 	Events        []savedEvent                `json:"events"`
@@ -433,7 +427,6 @@ func (s *sim) buildState() (*simState, error) {
 		Place:         fileMap{s.place, order},
 		RespStream:    hist.Stream,
 		RespHist:      hist,
-		Timeline:      s.timeline,
 	}
 	if len(s.counts) > 0 {
 		st.Counts = &fileMap{s.counts, order}
@@ -1046,7 +1039,6 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 		s.migrating[id] = true
 	}
 	s.respHist.SetState(st.RespHist)
-	s.timeline = st.Timeline
 
 	pol := cfg.Policy.(CheckpointablePolicy)
 	if err := pol.LoadState(st.Policy); err != nil {

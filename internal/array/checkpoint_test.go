@@ -228,11 +228,7 @@ func TestKillResumeBitIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tinyTrace(t, 40, 2000, 0.01) // ~20 s of virtual time
-			cfg := Config{
-				Disks:          4,
-				Trace:          tr,
-				SampleInterval: 2,
-			}
+			cfg := Config{Disks: 4, Trace: tr}
 			if tc.mut != nil {
 				tc.mut(&cfg)
 			}
@@ -261,24 +257,40 @@ func TestKillResumeBitIdentical(t *testing.T) {
 // must still resume, with the payload ignored, to the uninterrupted Result,
 // with or without a recorder attached.
 func TestResumeIgnoresOldMetricsPayload(t *testing.T) {
+	resumeIgnoresOldPayload(t, `"metrics":{`+
+		`"counters":{"sim.arrivals":812,"sim.completions":809,"sim.epochs":3,"sim.migrations":0,"sim.speed_transitions":14},`+
+		`"gauges":{"sim.events_fired":4711,"sim.virtual_seconds":8.1},`+
+		`"histograms":{"sim.queue_depth_at_enqueue":{"bounds":[0,1,2,4],"counts":[700,90,15,5,2],"count":812,"sum":131,"min":0,"max":9},`+
+		`"sim.response_seconds":{"bounds":[0.0001,0.00025,0.0005],"counts":[0,0,1,808],"count":809,"sum":12.5,"min":0.0004,"max":0.9}}}`)
+}
+
+// TestResumeIgnoresOldTimelinePayload does the same for snapshots from
+// builds whose timeline sampler checkpointed its rows in the state.
+func TestResumeIgnoresOldTimelinePayload(t *testing.T) {
+	resumeIgnoresOldPayload(t, `"timeline":[`+
+		`{"T":2,"PowerW":41.5,"HighDisks":4,"Queued":1,"InService":2,"Completed":180},`+
+		`{"T":4,"PowerW":38.25,"HighDisks":3,"Queued":0,"InService":1,"Completed":377}]`)
+}
+
+// resumeIgnoresOldPayload splices payload, a "name":value member an earlier
+// build wrote, into a mid-run snapshot's state and requires the snapshot to
+// resume to the uninterrupted Result, with and without a recorder.
+func resumeIgnoresOldPayload(t *testing.T, payload string) {
+	t.Helper()
 	const interval = 0.9
-	const oldMetrics = `"metrics":{` +
-		`"counters":{"sim.arrivals":812,"sim.completions":809,"sim.epochs":3,"sim.migrations":0,"sim.speed_transitions":14},` +
-		`"gauges":{"sim.events_fired":4711,"sim.virtual_seconds":8.1},` +
-		`"histograms":{"sim.queue_depth_at_enqueue":{"bounds":[0,1,2,4],"counts":[700,90,15,5,2],"count":812,"sum":131,"min":0,"max":9},` +
-		`"sim.response_seconds":{"bounds":[0.0001,0.00025,0.0005],"counts":[0,0,1,808],"count":809,"sum":12.5,"min":0.0004,"max":0.9}}}`
-	cfg := Config{Disks: 4, Trace: tinyTrace(t, 40, 2000, 0.01), SampleInterval: 2,
+	cfg := Config{Disks: 4, Trace: tinyTrace(t, 40, 2000, 0.01),
 		Policy: &ckptSpinDown{spinDownPolicy{h: 0.3}}}
 	want, snaps := runWithSnapshots(t, cfg, interval)
 	env, err := checkpoint.Decode(snaps[len(snaps)/2])
 	if err != nil {
 		t.Fatal(err)
 	}
+	name, _, _ := strings.Cut(payload, ":")
 	state := bytes.TrimSpace(env.State)
-	if bytes.Contains(state, []byte(`"metrics":`)) || state[len(state)-1] != '}' {
+	if bytes.Contains(state, []byte(name+":")) || state[len(state)-1] != '}' {
 		t.Fatalf("unexpected state shape: ...%s", state[max(0, len(state)-80):])
 	}
-	old := append(append([]byte(nil), state[:len(state)-1]...), ","+oldMetrics+"}"...)
+	old := append(append([]byte(nil), state[:len(state)-1]...), ","+payload+"}"...)
 	if !json.Valid(old) {
 		t.Fatal("spliced state is not valid JSON")
 	}
@@ -293,7 +305,7 @@ func TestResumeIgnoresOldMetricsPayload(t *testing.T) {
 			t.Fatalf("recorder %v: %v", rec != nil, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("recorder %v: resume with an old metrics payload diverged:\nwant %+v\ngot  %+v", rec != nil, want, got)
+			t.Errorf("recorder %v: resume with an old %s payload diverged:\nwant %+v\ngot  %+v", rec != nil, name, want, got)
 		}
 	}
 }

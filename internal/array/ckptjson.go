@@ -78,16 +78,6 @@ func (st *simState) writeJSON(w *checkpoint.Writer) {
 		}
 		w.Raw(`]`)
 	}
-	if len(st.Timeline) > 0 {
-		w.Raw(`,"timeline":[`)
-		for i := range st.Timeline {
-			if i > 0 {
-				w.Raw(`,`)
-			}
-			st.Timeline[i].writeJSON(w)
-		}
-		w.Raw(`]`)
-	}
 	w.Raw(`,"policy":`)
 	w.RawMessage(st.Policy)
 	if st.Faults != nil {
@@ -223,7 +213,6 @@ func (se *savedEvent) writeJSON(w *checkpoint.Writer) {
 	w.OmitUint(`,"gen":`, se.Gen)
 	w.OmitFloat(`,"deadline":`, se.Deadline)
 	w.OmitFloat(`,"timeout":`, se.Timeout)
-	w.OmitFloat(`,"last_energy":`, se.LastEnergy)
 	w.OmitFloat(`,"remaining_mb":`, se.RemainingMB)
 	w.OmitInt(`,"file_id":`, se.FileID)
 	w.OmitInt(`,"from":`, se.From)
@@ -332,21 +321,5 @@ func (f *faultCkptState) writeJSON(w *checkpoint.Writer) {
 		}
 		w.Raw(`]`)
 	}
-	w.Raw(`}`)
-}
-
-func (s *Sample) writeJSON(w *checkpoint.Writer) {
-	w.Raw(`{"T":`)
-	w.Float(s.T)
-	w.Raw(`,"PowerW":`)
-	w.Float(s.PowerW)
-	w.Raw(`,"HighDisks":`)
-	w.Int(s.HighDisks)
-	w.Raw(`,"Queued":`)
-	w.Int(s.Queued)
-	w.Raw(`,"InService":`)
-	w.Int(s.InService)
-	w.Raw(`,"Completed":`)
-	w.Uint(s.Completed)
 	w.Raw(`}`)
 }

@@ -57,14 +57,11 @@ func TestStateEncodingMatchesEncodingJSON(t *testing.T) {
 	}
 	// Parts of the payload some snapshot must hold, so that the runs reach
 	// every encoder.
-	parts := map[string]int{`"counts":`: 0, `"migrating":`: 0, `"stripes":`: 0, `"timeline":`: 0, `"faults":`: 0,
-		`"raid":`: 0, `"log":`: 0, `"op":`: 0, `"fg":`: 0, `"bg":`: 0, `"policy-write"`: 0, `"trace":`: 0}
+	parts := map[string]int{`"counts":`: 0, `"migrating":`: 0, `"stripes":`: 0, `"faults":`: 0, `"raid":`: 0,
+		`"log":`: 0, `"op":`: 0, `"fg":`: 0, `"bg":`: 0, `"policy-write"`: 0, `"trace":`: 0}
 	for _, run := range runs {
 		t.Run(run.name, func(t *testing.T) {
 			cfg := run.cfg
-			if run.name == "striped-always-on" {
-				cfg.SampleInterval = 1
-			}
 			snapshots := 0
 			cfg.Checkpoint = &array.CheckpointSpec{
 				EverySimSeconds: run.every,

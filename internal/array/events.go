@@ -29,7 +29,6 @@ const (
 	evService
 	evIdleArm
 	evIdleRearm
-	evSample
 	evMigrateStart
 	evRepair
 	evRebuildNext
@@ -49,7 +48,6 @@ var evKinds = [numEvKinds]struct{ name, label string }{
 	evService:      {"service", "service"},
 	evIdleArm:      {"idle-arm", "idle-timer"},
 	evIdleRearm:    {"idle-rearm", "idle-timer"},
-	evSample:       {"sample", "timeline-sample"},
 	evMigrateStart: {"migrate-start", "migrate-start"},
 	evRepair:       {"repair", "repair"},
 	evRebuildNext:  {"rebuild-next", "rebuild"},
@@ -81,7 +79,6 @@ func parseEvKind(name string) evKind {
 //	service        disk        gen
 //	idle-arm       disk                 deadline      timeout
 //	idle-rearm     disk                               timeout
-//	sample                              last_energy
 //	migrate-start  from   to   file_id  size_mb
 //	repair, scrub  disk
 //	rebuild-next   disk                 remaining_mb
@@ -115,12 +112,6 @@ func idleArmEvent(d int, deadline, timeout float64) eventRecord {
 // idleRearmEvent is disk d's idle timer, re-armed with timeout.
 func idleRearmEvent(d int, timeout float64) eventRecord {
 	return eventRecord{Kind: evIdleRearm, Disk: int32(d), Y: timeout}
-}
-
-// sampleEvent is the next timeline sample; lastEnergy is the array energy
-// at the previous one.
-func sampleEvent(lastEnergy float64) eventRecord {
-	return eventRecord{Kind: evSample, X: lastEnergy}
 }
 
 // migrateStartEvent starts moving fileID (sizeMB) from disk from to disk to.
@@ -205,8 +196,6 @@ func (s *sim) dispatch(rec eventRecord, e *des.Engine) {
 		s.onIdleTimer(int(rec.Disk), rec.X, rec.Y, false)
 	case evIdleRearm:
 		s.onIdleTimer(int(rec.Disk), 0, rec.Y, true)
-	case evSample:
-		s.onSampleTick(e, rec.X)
 	case evMigrateStart:
 		s.startMigration(int(rec.N), int(rec.Disk), int(rec.To), rec.X)
 	case evRepair:

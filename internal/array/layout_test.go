@@ -32,7 +32,6 @@ var wireSamples = map[evKind]eventRecord{
 	evService:      serviceEvent(2, 1<<40+7),
 	evIdleArm:      idleArmEvent(3, 12.5, 3.25),
 	evIdleRearm:    idleRearmEvent(4, 6.75),
-	evSample:       sampleEvent(1234.5),
 	evMigrateStart: migrateStartEvent(4079, 5, 1, 17.5),
 	evRepair:       diskEvent(evRepair, 1),
 	evRebuildNext:  rebuildNextEvent(2, 512.25),

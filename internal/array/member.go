@@ -20,7 +20,7 @@ package array
 //
 // Determinism note: construction order is the scheduling order. The cluster
 // constructs members in index order, so member i's initial events (idle
-// timers, epoch, sampler, fault tick) occupy lower engine sequence numbers
+// timers, epoch, fault tick) occupy lower engine sequence numbers
 // than member i+1's. Because Run and NewMember share sim.start, a fleet of
 // one reproduces the standalone simulator's event sequence by construction:
 // the firstArrival callback slots the router's arrival chain where Run

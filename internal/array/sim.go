@@ -38,9 +38,6 @@ type Config struct {
 	// MaxQueue guards against runaway simulations: a per-disk queue
 	// exceeding it aborts the run with an error. Zero means 1,000,000.
 	MaxQueue int
-	// SampleInterval, when positive, records a timeline Sample of array
-	// power, speeds, and queues every that many seconds of virtual time.
-	SampleInterval float64
 	// Faults configures failure injection. Nil (or a config with Enabled
 	// false) disables the subsystem entirely, leaving results identical
 	// to a run without it.
@@ -58,17 +55,15 @@ type Config struct {
 	// redundancy (see raid.go). The zero value disables the layer; enabling
 	// it requires fault injection.
 	RAID RAIDConfig
-	// StallLimit is the event-loop watchdog: the run fails with a
-	// diagnostic if this many consecutive events fire without the virtual
-	// clock advancing. Zero means 1,000,000.
-	StallLimit uint64
-	// Telemetry, when non-nil, receives the run's instrumentation: registry
-	// metrics, per-disk time-series samples on epoch boundaries, a DES
-	// event trace (when the recorder has one), and progress lines. Nil
-	// disables all instrumentation; the hot path then pays only nil checks
-	// and zero allocations, and results are identical either way — the
-	// sampler reads exclusively through non-mutating snapshot accessors and
-	// schedules no events of its own.
+	// Telemetry, when non-nil, receives the run's instrumentation: at
+	// every epoch boundary and at the end of the run, one per-disk
+	// time-series sample per disk, one timeline row and the live view's
+	// epoch gauges, all from one disk walk; plus a DES event trace and a
+	// decision log when the recorder has them. Nil disables all
+	// instrumentation; the hot path then pays only nil checks and zero
+	// allocations, and results are identical either way — the walk reads
+	// exclusively through non-mutating snapshot accessors and schedules no
+	// events of its own.
 	Telemetry *telemetry.Recorder
 	// Watch, when non-nil, receives the engine's live position (virtual
 	// time, events fired, pending queue depth, watchdog streak) through a
@@ -110,9 +105,6 @@ func (c *Config) setDefaults() {
 	if c.RebuildMBps == 0 {
 		c.RebuildMBps = 50
 	}
-	if c.StallLimit == 0 {
-		c.StallLimit = 1_000_000
-	}
 }
 
 // Validate reports the first configuration error.
@@ -128,8 +120,6 @@ func (c *Config) Validate() error {
 		return errors.New("array: negative epoch")
 	case c.MaxQueue < 0:
 		return errors.New("array: negative max queue")
-	case c.SampleInterval < 0:
-		return errors.New("array: negative sample interval")
 	case c.Spares < 0:
 		return errors.New("array: negative spare count")
 	case c.RebuildMBps < 0:
@@ -211,9 +201,6 @@ type Result struct {
 
 	// EventsFired is the total number of DES events the run executed.
 	EventsFired uint64
-
-	// Timeline holds periodic samples when Config.SampleInterval > 0.
-	Timeline []Sample
 
 	// Attribution is the decision-tracing rollup: per-request latency and
 	// energy decomposition plus per-kind decision counts and realized park
@@ -432,7 +419,6 @@ type sim struct {
 	epochs        int
 	migrating     map[int]bool // fileID -> migration in flight
 	migsThisEpoch int          // for staggering migration starts
-	timeline      []Sample
 
 	// live is the ops-plane snapshot publisher, cached from
 	// cfg.Telemetry.Live (nil when off: every publish is then a single
@@ -574,8 +560,7 @@ func Run(cfg Config) (*Result, error) {
 // order of its steps is the engine's scheduling order, which a fleet of one
 // relies on to reproduce the standalone event sequence (DESIGN §15):
 // policy placement and Init-time speeds, idle timers, firstArrival (which
-// slots in the run's arrival chain), the epoch, the sampler, and the fault
-// tick.
+// slots in the run's arrival chain), the epoch, and the fault tick.
 func (s *sim) start(firstArrival func() error) error {
 	cfg := &s.cfg
 	for i := range s.disks {
@@ -619,7 +604,6 @@ func (s *sim) start(firstArrival func() error) error {
 	if cfg.EpochSeconds > 0 {
 		s.schedule(cfg.EpochSeconds, eventRecord{Kind: evEpoch})
 	}
-	s.installSampler()
 	return s.installFaults()
 }
 
@@ -635,7 +619,7 @@ func (s *sim) scheduleFirstArrival() error {
 // finish drives the event loop to completion and collects the result; it is
 // the common tail of Run and Resume.
 func (s *sim) finish() (*Result, error) {
-	watchdogErr := s.eng.RunGuarded(s.cfg.StallLimit)
+	watchdogErr := s.eng.RunGuarded(des.StallLimit)
 	if s.failure != nil {
 		return nil, s.failure
 	}
@@ -996,7 +980,6 @@ func (s *sim) collect() (*Result, error) {
 		BackgroundOps: s.backgroundOps,
 		Epochs:        s.epochs,
 		EventsFired:   s.eng.Fired(),
-		Timeline:      s.timeline,
 	}
 	if s.respHist.N() > 0 {
 		p50, err := s.respHist.Quantile(0.50)

@@ -6,10 +6,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// sampleDisks appends one DiskSample per disk to the telemetry recorder at
-// virtual time now. It reads only snapshot (non-mutating) accessors, so
-// sampling never perturbs the simulation: a run with telemetry enabled is
-// result-identical to the same run with it disabled, not merely close.
+// sampleDisks walks the disks at virtual time now and records what the walk
+// sees: one DiskSample per disk and one timeline row on the telemetry
+// recorder, and the same aggregates as the live view's epoch gauges. It
+// reads only snapshot (non-mutating) accessors, so sampling never perturbs
+// the simulation: a run with telemetry enabled is result-identical to the
+// same run with it disabled, not merely close.
 //
 //simlint:hotpath
 func (s *sim) sampleDisks(now float64, epoch int) {
@@ -17,12 +19,8 @@ func (s *sim) sampleDisks(now float64, epoch int) {
 	if rec == nil {
 		return
 	}
-	var (
-		energyJ            float64
-		worstAFR           float64
-		queueDepth         uint64
-		disksHigh, disksLo uint64
-	)
+	row := telemetry.Sample{T: now, Completed: s.respHist.N()}
+	var worstAFR float64
 	for i, ds := range s.disks {
 		snap := ds.disk.Snapshot(now)
 		temp := ds.temp.PeekMeanTemp(now)
@@ -34,15 +32,16 @@ func (s *sim) sampleDisks(now float64, epoch int) {
 		speed := "low"
 		if snap.Speed == diskmodel.High {
 			speed = "high"
-			disksHigh++
-		} else {
-			disksLo++
+			row.HighDisks++
 		}
-		energyJ += snap.EnergyJ
+		if snap.State == diskmodel.Active {
+			row.InService++
+		}
+		row.EnergyJ += snap.EnergyJ
+		row.Queued += ds.queueLen()
 		if afr > worstAFR {
 			worstAFR = afr
 		}
-		queueDepth += uint64(ds.queueLen())
 		if err := rec.RecordDiskSample(telemetry.DiskSample{
 			T:           now,
 			Epoch:       epoch,
@@ -61,7 +60,8 @@ func (s *sim) sampleDisks(now float64, epoch int) {
 			return
 		}
 	}
-	// Epoch-cadence ops-plane aggregates, piggybacking on the disk walk
-	// above. No-op (one nil check) when the recorder carries no Live.
-	s.live.PublishEpoch(uint64(epoch), energyJ, worstAFR, queueDepth, disksHigh, disksLo)
+	rec.RecordTimeline(row)
+	// No-op (one nil check) when the recorder carries no Live.
+	s.live.PublishEpoch(uint64(epoch), row.EnergyJ, worstAFR,
+		uint64(row.Queued), uint64(row.HighDisks), uint64(len(s.disks)-row.HighDisks))
 }

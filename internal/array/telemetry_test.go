@@ -21,12 +21,11 @@ func telemetryRun(t *testing.T, rec *telemetry.Recorder) *Result {
 	t.Helper()
 	tr := tinyTrace(t, 40, 3000, 0.02) // ~60 s
 	res, err := Run(Config{
-		Disks:          4,
-		Trace:          tr,
-		Policy:         &spinDownPolicy{h: 2},
-		EpochSeconds:   10,
-		SampleInterval: 5,
-		Telemetry:      rec,
+		Disks:        4,
+		Trace:        tr,
+		Policy:       &spinDownPolicy{h: 2},
+		EpochSeconds: 10,
+		Telemetry:    rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,10 +34,15 @@ func telemetryRun(t *testing.T, rec *telemetry.Recorder) *Result {
 }
 
 // The central telemetry invariant: recording changes nothing. A run with a
-// full file-backed recorder must produce a Result identical — every float,
-// every timeline sample — to the same run with telemetry disabled.
+// full file-backed recorder, and one with an in-memory recorder, must each
+// produce a Result identical — every float — to the same run with telemetry
+// disabled, and the two recorders must hold the same timeline.
 func TestTelemetryOnOffResultsIdentical(t *testing.T) {
 	off := telemetryRun(t, nil)
+	mem := &telemetry.Recorder{}
+	if inMem := telemetryRun(t, mem); !reflect.DeepEqual(off, inMem) {
+		t.Fatalf("an in-memory recorder changed the result:\noff: %+v\non:  %+v", off, inMem)
+	}
 
 	dir := filepath.Join(t.TempDir(), "tel")
 	rec, err := telemetry.Open(telemetry.Config{Dir: dir, TraceEvents: true})
@@ -55,16 +59,20 @@ func TestTelemetryOnOffResultsIdentical(t *testing.T) {
 	}
 
 	// Golden timeline compare: the exported per-epoch rows are identical
-	// byte-for-byte; telemetry adds files next to the run, not columns to it.
-	var offCSV, onCSV bytes.Buffer
-	if err := WriteTimelineCSV(&offCSV, off.Timeline); err != nil {
+	// byte-for-byte whichever sinks the recorder carries; the files add
+	// outputs next to the run, not columns to it.
+	if len(mem.Timeline()) != off.Epochs+2 {
+		t.Fatalf("%d timeline rows, want %d (epochs + post-trace + final)", len(mem.Timeline()), off.Epochs+2)
+	}
+	var memCSV, onCSV bytes.Buffer
+	if err := telemetry.WriteTimelineCSV(&memCSV, mem.Timeline()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTimelineCSV(&onCSV, on.Timeline); err != nil {
+	if err := telemetry.WriteTimelineCSV(&onCSV, rec.Timeline()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(offCSV.Bytes(), onCSV.Bytes()) {
-		t.Fatalf("timeline CSV diverged:\noff:\n%s\non:\n%s", offCSV.String(), onCSV.String())
+	if !bytes.Equal(memCSV.Bytes(), onCSV.Bytes()) {
+		t.Fatalf("timeline CSV diverged:\nin memory:\n%s\nfile-backed:\n%s", memCSV.String(), onCSV.String())
 	}
 }
 
@@ -168,13 +176,12 @@ func TestOpsPlaneOnOffResultsIdentical(t *testing.T) {
 	<-started
 	tr := tinyTrace(t, 40, 3000, 0.02)
 	on, err := Run(Config{
-		Disks:          4,
-		Trace:          tr,
-		Policy:         &spinDownPolicy{h: 2},
-		EpochSeconds:   10,
-		SampleInterval: 5,
-		Telemetry:      &telemetry.Recorder{Live: live},
-		Watch:          watch,
+		Disks:        4,
+		Trace:        tr,
+		Policy:       &spinDownPolicy{h: 2},
+		EpochSeconds: 10,
+		Telemetry:    &telemetry.Recorder{Live: live},
+		Watch:        watch,
 	})
 	close(stop)
 	<-stopped
@@ -219,8 +226,10 @@ func TestTelemetryOffAddsNoAllocs(t *testing.T) {
 	}
 	base := testing.AllocsPerRun(5, run(nil))
 	// A zero-value Recorder has nil series/tracer/decisions/live: every sink
-	// the sim reaches is a nil no-op. Only the per-epoch sampleDisks walk
-	// remains, which must not allocate.
+	// the sim reaches is a nil no-op. What remains is the sampleDisks walk,
+	// which must not allocate, and the timeline row it keeps per walk (one
+	// here, the run having no epochs), appended to the recorder's one list,
+	// which grows geometrically across these runs.
 	withSink := testing.AllocsPerRun(5, run(&telemetry.Recorder{}))
 	if withSink > base {
 		t.Fatalf("disabled sink added allocations: %v with, %v without", withSink, base)

@@ -6,71 +6,66 @@ import (
 	"testing"
 
 	"repro/internal/diskmodel"
+	"repro/internal/telemetry"
 )
 
+// TestTimelineSampling checks the rows an always-on run's epoch walks
+// record: one per epoch boundary plus the post-trace and run-final rows, in
+// time order, inside the physical power envelope, and ending on the
+// Result's energy and completions.
 func TestTimelineSampling(t *testing.T) {
 	tr := tinyTrace(t, 40, 3000, 0.02) // ~60 s
-	res, err := Run(Config{Disks: 4, Trace: tr, Policy: &staticPolicy{}, SampleInterval: 5})
+	rec := &telemetry.Recorder{}
+	res, err := Run(Config{Disks: 4, Trace: tr, Policy: &staticPolicy{}, EpochSeconds: 5, Telemetry: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Timeline) < 10 {
-		t.Fatalf("timeline samples = %d, want >= 10 over ~60 s", len(res.Timeline))
+	rows := rec.Timeline()
+	if len(rows) != res.Epochs+2 || len(rows) < 10 {
+		t.Fatalf("timeline rows = %d, want %d epochs + 2 and >= 10 over ~60 s", len(rows), res.Epochs)
 	}
 	p := diskmodel.DefaultParams()
-	prev := 0.0
+	prevT, prevE := 0.0, 0.0
 	var lastCompleted uint64
-	for i, s := range res.Timeline {
-		if s.T <= prev {
-			t.Fatalf("sample %d time %v not increasing", i, s.T)
+	for i, s := range rows {
+		if s.T < prevT || (s.T == prevT && i != len(rows)-1) {
+			t.Fatalf("row %d time %v not increasing", i, s.T)
 		}
-		prev = s.T
-		// Power bounded by the physical envelope.
-		if s.PowerW < 4*p.PowerIdleLow-1e-9 || s.PowerW > 4*p.PowerActiveHigh+50 {
-			t.Fatalf("sample %d power %v outside envelope", i, s.PowerW)
+		// Mean power since the previous row bounded by the physical envelope.
+		if s.T > prevT {
+			w := (s.EnergyJ - prevE) / (s.T - prevT)
+			if w < 4*p.PowerIdleLow-1e-9 || w > 4*p.PowerActiveHigh+50 {
+				t.Fatalf("row %d power %v outside envelope", i, w)
+			}
 		}
+		prevT, prevE = s.T, s.EnergyJ
 		if s.HighDisks != 4 {
-			t.Fatalf("always-on run: %d high disks at sample %d", s.HighDisks, i)
+			t.Fatalf("always-on run: %d high disks at row %d", s.HighDisks, i)
 		}
 		if s.Completed < lastCompleted {
-			t.Fatalf("completions decreased at sample %d", i)
+			t.Fatalf("completions decreased at row %d", i)
 		}
 		lastCompleted = s.Completed
 		if s.Queued < 0 || s.InService < 0 || s.InService > 4 {
-			t.Fatalf("sample %d occupancy out of range: %+v", i, s)
+			t.Fatalf("row %d occupancy out of range: %+v", i, s)
 		}
 	}
-	if lastCompleted == 0 {
-		t.Fatal("timeline never observed completions")
-	}
-}
-
-func TestTimelineDisabledByDefault(t *testing.T) {
-	tr := tinyTrace(t, 10, 100, 0.01)
-	res, err := Run(Config{Disks: 2, Trace: tr, Policy: &staticPolicy{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Timeline) != 0 {
-		t.Fatalf("timeline recorded without SampleInterval: %d samples", len(res.Timeline))
-	}
-}
-
-func TestTimelineNegativeIntervalRejected(t *testing.T) {
-	tr := tinyTrace(t, 10, 100, 0.01)
-	if _, err := Run(Config{Disks: 2, Trace: tr, Policy: &staticPolicy{}, SampleInterval: -1}); err == nil {
-		t.Fatal("negative sample interval accepted")
+	// The run-final row is taken at the Result's end, before its accruals.
+	if last := rows[len(rows)-1]; last.T != res.Duration || last.EnergyJ != res.EnergyJ ||
+		last.Completed != uint64(res.Requests) {
+		t.Fatalf("final row %+v, result duration %v energy %v requests %d",
+			last, res.Duration, res.EnergyJ, res.Requests)
 	}
 }
 
 func TestRenderTimeline(t *testing.T) {
 	tr := tinyTrace(t, 40, 2000, 0.02)
-	res, err := Run(Config{Disks: 4, Trace: tr, Policy: &spinDownPolicy{h: 2}, SampleInterval: 2})
-	if err != nil {
+	rec := &telemetry.Recorder{}
+	if _, err := Run(Config{Disks: 4, Trace: tr, Policy: &spinDownPolicy{h: 2}, EpochSeconds: 2, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	RenderTimeline(&buf, res.Timeline, 10)
+	telemetry.RenderTimeline(&buf, rec.Timeline(), 10)
 	out := buf.String()
 	if !strings.Contains(out, "power(W)") {
 		t.Fatalf("missing header:\n%s", out)
@@ -81,33 +76,8 @@ func TestRenderTimeline(t *testing.T) {
 	}
 	// Empty timeline message.
 	buf.Reset()
-	RenderTimeline(&buf, nil, 10)
+	telemetry.RenderTimeline(&buf, nil, 10)
 	if !strings.Contains(buf.String(), "no timeline samples") {
 		t.Fatal("empty-timeline message missing")
-	}
-}
-
-func TestWriteTimelineCSV(t *testing.T) {
-	samples := []Sample{
-		{T: 2.5, PowerW: 103.0625, HighDisks: 4, Queued: 1, InService: 2, Completed: 10},
-		{T: 5, PowerW: 98.5, HighDisks: 3, Queued: 0, InService: 1, Completed: 25},
-	}
-	var buf bytes.Buffer
-	if err := WriteTimelineCSV(&buf, samples); err != nil {
-		t.Fatal(err)
-	}
-	want := "t,power_w,high_disks,queued,in_service,completed\n" +
-		"2.5,103.0625,4,1,2,10\n" +
-		"5,98.5,3,0,1,25\n"
-	if buf.String() != want {
-		t.Fatalf("CSV = %q, want %q", buf.String(), want)
-	}
-	// Empty timeline still writes the header so the file is self-describing.
-	buf.Reset()
-	if err := WriteTimelineCSV(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != "t,power_w,high_disks,queued,in_service,completed\n" {
-		t.Fatalf("empty CSV = %q", buf.String())
 	}
 }

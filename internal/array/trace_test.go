@@ -17,7 +17,6 @@ func decisionWorkload(t *testing.T, rec *telemetry.Recorder, overrides map[uint6
 		Trace:             tinyTrace(t, 40, 3000, 0.02), // ~60 s
 		Policy:            &spinDownPolicy{h: 0.3},
 		EpochSeconds:      10,
-		SampleInterval:    5,
 		Telemetry:         rec,
 		DecisionOverrides: overrides,
 	})

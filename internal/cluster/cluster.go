@@ -162,8 +162,6 @@ type Config struct {
 	// must equal Arrays and nil entries fall back to Proto.Faults.
 	PerArrayFaults []*faults.Config
 
-	// StallLimit is the shared engine's watchdog. Zero means 1,000,000.
-	StallLimit uint64
 	// Telemetry, when non-nil, supplies the engine tracer, the decision
 	// log that records retry/hedge/failover decisions, and the live view
 	// the router publishes its clock, counters and (when the view has
@@ -200,9 +198,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.HedgeFallbackSeconds == 0 {
 		c.HedgeFallbackSeconds = 1
-	}
-	if c.StallLimit == 0 {
-		c.StallLimit = 1_000_000
 	}
 }
 
@@ -388,7 +383,7 @@ func Run(cfg Config) (*Result, error) {
 // finish drives the shared engine to completion and collects the result; it
 // is the common tail of Run and Resume.
 func (c *clusterSim) finish() (*Result, error) {
-	watchdogErr := c.eng.RunGuarded(c.cfg.StallLimit)
+	watchdogErr := c.eng.RunGuarded(des.StallLimit)
 	if c.failure != nil {
 		return nil, c.failure
 	}

@@ -15,7 +15,7 @@ import (
 // restoreDeadline bounds one fuzzed restore and its run in wall-clock time.
 // Both fixtures resume in well under a second; a payload that passes
 // validation but never lets its run end shows up as a timeout here,
-// which the engine's StallLimit cannot catch while virtual time advances.
+// which the engine's stall watchdog cannot catch while virtual time advances.
 const restoreDeadline = 10 * time.Second
 
 // FuzzCheckpointRestore restores fuzzed array and fleet checkpoint payloads

@@ -323,6 +323,11 @@ func (e *Engine) Run() {
 	}
 }
 
+// StallLimit is the watchdog limit the simulators run under: an array or a
+// fleet fails with a diagnostic once this many consecutive events fire
+// without the virtual clock advancing.
+const StallLimit = 1_000_000
+
 // RunGuarded is Run with a watchdog: if stallLimit consecutive events fire
 // without the virtual clock advancing — the signature of a handler that
 // keeps rescheduling itself at the current instant — it stops and returns a

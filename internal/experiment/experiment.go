@@ -103,10 +103,6 @@ type SweepConfig struct {
 	// each level's natural default (whole array for RAID-5/6, replica count
 	// for replication).
 	RAIDStripeWidth int
-	// StallLimit is passed to every cell's array.Config.StallLimit: the
-	// RunGuarded watchdog aborts a cell whose event loop fires that many
-	// events without advancing virtual time. Zero uses the array default.
-	StallLimit uint64
 	// Exec holds the execution knobs (workers, cell retries, ops
 	// tracking, decision tracing), none of which enters the digest.
 	Exec
@@ -300,7 +296,6 @@ func runCellOnce(cfg *SweepConfig, trace *workload.Trace, epoch float64, c *Cell
 		Press:        cfg.Press,
 		Spares:       cfg.Spares,
 		RebuildMBps:  cfg.RebuildMBps,
-		StallLimit:   cfg.StallLimit,
 		Telemetry:    rec,
 		Watch:        watch,
 	}

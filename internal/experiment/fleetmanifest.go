@@ -34,10 +34,9 @@ type FleetManifestConfig struct {
 	MaxBacklog           int     `json:"max_backlog,omitempty"`
 	Seed                 int64   `json:"seed,omitempty"`
 
-	Shocks     map[string]any `json:"shocks,omitempty"`
-	Faults     map[string]any `json:"faults,omitempty"`
-	Spares     int            `json:"spares,omitempty"`
-	StallLimit uint64         `json:"stall_limit,omitempty"`
+	Shocks map[string]any `json:"shocks,omitempty"`
+	Faults map[string]any `json:"faults,omitempty"`
+	Spares int            `json:"spares,omitempty"`
 }
 
 // FleetManifest condenses one finished fleet sweep condition into a runstore
@@ -98,7 +97,6 @@ func newFleetManifest(name string, cfg FleetSweepConfig) (*runstore.Manifest, er
 		MaxBacklog:           cfg.MaxBacklog,
 		Seed:                 cfg.Seed,
 		Spares:               cfg.Spares,
-		StallLimit:           cfg.StallLimit,
 	}
 	if cfg.Shocks.Active() {
 		mc.Shocks = asMap(cfg.Shocks)

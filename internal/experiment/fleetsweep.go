@@ -64,9 +64,6 @@ type FleetSweepConfig struct {
 	Faults *faults.Config
 	// Spares is the per-member hot-spare pool (only meaningful with Faults).
 	Spares int
-	// StallLimit guards each cell's shared engine. Zero uses the cluster
-	// default.
-	StallLimit uint64
 
 	// Exec holds the execution knobs, as in SweepConfig; none enters the
 	// digest.
@@ -237,7 +234,6 @@ func (c *FleetSweepConfig) fleetCellConfig(trace *workload.Trace, epoch float64,
 		MaxBacklog:           c.MaxBacklog,
 		Seed:                 c.Seed,
 		Shocks:               c.Shocks,
-		StallLimit:           c.StallLimit,
 		Telemetry:            rec,
 		Watch:                watch,
 	}
@@ -272,8 +268,10 @@ func RunFleetSweep(cfg FleetSweepConfig) (*FleetSweepResult, error) {
 }
 
 // FleetSummary condenses one cluster result into the manifest summary block,
-// with the fleet resilience counters under their FleetOn gate. It lives here
-// rather than in runstore so the artifact layer never imports the simulator.
+// with the fleet resilience counters under their FleetOn gate. It is the
+// fleet's runstore.SummaryFromResult, which does the same for an array
+// Result; it lives here so that runstore, which imports the array package
+// for that one function, does not import the cluster package too.
 func FleetSummary(r *cluster.Result, faultsOn bool) runstore.Summary {
 	s := runstore.Summary{
 		EnergyJ:       r.EnergyJ,

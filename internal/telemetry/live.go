@@ -35,8 +35,8 @@ var arrayHealths = [...]string{ArrayHealthy, ArrayDraining, ArrayEjected}
 // (virtual time, event and request counters) and may be called per
 // completion; PublishEpoch carries the aggregates that require walking the
 // disks (energy, AFR, spin states, queue depths) and fires on epoch
-// boundaries, where the simulation already does that walk for the
-// time-series sampler. /metrics therefore serves request-fresh counters and
+// boundaries, where the simulation already does that walk for the per-disk
+// series and the timeline. /metrics therefore serves request-fresh counters and
 // epoch-fresh gauges, which the DESIGN §14 consistency model documents.
 type Live struct {
 	seq        atomic.Uint64

@@ -1,7 +1,7 @@
 // Package telemetry is the simulator's observability layer: per-disk
-// time-series export (NDJSON and CSV), a Chrome trace_event writer for the
-// DES event stream, the policy decision log, and the lock-free live views
-// the ops plane and the -progress log line read. The run's totals are not
+// time-series export (NDJSON and CSV), the array timeline, a Chrome
+// trace_event writer for the DES event stream, the policy decision log, and
+// the lock-free live views the ops plane and the -progress log line read. The run's totals are not
 // counted here: they live in the simulation's Result, which arraysim
 // writes to metrics.json.
 //
@@ -43,10 +43,10 @@ type Config struct {
 }
 
 // Recorder bundles the telemetry sinks one simulation writes to: the
-// per-disk time series, an optional DES event tracer, an optional decision
-// log, and an optional live view. A nil *Recorder disables everything; the
-// zero value is a valid in-memory-only recorder (set Decisions/Live as
-// needed).
+// per-disk time series, the in-memory timeline, an optional DES event
+// tracer, an optional decision log, and an optional live view. A nil
+// *Recorder disables everything; the zero value is a valid in-memory-only
+// recorder that keeps the timeline (set Decisions/Live as needed).
 type Recorder struct {
 	// Decisions, when non-nil, receives one record per policy decision;
 	// Close writes it to decisions.ndjson when the recorder has a
@@ -58,10 +58,11 @@ type Recorder struct {
 	// check and zero allocations.
 	Live *Live
 
-	series *SeriesWriter
-	tracer *ChromeTracer
-	files  []*atomicio.File
-	dir    string
+	series   *SeriesWriter
+	timeline []Sample
+	tracer   *ChromeTracer
+	files    []*atomicio.File
+	dir      string
 }
 
 // Open creates cfg.Dir and returns a Recorder writing into it.
@@ -129,6 +130,22 @@ func (r *Recorder) RecordDiskSample(s DiskSample) error {
 		return nil
 	}
 	return r.series.Write(s)
+}
+
+// RecordTimeline appends one timeline row.
+func (r *Recorder) RecordTimeline(s Sample) {
+	if r == nil {
+		return
+	}
+	r.timeline = append(r.timeline, s)
+}
+
+// Timeline returns the timeline rows recorded so far (nil on nil).
+func (r *Recorder) Timeline() []Sample {
+	if r == nil {
+		return nil
+	}
+	return r.timeline
 }
 
 func (r *Recorder) closeFiles() error {

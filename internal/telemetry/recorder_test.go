@@ -265,6 +265,9 @@ func TestRecorderNilAndZeroValue(t *testing.T) {
 	if err := nilRec.RecordDiskSample(DiskSample{}); err != nil {
 		t.Fatal(err)
 	}
+	if nilRec.RecordTimeline(Sample{T: 1}); nilRec.Timeline() != nil {
+		t.Fatal("nil recorder kept a timeline")
+	}
 	if err := nilRec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +276,13 @@ func TestRecorderNilAndZeroValue(t *testing.T) {
 	if err := zero.RecordDiskSample(DiskSample{}); err != nil {
 		t.Fatal(err)
 	}
+	row := Sample{T: 2, EnergyJ: 90, HighDisks: 1}
+	zero.RecordTimeline(row)
 	if err := zero.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if got := zero.Timeline(); len(got) != 1 || got[0] != row {
+		t.Fatalf("zero-value recorder timeline %+v, want [%+v]", got, row)
 	}
 }
 
@@ -289,6 +297,7 @@ func TestNilHandlesDoNotAllocate(t *testing.T) {
 	)
 	allocs := testing.AllocsPerRun(1000, func() {
 		_ = rec.RecordDiskSample(DiskSample{T: 1, Speed: "low"})
+		rec.RecordTimeline(Sample{T: 1})
 		rec.Tracer().EventFired(1, "tick", 1, 100)
 		tr.EventScheduled(2, "tick", 2, 1)
 		tr.Span("migrate", 1, 2)
