@@ -17,6 +17,7 @@ import (
 
 	diskarray "repro"
 	"repro/cmd/internal/runcmd"
+	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/experiment"
 	"repro/internal/faults"
@@ -168,7 +169,7 @@ func main() {
 	}
 	cfg.Telemetry = &telemetry.Recorder{Decisions: dlog, Live: live}
 	if record.CkptEvery > 0 {
-		cfg.Checkpoint = &cluster.CheckpointSpec{
+		cfg.Checkpoint = &checkpoint.Spec{
 			EverySimSeconds: record.CkptEvery,
 			Path:            record.CheckpointPath(),
 			Tool:            "fleetsim",

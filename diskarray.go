@@ -33,6 +33,7 @@ import (
 	"io"
 
 	"repro/internal/array"
+	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/diskmodel"
 	"repro/internal/experiment"
@@ -461,8 +462,9 @@ type FleetResult = cluster.Result
 // FleetTopology maps arrays into racks (power domains) and enclosures.
 type FleetTopology = cluster.Topology
 
-// FleetCheckpointSpec configures periodic whole-fleet snapshots.
-type FleetCheckpointSpec = cluster.CheckpointSpec
+// FleetCheckpointSpec configures periodic whole-fleet snapshots. It is the
+// one checkpoint spec type, shared with CheckpointSpec.
+type FleetCheckpointSpec = checkpoint.Spec
 
 // RoutingPolicy selects which replica serves an attempt.
 type RoutingPolicy = cluster.RoutingPolicy

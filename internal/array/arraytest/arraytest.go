@@ -237,4 +237,11 @@ var Corruptions = []Corruption{
 		"disk 3 has more than one service event pending"},
 	{"user op of an unknown file", func(st map[string]any) { disk(st, 3)["fg"].([]any)[1].(map[string]any)["file_id"] = 4242 },
 		"user op of unknown file 4242"},
+	{"fired count inflated", func(st map[string]any) { st["fired"] = 3614 },
+		"engine ledger: seq 3527 != fired 3614 + 13 pending"},
+	{"two events' seqs swapped", func(st map[string]any) {
+		event(st, 0)["seq"], event(st, 1)["seq"] = event(st, 1)["seq"], event(st, 0)["seq"]
+	}, "engine ledger: pending event seq 1828 saved after seq 2433"},
+	{"two events with one seq", func(st map[string]any) { event(st, 1)["seq"] = event(st, 0)["seq"] },
+		"engine ledger: pending event seq 1828 saved after seq 1828"},
 }

@@ -28,34 +28,18 @@ import (
 )
 
 // CheckpointSpec configures periodic snapshotting for one run.
-type CheckpointSpec struct {
-	// EverySimSeconds is the snapshot period in virtual seconds. The
-	// checkpoint tick is a DES event, so runs being compared bit-for-bit
-	// must share the same period (or both disable it).
-	EverySimSeconds float64
-	// Path is the snapshot file, rewritten atomically on every tick.
-	Path string
-	// Tool and ConfigDigest identify the producing run in the envelope;
-	// Resume refuses a snapshot whose digest does not match its config.
-	Tool         string
-	ConfigDigest string
-	// Sink, when non-nil, receives the encoded envelope instead of Path —
-	// the in-process hook the kill/resume equivalence test uses.
-	Sink func(data []byte) error
-}
+type CheckpointSpec = checkpoint.Spec
 
-// validateCheckpointSpec rejects unusable checkpoint configurations up
-// front, including a policy that cannot be serialized.
+// validateCheckpointSpec rejects an unusable checkpoint configuration up
+// front, for a standalone run and a fleet member alike: the spec's own rule,
+// and a policy that cannot be serialized.
 func validateCheckpointSpec(cfg *Config) error {
 	spec := cfg.Checkpoint
 	if spec == nil {
 		return nil
 	}
-	if spec.EverySimSeconds <= 0 || math.IsNaN(spec.EverySimSeconds) {
-		return fmt.Errorf("array: checkpoint interval %v must be positive", spec.EverySimSeconds)
-	}
-	if spec.Path == "" && spec.Sink == nil {
-		return fmt.Errorf("array: checkpoint needs a path or a sink")
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("array: %w", err)
 	}
 	if _, ok := cfg.Policy.(CheckpointablePolicy); !ok {
 		return fmt.Errorf("array: policy %q does not support checkpointing", cfg.Policy.Name())
@@ -65,11 +49,9 @@ func validateCheckpointSpec(cfg *Config) error {
 
 // installCheckpoints arms the periodic checkpoint tick.
 func (s *sim) installCheckpoints() {
-	spec := s.cfg.Checkpoint
-	if spec == nil || spec.EverySimSeconds <= 0 {
-		return
+	if spec := s.cfg.Checkpoint; spec != nil {
+		s.schedule(spec.EverySimSeconds, eventRecord{Kind: evCheckpoint})
 	}
-	s.schedule(spec.EverySimSeconds, eventRecord{Kind: evCheckpoint})
 }
 
 // onCheckpointTick snapshots the simulation. The next tick is scheduled
@@ -302,7 +284,7 @@ type raidCkptState struct {
 // cfg.Telemetry on restore), failure aborts the run before a checkpoint
 // could be taken, ctx is a stateless singleton rebuilt by newSim (it
 // carries only the sim pointer), recs — the pending events' records —
-// travels inside Events and is refilled as restore re-schedules them,
+// travels inside Events and is refilled as restore re-posts them,
 // freeConts and freeStamps hold only released continuations and stamps that
 // nothing references, wireOrder is derived from files, and ckptSize, the
 // last snapshot's length, only sizes the next snapshot's buffer. RespStream
@@ -527,31 +509,14 @@ func (s *sim) buildState() (*simState, error) {
 	return st, nil
 }
 
-// writeCheckpoint snapshots the run into its envelope and commits it to the
-// configured sink or path (atomically). The buffer is sized from the last
-// snapshot, with room to grow, so a snapshot allocates it once; it is never
-// reused, because a sink may keep what it is given.
+// writeCheckpoint snapshots the run and commits it through its spec.
 func (s *sim) writeCheckpoint() error {
 	st, err := s.buildState()
 	if err != nil {
 		return err
 	}
-	spec := s.cfg.Checkpoint
-	data, err := checkpoint.Marshal(&checkpoint.Envelope{
-		Version:      checkpoint.Version,
-		Tool:         spec.Tool,
-		ConfigDigest: spec.ConfigDigest,
-		SimTime:      s.eng.Now(),
-		EventsFired:  s.eng.Fired(),
-	}, s.ckptSize+s.ckptSize/8, st.appendJSON)
-	if err != nil {
-		return err
-	}
-	s.ckptSize = len(data)
-	if spec.Sink != nil {
-		return spec.Sink(data)
-	}
-	return checkpoint.WriteFile(spec.Path, data)
+	s.ckptSize, err = s.cfg.Checkpoint.Commit(s.eng.Now(), s.eng.Fired(), s.ckptSize, st.appendJSON)
+	return err
 }
 
 // decodeCont is encodeCont's inverse.
@@ -653,8 +618,10 @@ func (b *restoreBounds) op(os *opState, holders []int) error {
 // set membership and cross-reference that restoreSim and the resumed run
 // will follow, so the rebuild only assigns. The model packages check their
 // own checkpoint types (diskmodel.Checkpoint, faults.Checkpoint,
-// stats.LatencyHistogramState), and the policy its state in LoadState.
-func (st *simState) validate(cfg *Config) error {
+// stats.LatencyHistogramState), the engine its position (des.CheckLedger,
+// which a fleet member leaves to its fleet, since it holds only part of the
+// shared engine's events), and the policy its state in LoadState.
+func (st *simState) validate(cfg *Config, member bool) error {
 	if _, ok := cfg.Policy.(CheckpointablePolicy); !ok {
 		return fmt.Errorf("policy %q does not support checkpointing", cfg.Policy.Name())
 	}
@@ -883,28 +850,20 @@ func (st *simState) validate(cfg *Config) error {
 			return err
 		}
 	}
+	if !member {
+		return des.CheckLedger(st.Seq, st.Fired, st.eventSeqs())
+	}
 	return nil
 }
 
-// RestoredEvent is one pending DES event decoded from a checkpoint but not
-// yet re-scheduled. Resume schedules its own events directly; a cluster
-// restore first merge-sorts the RestoredEvents of every owner of the shared
-// engine (router + members) by Seq, then schedules them in that global order
-// so same-instant FIFO ties break exactly as in the original run.
-type RestoredEvent struct {
-	// Seq is the event's sequence number in the original engine.
-	Seq uint64
-	// Time is the event's absolute virtual fire time.
-	Time float64
-
-	s   *sim
-	rec eventRecord
+// eventSeqs returns the pending events' sequence numbers in saved order.
+func (st *simState) eventSeqs() []uint64 {
+	seqs := make([]uint64, len(st.Events))
+	for i := range st.Events {
+		seqs[i] = st.Events[i].Seq
+	}
+	return seqs
 }
-
-// Schedule re-schedules the event onto its sim's engine. Calls must happen
-// between the engine's BeginRestore and FinishRestore, in ascending Seq
-// order across all owners.
-func (re RestoredEvent) Schedule() error { return re.s.at(re.Time, re.rec) }
 
 // Resume reconstructs a simulation from a checkpoint payload produced under
 // the same configuration and runs it to completion. The policy is NOT
@@ -920,25 +879,26 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 }
 
 // decodeState parses a checkpoint payload and validates it under cfg,
-// whose defaults are set; nothing is rebuilt.
-func decodeState(cfg *Config, stateJSON []byte) (*simState, error) {
+// whose defaults are set, as a fleet member's when member is set; nothing
+// is rebuilt.
+func decodeState(cfg *Config, stateJSON []byte, member bool) (*simState, error) {
 	st := new(simState)
 	if err := json.Unmarshal(stateJSON, st); err != nil {
 		return nil, fmt.Errorf("array: resume: parse state: %w", err)
 	}
-	if err := st.validate(cfg); err != nil {
+	if err := st.validate(cfg, member); err != nil {
 		return nil, fmt.Errorf("array: resume: %w", err)
 	}
 	return st, nil
 }
 
 // resume is Resume up to running the restored simulation: it rebuilds the
-// sim and re-schedules its pending events.
+// sim and restores its engine.
 func resume(cfg Config, stateJSON []byte) (*sim, error) {
 	if err := cfg.prepare(false); err != nil {
 		return nil, err
 	}
-	st, err := decodeState(&cfg, stateJSON)
+	st, err := decodeState(&cfg, stateJSON, false)
 	if err != nil {
 		return nil, err
 	}
@@ -946,15 +906,7 @@ func resume(cfg Config, stateJSON []byte) (*sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.eng.BeginRestore(st.Clock); err != nil {
-		return nil, fmt.Errorf("array: resume: %w", err)
-	}
-	for _, re := range evs {
-		if err := re.Schedule(); err != nil {
-			return nil, fmt.Errorf("array: resume: re-schedule %s@%v: %w", re.rec.Kind, re.Time, err)
-		}
-	}
-	if err := s.eng.FinishRestore(st.Seq, st.Fired); err != nil {
+	if err := s.eng.Restore(st.Clock, st.Seq, st.Fired, evs); err != nil {
 		return nil, fmt.Errorf("array: resume: %w", err)
 	}
 	return s, nil
@@ -962,13 +914,12 @@ func resume(cfg Config, stateJSON []byte) (*sim, error) {
 
 // restoreSim rebuilds a sim from a checkpoint payload that passed validate:
 // disks, queues, counters, policy, faults, and telemetry are restored, and
-// the saved pending events are decoded into RestoredEvents (in saved order,
-// which is ascending original Seq) for the caller to schedule. The engine is
-// NOT touched — the caller brackets Schedule calls with BeginRestore and
-// FinishRestore, which lets a cluster restore interleave the events of
-// several sims sharing one engine. The errors left are the callees' own: a
+// the saved pending events come back as the engine's, their records already
+// in the sim's slab, for the caller's des.Engine.Restore. The engine is NOT
+// touched, which lets a cluster restore the events of several sims sharing
+// one engine together. The errors left are the callees' own: a
 // configuration the constructors reject, and the policy's LoadState.
-func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []RestoredEvent, error) {
+func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []des.PendingEvent, error) {
 	s, err := newSim(cfg, eng, host)
 	if err != nil {
 		return nil, nil, err
@@ -1088,14 +1039,14 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 		s.trc.restore(st.Trace)
 	}
 
-	evs := make([]RestoredEvent, 0, len(st.Events))
+	evs := make([]des.PendingEvent, len(st.Events))
 	for i := range st.Events {
 		se := &st.Events[i]
 		rec := recordFromSaved(se)
 		if se.Op != nil {
 			s.disks[rec.Disk].svc = decodeOp(se.Op)
 		}
-		evs = append(evs, RestoredEvent{Seq: se.Seq, Time: se.Time, s: s, rec: rec})
+		evs[i] = des.PendingEvent{Seq: se.Seq, Time: se.Time, Label: evKinds[rec.Kind].label, Owner: s, Slot: s.recs.Put(rec)}
 	}
 	return s, evs, nil
 }

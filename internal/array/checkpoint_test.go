@@ -328,53 +328,6 @@ func TestResumeSnapshotFields(t *testing.T) {
 	}
 }
 
-func TestCheckpointSpecValidation(t *testing.T) {
-	tr := tinyTrace(t, 10, 100, 0.01)
-	base := func() Config {
-		return Config{Disks: 2, Trace: tr, Policy: &ckptSpinDown{spinDownPolicy{h: 0.3}}}
-	}
-	sink := func([]byte) error { return nil }
-
-	cases := []struct {
-		name string
-		mut  func(cfg *Config)
-		want string
-	}{
-		{
-			name: "zero interval",
-			mut: func(cfg *Config) {
-				cfg.Checkpoint = &CheckpointSpec{EverySimSeconds: 0, Sink: sink}
-			},
-			want: "interval",
-		},
-		{
-			name: "no destination",
-			mut: func(cfg *Config) {
-				cfg.Checkpoint = &CheckpointSpec{EverySimSeconds: 1}
-			},
-			want: "path or a sink",
-		},
-		{
-			name: "non-checkpointable policy",
-			mut: func(cfg *Config) {
-				cfg.Policy = &staticPolicy{}
-				cfg.Checkpoint = &CheckpointSpec{EverySimSeconds: 1, Sink: sink}
-			},
-			want: "does not support checkpointing",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := base()
-			tc.mut(&cfg)
-			_, err := Run(cfg)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("want error containing %q, got %v", tc.want, err)
-			}
-		})
-	}
-}
-
 func TestResumeRejectsMismatches(t *testing.T) {
 	tr := tinyTrace(t, 20, 500, 0.01)
 	cfg := Config{Disks: 3, Trace: tr, Policy: &ckptSpinDown{spinDownPolicy{h: 0.3}}}

@@ -175,6 +175,6 @@ func ParseState(state []byte) error {
 // Resume does before it rebuilds anything.
 func ValidateState(cfg Config, state []byte) error {
 	cfg.setDefaults()
-	_, err := decodeState(&cfg, state)
+	_, err := decodeState(&cfg, state, false)
 	return err
 }

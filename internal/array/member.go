@@ -28,7 +28,6 @@ package array
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/des"
 	"repro/internal/diskmodel"
@@ -57,8 +56,9 @@ type Member struct {
 
 // NewMember builds a fleet member on the shared engine eng. cfg.Trace must
 // carry the member's file set with an empty request list (arrivals come from
-// Submit), and cfg.Checkpoint must be nil (the cluster owns the checkpoint
-// cadence and calls AppendCheckpointState from its own tick). firstArrival, when
+// Submit), and cfg.Checkpoint is the fleet's spec when the fleet
+// snapshots (the cluster owns the checkpoint cadence and calls
+// AppendCheckpointState from its own tick). firstArrival, when
 // non-nil, runs at the exact point Run would schedule its first trace
 // arrival — after idle timers are armed, before the epoch event — so the
 // router can slot its arrival chain into the same sequence position.
@@ -199,11 +199,9 @@ func (m *Member) ForceSpeedAll(target diskmodel.Speed, cause string) {
 // AppendCheckpointState appends the member's complete state to dst: the
 // same payload a standalone checkpoint carries, with foreign shared-engine
 // events skipped and per-event sequence numbers recorded for the cluster's
-// merge.
+// restore. The member must have been built with a Config.Checkpoint, whose
+// check vouches for its policy.
 func (m *Member) AppendCheckpointState(dst []byte) ([]byte, error) {
-	if _, ok := m.s.cfg.Policy.(CheckpointablePolicy); !ok {
-		return nil, fmt.Errorf("array: policy %q does not support checkpointing", m.s.cfg.Policy.Name())
-	}
 	st, err := m.s.buildState()
 	if err != nil {
 		return nil, err
@@ -224,12 +222,16 @@ func DecodeMember(cfg Config, stateJSON []byte) (*MemberSnapshot, error) {
 	if err := cfg.prepare(true); err != nil {
 		return nil, err
 	}
-	st, err := decodeState(&cfg, stateJSON)
+	st, err := decodeState(&cfg, stateJSON, true)
 	if err != nil {
 		return nil, err
 	}
 	return &MemberSnapshot{cfg: cfg, st: st}, nil
 }
+
+// EventSeqs returns the shared-engine sequence numbers of the member's
+// pending events, in saved order, for the fleet's des.CheckLedger.
+func (ms *MemberSnapshot) EventSeqs() []uint64 { return ms.st.eventSeqs() }
 
 // FleetAttempt names one attempt of a fleet request.
 type FleetAttempt struct {
@@ -265,11 +267,11 @@ func (ms *MemberSnapshot) FleetAttempts() []FleetAttempt {
 	return out
 }
 
-// Restore rebuilds the member on the shared engine eng. The decoded pending
-// events are returned WITHOUT being scheduled: the cluster merges them with
-// the router's own saved events by Seq and schedules the union in global
-// order between the shared engine's BeginRestore and FinishRestore.
-func (ms *MemberSnapshot) Restore(eng *des.Engine, host Host) (*Member, []RestoredEvent, error) {
+// Restore rebuilds the member on the shared engine eng without touching
+// it: the member's pending events come back with their records already in
+// its slab, for the cluster to restore together with the router's own in one
+// des.Engine.Restore.
+func (ms *MemberSnapshot) Restore(eng *des.Engine, host Host) (*Member, []des.PendingEvent, error) {
 	if eng == nil || host == nil {
 		return nil, nil, errors.New("array: member needs a shared engine and a host")
 	}

@@ -78,7 +78,8 @@ type Config struct {
 	// identical to one that predates it. NOTE: the checkpoint tick is a real
 	// DES event, so an uninterrupted run and its resumed twin only compare
 	// bit-identically (EventsFired included) when both use the same
-	// interval.
+	// interval. A fleet member carries its fleet's spec, which the cluster
+	// drives from its own tick.
 	Checkpoint *CheckpointSpec
 	// DecisionOverrides forces the outcome of individual decisions during
 	// counterfactual replay, keyed by decision sequence number (see
@@ -521,23 +522,16 @@ func newSim(cfg Config, eng *des.Engine, host Host) (*sim, error) {
 
 // prepare sets cfg's defaults and validates it for a standalone run (Run,
 // Resume) or, when member is set, for a fleet member (NewMember,
-// DecodeMember): a member's arrivals come from Submit and its checkpoint
-// cadence from the cluster.
+// DecodeMember), whose arrivals come from Submit.
 func (c *Config) prepare(member bool) error {
 	c.setDefaults()
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	if !member {
-		return validateCheckpointSpec(c)
-	}
-	if len(c.Trace.Requests) != 0 {
+	if member && len(c.Trace.Requests) != 0 {
 		return errors.New("array: member trace must have no requests; arrivals come from Submit")
 	}
-	if c.Checkpoint != nil {
-		return errors.New("array: member checkpointing is driven by the cluster, not Config.Checkpoint")
-	}
-	return nil
+	return validateCheckpointSpec(c)
 }
 
 // Run executes one simulation and returns its result.

@@ -21,7 +21,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -128,6 +130,59 @@ func Decode(data []byte) (*Envelope, error) {
 	}
 	e.State = state.Bytes()
 	return &e, nil
+}
+
+// Spec configures periodic snapshotting for one run, of an array or a
+// fleet.
+type Spec struct {
+	// EverySimSeconds is the snapshot period in virtual seconds. The
+	// checkpoint tick is a DES event, so runs being compared bit-for-bit
+	// must share the same period (or both disable it).
+	EverySimSeconds float64
+	// Path is the snapshot file, rewritten atomically on every tick.
+	Path string
+	// Tool and ConfigDigest identify the producing run in the envelope;
+	// a resume refuses a snapshot whose digest does not match its config.
+	Tool         string
+	ConfigDigest string
+	// Sink, when non-nil, receives the encoded envelope instead of Path —
+	// the in-process hook the kill/resume equivalence tests use.
+	Sink func(data []byte) error
+}
+
+// Validate reports why s cannot drive a run's snapshots: the period must
+// be positive and each snapshot needs a path or a sink.
+func (s *Spec) Validate() error {
+	if s.EverySimSeconds <= 0 || math.IsNaN(s.EverySimSeconds) {
+		return fmt.Errorf("checkpoint interval %v must be positive", s.EverySimSeconds)
+	}
+	if s.Path == "" && s.Sink == nil {
+		return errors.New("checkpoint needs a path or a sink")
+	}
+	return nil
+}
+
+// Commit writes one snapshot, taken at virtual time simTime after fired
+// events, whose state appendState appends: it marshals the envelope into a
+// buffer sized from last, the previous snapshot's length, with room to
+// grow, and hands the bytes to s.Sink or writes them atomically to s.Path.
+// The buffer is never reused, because a sink may keep what it is given.
+// Commit returns the snapshot's length, which sizes the next one.
+func (s *Spec) Commit(simTime float64, fired uint64, last int, appendState func(dst []byte) ([]byte, error)) (int, error) {
+	data, err := Marshal(&Envelope{
+		Version:      Version,
+		Tool:         s.Tool,
+		ConfigDigest: s.ConfigDigest,
+		SimTime:      simTime,
+		EventsFired:  fired,
+	}, last+last/8, appendState)
+	if err != nil {
+		return last, err
+	}
+	if s.Sink != nil {
+		return len(data), s.Sink(data)
+	}
+	return len(data), WriteFile(s.Path, data)
 }
 
 // WriteFile writes an encoded envelope to path atomically.

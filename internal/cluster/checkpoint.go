@@ -5,11 +5,11 @@ package cluster
 // carries, with per-event engine sequence numbers recorded) plus the
 // router's own state: request table, counters, latency histogram, shock
 // depths, pending router events, and the decision log. Restoring rebuilds
-// every owner of the shared engine, merge-sorts ALL saved pending events —
-// router and members together — by their original engine sequence number,
-// and re-schedules them in that global order between BeginRestore and
-// FinishRestore, so same-instant FIFO ties break exactly as in the original
-// run and the resumed fleet is bit-identical, not merely close.
+// every owner of the shared engine and hands ALL saved pending events —
+// router and members together — to one des.Engine.Restore, which re-posts
+// them in their original engine sequence order, so same-instant FIFO ties
+// break exactly as in the original run and the resumed fleet is
+// bit-identical, not merely close.
 
 import (
 	"encoding/json"
@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/checkpoint"
+	"repro/internal/des"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -60,7 +61,7 @@ type savedRouterEvent struct {
 // racks are rebuilt (member state travels in Members), failure aborts a run
 // before a checkpoint could be written, and recs — the pending router
 // events' records — travels inside Events and is refilled as restore
-// re-schedules them. freeReqs holds only settled request states and
+// re-posts them. freeReqs holds only settled request states and
 // healthy is a buffer reused by every attempt; neither carries state
 // between events. ckptSize, the last snapshot's length, only sizes the
 // next snapshot's buffer.
@@ -257,29 +258,14 @@ func (st *clusterState) appendJSON(dst []byte, members []*array.Member) ([]byte,
 	return w.Bytes()
 }
 
-// writeCheckpoint snapshots the fleet into its envelope and commits it to
-// the configured sink or path (atomically). As in the array, the buffer is
-// sized from the last snapshot and never reused.
+// writeCheckpoint snapshots the fleet and commits it through its spec.
 func (c *clusterSim) writeCheckpoint() error {
 	st := c.buildState()
-	spec := c.cfg.Checkpoint
-	data, err := checkpoint.Marshal(&checkpoint.Envelope{
-		Version:      checkpoint.Version,
-		Tool:         spec.Tool,
-		ConfigDigest: spec.ConfigDigest,
-		SimTime:      c.eng.Now(),
-		EventsFired:  c.eng.Fired(),
-	}, c.ckptSize+c.ckptSize/8, func(dst []byte) ([]byte, error) {
+	var err error
+	c.ckptSize, err = c.cfg.Checkpoint.Commit(c.eng.Now(), c.eng.Fired(), c.ckptSize, func(dst []byte) ([]byte, error) {
 		return st.appendJSON(dst, c.members)
 	})
-	if err != nil {
-		return err
-	}
-	c.ckptSize = len(data)
-	if spec.Sink != nil {
-		return spec.Sink(data)
-	}
-	return checkpoint.WriteFile(spec.Path, data)
+	return err
 }
 
 // onCheckpointTick snapshots the fleet. The next tick is scheduled BEFORE
@@ -297,21 +283,15 @@ func (c *clusterSim) onCheckpointTick(now float64) {
 	}
 }
 
-// mergeEvent is one saved pending event from any owner of the shared engine,
-// tagged with its original sequence number for the global re-schedule order.
-type mergeEvent struct {
-	seq      uint64
-	schedule func() error
-	desc     string
-}
-
 // validate reports why st cannot be restored under cfg, whose defaults are
 // set and which passed Validate; otherwise it returns the members' payloads,
 // decoded and validated by array.DecodeMember. Like the array's validate it
 // runs before anything is rebuilt and owns the whole rule: the router's
 // invariants (see router.go) and their agreement with the attempts the
 // members hold in flight. A router event whose request has settled is a
-// legitimate stale no-op and is not checked against the request table.
+// legitimate stale no-op and is not checked against the request table. The
+// shared engine's ledger covers the router's pending events and every
+// member's.
 func (st *clusterState) validate(cfg *Config) ([]*array.MemberSnapshot, error) {
 	if len(st.Members) != cfg.Arrays {
 		return nil, fmt.Errorf("checkpoint has %d arrays, config has %d", len(st.Members), cfg.Arrays)
@@ -429,6 +409,10 @@ func (st *clusterState) validate(cfg *Config) ([]*array.MemberSnapshot, error) {
 
 	// Every attempt in flight is held by exactly one member.
 	members := make([]*array.MemberSnapshot, cfg.Arrays)
+	seqs := make([][]uint64, 1, 1+cfg.Arrays)
+	for i := range st.Events {
+		seqs[0] = append(seqs[0], st.Events[i].Seq)
+	}
 	for i := range st.Members {
 		mc, err := cfg.memberConfig(i)
 		if err != nil {
@@ -444,11 +428,15 @@ func (st *clusterState) validate(cfg *Config) ([]*array.MemberSnapshot, error) {
 			}
 			inFlight[a.Req] &^= bit
 		}
+		seqs = append(seqs, members[i].EventSeqs())
 	}
 	for _, r := range st.Reqs {
 		if p := inFlight[r.ID]; p != 0 {
 			return nil, fmt.Errorf("request %d: attempt %d is in flight on no array", r.ID, bits.TrailingZeros64(p)+1)
 		}
+	}
+	if err := des.CheckLedger(st.Seq, st.Fired, seqs...); err != nil {
+		return nil, err
 	}
 	return members, nil
 }
@@ -480,8 +468,8 @@ func decodeState(cfg *Config, stateJSON []byte) (*clusterState, []*array.MemberS
 }
 
 // restore is Resume up to running the restored fleet: it rebuilds every
-// owner of the shared engine, collecting their saved pending events WITHOUT
-// scheduling, then re-schedules the union in the original sequence order.
+// owner of the shared engine, collecting their saved pending events, then
+// restores the engine with the union.
 func restore(cfg Config, stateJSON []byte) (*clusterSim, error) {
 	cfg.setDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -522,36 +510,22 @@ func restore(cfg Config, stateJSON []byte) (*clusterSim, error) {
 		}
 	}
 
-	var merged []mergeEvent
+	var evs []des.PendingEvent
 	for i, ms := range members {
-		m, evs, err := ms.Restore(c.eng, c)
+		m, mevs, err := ms.Restore(c.eng, c)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: resume: array %d: %w", i, err)
 		}
 		c.members = append(c.members, m)
-		for _, re := range evs {
-			merged = append(merged, mergeEvent{seq: re.Seq, schedule: re.Schedule,
-				desc: fmt.Sprintf("array %d event seq %d", i, re.Seq)})
-		}
+		evs = append(evs, mevs...)
 	}
 	for _, se := range st.Events {
-		rec := routerRecord{Kind: parseRevKind(se.Kind), Req: se.Req, Attempt: se.Attempt,
-			Rack: se.Rack, Shock: se.Shock, Cause: se.Cause}
-		merged = append(merged, mergeEvent{seq: se.Seq,
-			schedule: func() error { return c.ratErr(se.Time, rec) },
-			desc:     fmt.Sprintf("router %s seq %d", se.Kind, se.Seq)})
+		kind := parseRevKind(se.Kind)
+		slot := c.recs.Put(routerRecord{Kind: kind, Req: se.Req, Attempt: se.Attempt,
+			Rack: se.Rack, Shock: se.Shock, Cause: se.Cause})
+		evs = append(evs, des.PendingEvent{Seq: se.Seq, Time: se.Time, Label: revKinds[kind], Owner: c, Slot: slot})
 	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].seq < merged[j].seq })
-
-	if err := c.eng.BeginRestore(st.Clock); err != nil {
-		return nil, fmt.Errorf("cluster: resume: %w", err)
-	}
-	for _, me := range merged {
-		if err := me.schedule(); err != nil {
-			return nil, fmt.Errorf("cluster: resume: re-schedule %s: %w", me.desc, err)
-		}
-	}
-	if err := c.eng.FinishRestore(st.Seq, st.Fired); err != nil {
+	if err := c.eng.Restore(st.Clock, st.Seq, st.Fired, evs); err != nil {
 		return nil, fmt.Errorf("cluster: resume: %w", err)
 	}
 	return c, nil

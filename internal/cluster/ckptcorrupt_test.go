@@ -86,6 +86,14 @@ var fleetCorruptions = []struct {
 		"request 258: retry_queued true with 0 fleet-retry events pending"},
 	{"attempt the router holds on no array", func(st map[string]any) { fleetReq(st, 0)["pending"] = 2 },
 		"array 0 holds attempt 1 of request 169, which the router has not in flight"},
+	{"fired count inflated", func(st map[string]any) { st["fired"] = 1158 },
+		"engine ledger: seq 1109 != fired 1158 + 51 pending"},
+	{"two router events' seqs swapped", func(st map[string]any) {
+		fleetEvent(st, 0)["seq"], fleetEvent(st, 1)["seq"] = fleetEvent(st, 1)["seq"], fleetEvent(st, 0)["seq"]
+	}, "engine ledger: pending event seq 11 saved after seq 994"},
+	{"a member event with a router event's seq", func(st map[string]any) {
+		st["members"].([]any)[0].(map[string]any)["events"].([]any)[2].(map[string]any)["seq"] = 11
+	}, "engine ledger: two pending events with seq 11"},
 }
 
 // TestFleetResumeRejectsCorruptFixture resumes each corrupted copy of the

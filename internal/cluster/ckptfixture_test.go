@@ -14,7 +14,7 @@ import (
 )
 
 // fleetFixturePath is a version-1 fleet checkpoint of fleetFixtureConfig:
-// the snapshot at t = fleetFixtureAt that a Run with a CheckpointSpec.Sink
+// the snapshot at t = fleetFixtureAt that a Run with a checkpoint.Spec.Sink
 // captured, written by the binary whose router event kinds were still
 // strings in memory. It is committed, not regenerated: it pins the fleet
 // wire schema (router event kind names, request table, member payloads), so
@@ -73,8 +73,8 @@ func fleetFixtureConfig(t *testing.T) Config {
 
 // fleetFixtureSpec is the checkpoint cadence the fixture was captured with;
 // its sink discards later snapshots.
-func fleetFixtureSpec() *CheckpointSpec {
-	return &CheckpointSpec{
+func fleetFixtureSpec() *checkpoint.Spec {
+	return &checkpoint.Spec{
 		EverySimSeconds: fleetFixtureEvery,
 		Tool:            "fixture",
 		ConfigDigest:    "fixture",

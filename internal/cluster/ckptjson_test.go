@@ -30,7 +30,7 @@ func TestStateEncodingMatchesEncodingJSON(t *testing.T) {
 		}
 		var c *clusterSim
 		snapshots, decisions := 0, 0
-		cfg.Checkpoint = &CheckpointSpec{
+		cfg.Checkpoint = &checkpoint.Spec{
 			EverySimSeconds: 0.25,
 			Sink: func(data []byte) error {
 				env, err := checkpoint.Decode(data)

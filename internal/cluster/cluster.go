@@ -35,6 +35,7 @@ import (
 	"math"
 
 	"repro/internal/array"
+	"repro/internal/checkpoint"
 	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/stats"
@@ -87,17 +88,6 @@ func (t Topology) RackOf(i int) int { return i % t.Racks }
 
 // EnclosureOf returns array i's enclosure within its rack.
 func (t Topology) EnclosureOf(i int) int { return (i / t.Racks) % t.EnclosuresPerRack }
-
-// CheckpointSpec configures periodic fleet snapshots; see
-// array.CheckpointSpec for field semantics (the tick is a real DES event and
-// part of the determinism contract).
-type CheckpointSpec struct {
-	EverySimSeconds float64
-	Path            string
-	Tool            string
-	ConfigDigest    string
-	Sink            func(data []byte) error
-}
 
 // Config describes one fleet run.
 type Config struct {
@@ -171,8 +161,9 @@ type Config struct {
 	// Watch receives the shared engine's live position for the ops plane.
 	Watch *des.Watch
 	// Checkpoint, when non-nil, snapshots the whole fleet (router + every
-	// member) periodically; see Resume.
-	Checkpoint *CheckpointSpec
+	// member) periodically; see Resume. Each member's configuration carries
+	// it, so the array's check of a spec and its policy covers the fleet.
+	Checkpoint *checkpoint.Spec
 }
 
 // hedgeMinSamples is the completions needed before the live p99 replaces
@@ -249,14 +240,6 @@ func (c *Config) Validate() error {
 		c.Proto.Watch != nil || c.Proto.Checkpoint != nil || len(c.Proto.DecisionOverrides) > 0 {
 		return errors.New("cluster: Proto must leave Trace/Policy/Telemetry/Watch/Checkpoint/DecisionOverrides unset")
 	}
-	if c.Checkpoint != nil {
-		if c.Checkpoint.EverySimSeconds <= 0 || math.IsNaN(c.Checkpoint.EverySimSeconds) {
-			return fmt.Errorf("cluster: checkpoint interval %v must be positive", c.Checkpoint.EverySimSeconds)
-		}
-		if c.Checkpoint.Path == "" && c.Checkpoint.Sink == nil {
-			return errors.New("cluster: checkpoint needs a path or a sink")
-		}
-	}
 	return c.Trace.Validate()
 }
 
@@ -289,6 +272,7 @@ func (c *Config) memberTrace(a int) *workload.Trace {
 func (c *Config) memberConfig(a int) (array.Config, error) {
 	cfg := c.Proto
 	cfg.Trace = c.memberTrace(a)
+	cfg.Checkpoint = c.Checkpoint
 	pol, err := c.MakePolicy(a)
 	if err != nil {
 		return array.Config{}, fmt.Errorf("cluster: policy for array %d: %w", a, err)

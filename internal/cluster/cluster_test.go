@@ -276,7 +276,7 @@ func TestFleetKillResume(t *testing.T) {
 	var snaps [][]byte
 	mkCfg := func(sink func([]byte) error) Config {
 		cfg := resilientConfig(tr)
-		cfg.Checkpoint = &CheckpointSpec{EverySimSeconds: 1.5, Sink: sink}
+		cfg.Checkpoint = &checkpoint.Spec{EverySimSeconds: 1.5, Sink: sink}
 		return cfg
 	}
 
@@ -372,7 +372,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative vintage", func(c *Config) { c.VintageHazardMultipliers = []float64{1, -2} }},
 		{"per-array faults length", func(c *Config) { c.PerArrayFaults = []*faults.Config{nil} }},
 		{"proto trace set", func(c *Config) { c.Proto.Trace = tr }},
-		{"checkpoint without target", func(c *Config) { c.Checkpoint = &CheckpointSpec{EverySimSeconds: 1} }},
+		{"checkpoint without target", func(c *Config) { c.Checkpoint = &checkpoint.Spec{EverySimSeconds: 1} }},
 	}
 	for _, tc := range cases {
 		cfg := base()
@@ -433,7 +433,7 @@ func TestRouterLiveOnOffIdentical(t *testing.T) {
 			cfg.Telemetry = rec
 			// The checkpoint sink doubles as a mid-run probe of the view.
 			var maxBacklog uint64
-			cfg.Checkpoint = &CheckpointSpec{EverySimSeconds: 0.25, Sink: func([]byte) error {
+			cfg.Checkpoint = &checkpoint.Spec{EverySimSeconds: 0.25, Sink: func([]byte) error {
 				if fv := live.Snapshot().Fleet; fv != nil {
 					for _, a := range fv.PerArray {
 						maxBacklog = max(maxBacklog, a.Backlog)

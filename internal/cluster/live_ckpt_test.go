@@ -61,7 +61,7 @@ func TestFleetCheckpointEveryTickWithWritesInFlight(t *testing.T) {
 			MakePolicy: func(int) (array.Policy, error) {
 				return policy.NewMAID(policy.MAIDConfig{CacheDisks: 1}), nil
 			},
-			Checkpoint: &CheckpointSpec{EverySimSeconds: every, Sink: sink},
+			Checkpoint: &checkpoint.Spec{EverySimSeconds: every, Sink: sink},
 		}
 	}
 

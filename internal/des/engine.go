@@ -12,30 +12,24 @@
 package des
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
-// Owner is the model-side receiver of scheduled events. A scheduled event
-// is a plain value — (time, seq, owner, slot, label) — rather than a
-// callback: the owner posts it with a slot that indexes its own payload
-// table (typically a Slab) and gets the slot back when the event fires.
+// Owner is the model-side receiver of scheduled events, and Post the one
+// way onto the queue. A scheduled event is a plain value — (time, seq,
+// owner, slot, label) — rather than a callback: the owner posts it with a
+// slot that indexes its own payload table (typically a Slab) and gets the
+// slot back when the event fires.
 // Events are never cancelled; an owner whose event outlives its purpose
 // makes the handler a no-op against its current state.
 type Owner interface {
 	Fire(e *Engine, slot uint32)
 }
-
-// Handler is a closure event: an Owner that ignores its slot. It is the
-// thin adapter Schedule, At and MustSchedule put onto Post. A func value is
-// pointer-shaped, so boxing one as an Owner allocates nothing.
-type Handler func(e *Engine)
-
-// Fire runs the closure.
-func (h Handler) Fire(e *Engine, _ uint32) { h(e) }
 
 // Tracer observes engine activity for diagnostics. All times are virtual
 // seconds except wallNanos, the handler's wall-clock execution time. The
@@ -61,13 +55,7 @@ type SpanTracer interface {
 	Span(label string, start, end float64)
 }
 
-// ErrStalled is returned by Run when the event queue drains before the
-// requested end time was reached with RunUntil semantics. It is informational
-// rather than fatal: a drained queue simply means the simulation reached
-// quiescence early.
-var ErrStalled = errors.New("des: event queue drained before end time")
-
-var errNilOwner = errors.New("des: nil handler")
+var errNilOwner = errors.New("des: nil owner")
 
 type event struct {
 	time  float64
@@ -224,7 +212,8 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of scheduled, not-yet-fired events. Every
 // scheduled event fires or stays pending, so Seq() == Fired() + Pending()
-// between events; a restored engine keeps it once FinishRestore has run.
+// between events; a restored engine keeps it when its saved position
+// passed CheckLedger, which the checkpoint validators require.
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // Post schedules an event for owner o at absolute virtual time t, which
@@ -250,48 +239,9 @@ func (e *Engine) Post(t float64, label string, o Owner, slot uint32) error {
 	return nil
 }
 
-// Schedule arranges for h to run delay seconds after the current virtual
-// time. A negative delay is an error because it would rewind causality;
-// a zero delay fires at the current instant, after all events already
-// scheduled for that instant.
-func (e *Engine) Schedule(delay float64, h Handler) error {
-	return e.scheduleLabeled(delay, "", h)
-}
-
-// MustSchedule is Schedule for delays the caller has already validated;
-// it panics on a negative or NaN delay, which always indicates a programming
-// error in the model rather than bad input.
-func (e *Engine) MustSchedule(delay float64, h Handler) {
-	e.MustScheduleLabeled(delay, "", h)
-}
-
-// MustScheduleLabeled is MustSchedule with a tracer label.
-func (e *Engine) MustScheduleLabeled(delay float64, label string, h Handler) {
-	if err := e.scheduleLabeled(delay, label, h); err != nil {
-		panic(err)
-	}
-}
-
-func (e *Engine) scheduleLabeled(delay float64, label string, h Handler) error {
-	if delay < 0 || math.IsNaN(delay) {
-		return fmt.Errorf("des: negative or NaN delay %v", delay)
-	}
-	return e.atLabeled(e.now+delay, label, h)
-}
-
-// At arranges for h to run at absolute virtual time t, which must not be in
-// the past.
-func (e *Engine) At(t float64, h Handler) error { return e.atLabeled(t, "", h) }
-
-func (e *Engine) atLabeled(t float64, label string, h Handler) error {
-	if h == nil {
-		return errNilOwner
-	}
-	return e.Post(t, label, h, 0)
-}
-
-// Stop makes the current Run call return after the in-flight event handler
-// finishes. Scheduled events remain queued and a later Run resumes them.
+// Stop makes the current RunGuarded call return after the in-flight event
+// handler finishes. Scheduled events remain queued and a later RunGuarded
+// resumes them.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Step fires the single earliest pending event, advancing the clock to its
@@ -316,25 +266,19 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run fires events until the queue drains or Stop is called.
-func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
-	}
-}
-
 // StallLimit is the watchdog limit the simulators run under: an array or a
 // fleet fails with a diagnostic once this many consecutive events fire
 // without the virtual clock advancing.
 const StallLimit = 1_000_000
 
-// RunGuarded is Run with a watchdog: if stallLimit consecutive events fire
-// without the virtual clock advancing — the signature of a handler that
-// keeps rescheduling itself at the current instant — it stops and returns a
-// diagnostic error instead of spinning forever. Legitimate same-instant
-// bursts (simultaneous arrivals, zero-delay kicks) are fine as long as they
-// stay below the limit, so callers should pick a limit far above any
-// plausible burst. It returns nil when the queue drains or Stop is called.
+// RunGuarded fires events until the queue drains or Stop is called, under a
+// watchdog: if stallLimit consecutive events fire without the virtual clock
+// advancing — the signature of a handler that keeps rescheduling itself at
+// the current instant — it stops and returns a diagnostic error instead of
+// spinning forever. Legitimate same-instant bursts (simultaneous arrivals,
+// zero-delay kicks) are fine as long as they stay below the limit, so
+// callers should pick a limit far above any plausible burst. It returns nil
+// when the queue drains or Stop is called.
 func (e *Engine) RunGuarded(stallLimit uint64) error {
 	if stallLimit == 0 {
 		return errors.New("des: watchdog stall limit must be positive")
@@ -372,44 +316,17 @@ func (e *Engine) RunGuarded(stallLimit uint64) error {
 	return nil
 }
 
-// RunUntil fires events with timestamps <= end, then sets the clock to end.
-// It returns ErrStalled if the queue drained strictly before end (the clock
-// is still advanced to end so energy integration over wall time stays
-// consistent).
-func (e *Engine) RunUntil(end float64) error {
-	if end < e.now {
-		return fmt.Errorf("des: end time %v is before now %v", end, e.now)
-	}
-	e.stopped = false
-	for !e.stopped {
-		next, ok := e.peek()
-		if !ok {
-			stalled := e.now < end
-			e.now = end
-			if stalled {
-				return ErrStalled
-			}
-			return nil
-		}
-		if next > end {
-			e.now = end
-			return nil
-		}
-		e.Step()
-	}
-	return nil
-}
-
 // Seq returns the engine's monotone event sequence counter: the number of
 // events ever scheduled. Together with Fired it pins an engine's position in
 // its deterministic trajectory, which is what checkpoint/restore preserves.
 func (e *Engine) Seq() uint64 { return e.seq }
 
-// PendingEvent is one scheduled, not-yet-fired event as PendingEvents
-// reports it.
+// PendingEvent is one scheduled, not-yet-fired event, as PendingEvents
+// reports it and Restore re-posts it.
 type PendingEvent struct {
 	Seq   uint64
 	Time  float64
+	Label string
 	Owner Owner
 	Slot  uint32
 }
@@ -417,50 +334,77 @@ type PendingEvent struct {
 // PendingEvents returns every pending event in ascending sequence order —
 // the order they were scheduled — by one walk over the queue. A checkpoint
 // serializes its owner's events in this order (skipping those whose Owner
-// is not itself) so a restore can re-schedule them with identical FIFO
+// is not itself), and Restore re-posts them with identical FIFO
 // tie-breaking.
 func (e *Engine) PendingEvents() []PendingEvent {
 	out := make([]PendingEvent, len(e.queue))
 	for i, ev := range e.queue {
-		out[i] = PendingEvent{Seq: ev.seq, Time: ev.time, Owner: ev.owner, Slot: ev.slot}
+		out[i] = PendingEvent{Seq: ev.seq, Time: ev.time, Label: ev.label, Owner: ev.owner, Slot: ev.slot}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	slices.SortFunc(out, bySeq)
 	return out
 }
 
-// BeginRestore prepares a fresh engine to be reloaded from a checkpoint
-// taken at virtual time now. It is only valid on an engine that has never
-// scheduled or fired anything; the caller then re-schedules the snapshot's
-// pending events (in their original sequence order, at their original
-// absolute times, via Post) and calls FinishRestore.
-func (e *Engine) BeginRestore(now float64) error {
-	if e.seq != 0 || e.fired != 0 || len(e.queue) != 0 {
-		return errors.New("des: BeginRestore requires a fresh engine")
+func bySeq(a, b PendingEvent) int { return cmp.Compare(a.Seq, b.Seq) }
+
+// CheckLedger reports why a saved engine position cannot be restored.
+// owners holds each owner's pending events' sequence numbers in the order
+// it saved them, which is PendingEvents' ascending order. They must ascend
+// within an owner and be distinct across owners, none past seq, and every
+// scheduled event must have fired or still be pending: seq == fired + the
+// number pending. It is the engine's side of a checkpoint validator, run
+// before anything is rebuilt.
+func CheckLedger(seq, fired uint64, owners ...[]uint64) error {
+	var all []uint64
+	for _, seqs := range owners {
+		for i := 1; i < len(seqs); i++ {
+			if seqs[i] <= seqs[i-1] {
+				return fmt.Errorf("engine ledger: pending event seq %d saved after seq %d", seqs[i], seqs[i-1])
+			}
+		}
+		all = append(all, seqs...)
 	}
-	if now < 0 || math.IsNaN(now) {
-		return fmt.Errorf("des: BeginRestore time %v invalid", now)
+	if n := uint64(len(all)); seq < fired || seq-fired != n {
+		return fmt.Errorf("engine ledger: seq %d != fired %d + %d pending", seq, fired, n)
 	}
-	e.now = now
+	slices.Sort(all)
+	for i, q := range all {
+		switch {
+		case q > seq:
+			return fmt.Errorf("engine ledger: pending event seq %d past seq %d", q, seq)
+		case i > 0 && q == all[i-1]:
+			return fmt.Errorf("engine ledger: two pending events with seq %d", q)
+		}
+	}
 	return nil
 }
 
-// FinishRestore pins the sequence and fired counters to the checkpoint's
-// values after the pending events have been re-scheduled. seq must be at
-// least as large as the restore-time counter so future events keep sorting
-// after the restored ones exactly as they would have in the original run.
-func (e *Engine) FinishRestore(seq, fired uint64) error {
+// Restore loads a fresh engine with a checkpoint's position: the clock at
+// now, the events pending then, and the seq and fired counters. It posts
+// the events in ascending Seq order, so same-instant ties break as in the
+// original run, whatever order they are given in (events is sorted in
+// place) and however many owners they belong to; each payload must already
+// be in its owner's slot. Only an
+// engine that has never posted an event accepts it, and seq must cover the
+// events posted, so events posted after it sort after the restored ones.
+func (e *Engine) Restore(now float64, seq, fired uint64, events []PendingEvent) error {
+	if e.seq != 0 || e.fired != 0 || len(e.queue) != 0 {
+		return errors.New("des: Restore requires a fresh engine")
+	}
+	if now < 0 || math.IsNaN(now) {
+		return fmt.Errorf("des: Restore time %v invalid", now)
+	}
+	e.now = now
+	slices.SortStableFunc(events, bySeq)
+	for _, pe := range events {
+		if err := e.Post(pe.Time, pe.Label, pe.Owner, pe.Slot); err != nil {
+			return fmt.Errorf("des: Restore %s event seq %d: %w", pe.Label, pe.Seq, err)
+		}
+	}
 	if seq < e.seq {
-		return fmt.Errorf("des: FinishRestore seq %d below already-scheduled %d", seq, e.seq)
+		return fmt.Errorf("des: Restore seq %d below the %d events posted", seq, e.seq)
 	}
 	e.seq = seq
 	e.fired = fired
 	return nil
-}
-
-// peek returns the timestamp of the earliest pending event.
-func (e *Engine) peek() (float64, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].time, true
 }

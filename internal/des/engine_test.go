@@ -9,13 +9,41 @@ import (
 	"testing/quick"
 )
 
+// fnOwner is the tests' one Owner: each event's payload is the function it
+// runs, held in the owner's slab.
+type fnOwner struct{ fns Slab[func(*Engine)] }
+
+func (o *fnOwner) Fire(e *Engine, slot uint32) { o.fns.Take(slot)(e) }
+
+// at posts fn at absolute time t under label; a rejected post is a bug in
+// the test.
+func (o *fnOwner) at(e *Engine, t float64, label string, fn func(*Engine)) {
+	if err := e.Post(t, label, o, o.fns.Put(fn)); err != nil {
+		panic(err)
+	}
+}
+
+// after posts fn delay seconds from now.
+func (o *fnOwner) after(e *Engine, delay float64, label string, fn func(*Engine)) {
+	o.at(e, e.Now()+delay, label, fn)
+}
+
+// drain fires events until the queue is empty.
+func drain(e *Engine) {
+	for e.Step() {
+	}
+}
+
+func nop(*Engine) {}
+
 func TestZeroValueReady(t *testing.T) {
 	var e Engine
+	o := &fnOwner{}
 	ran := false
-	if err := e.Schedule(1, func(*Engine) { ran = true }); err != nil {
-		t.Fatalf("Schedule on zero value: %v", err)
+	if err := e.Post(1, "", o, o.fns.Put(func(*Engine) { ran = true })); err != nil {
+		t.Fatalf("Post on zero value: %v", err)
 	}
-	e.Run()
+	drain(&e)
 	if !ran {
 		t.Fatal("event did not fire")
 	}
@@ -25,13 +53,12 @@ func TestZeroValueReady(t *testing.T) {
 }
 
 func TestEventsFireInTimeOrder(t *testing.T) {
-	e := New()
+	e, o := New(), &fnOwner{}
 	var got []float64
 	for _, d := range []float64{5, 1, 3, 2, 4} {
-		d := d
-		e.MustSchedule(d, func(en *Engine) { got = append(got, en.Now()) })
+		o.after(e, d, "", func(en *Engine) { got = append(got, en.Now()) })
 	}
-	e.Run()
+	drain(e)
 	if !sort.Float64sAreSorted(got) {
 		t.Fatalf("events fired out of order: %v", got)
 	}
@@ -41,13 +68,12 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 }
 
 func TestFIFOTieBreaking(t *testing.T) {
-	e := New()
+	e, o := New(), &fnOwner{}
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		e.MustSchedule(7, func(*Engine) { order = append(order, i) })
+		o.after(e, 7, "", func(*Engine) { order = append(order, i) })
 	}
-	e.Run()
+	drain(e)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-time events fired in order %v, want FIFO", order)
@@ -56,14 +82,14 @@ func TestFIFOTieBreaking(t *testing.T) {
 }
 
 func TestZeroDelayFiresAfterCurrentInstant(t *testing.T) {
-	e := New()
+	e, o := New(), &fnOwner{}
 	var order []string
-	e.MustSchedule(1, func(en *Engine) {
+	o.after(e, 1, "", func(en *Engine) {
 		order = append(order, "first")
-		en.MustSchedule(0, func(*Engine) { order = append(order, "nested") })
+		o.after(en, 0, "", func(*Engine) { order = append(order, "nested") })
 	})
-	e.MustSchedule(1, func(*Engine) { order = append(order, "second") })
-	e.Run()
+	o.after(e, 1, "", func(*Engine) { order = append(order, "second") })
+	drain(e)
 	want := []string{"first", "second", "nested"}
 	for i := range want {
 		if order[i] != want[i] {
@@ -72,116 +98,59 @@ func TestZeroDelayFiresAfterCurrentInstant(t *testing.T) {
 	}
 }
 
+// TestNegativeDelayRejected: an event posted before now, or at NaN, would
+// rewind causality; Post rejects it.
 func TestNegativeDelayRejected(t *testing.T) {
-	e := New()
-	if err := e.Schedule(-1, func(*Engine) {}); err == nil {
-		t.Fatal("negative delay accepted")
+	e, o := New(), &fnOwner{}
+	o.at(e, 2, "", nop)
+	drain(e)
+	for _, at := range []float64{1.5, -0.5, math.NaN()} {
+		if err := e.Post(at, "", o, 0); err == nil {
+			t.Fatalf("Post at %v with the clock at 2 accepted", at)
+		}
 	}
-	if err := e.Schedule(math.NaN(), func(*Engine) {}); err == nil {
-		t.Fatal("NaN delay accepted")
-	}
-	if err := e.At(-0.5, func(*Engine) {}); err == nil {
-		t.Fatal("past absolute time accepted")
+	if e.Pending() != 0 || e.Seq() != 1 {
+		t.Fatalf("rejected posts left %d pending, seq %d", e.Pending(), e.Seq())
 	}
 }
 
 func TestNilHandlerRejected(t *testing.T) {
-	e := New()
-	if err := e.At(1, nil); err == nil {
-		t.Fatal("nil handler accepted")
-	}
-}
-
-func TestMustSchedulePanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustSchedule did not panic on negative delay")
-		}
-	}()
-	New().MustSchedule(-1, func(*Engine) {})
-}
-
-func TestRunUntilAdvancesClockToEnd(t *testing.T) {
-	e := New()
-	e.MustSchedule(1, func(*Engine) {})
-	if err := e.RunUntil(10); err != ErrStalled {
-		t.Fatalf("RunUntil = %v, want ErrStalled", err)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now = %v, want 10", e.Now())
-	}
-}
-
-func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
-	e := New()
-	fired := 0
-	e.MustSchedule(1, func(*Engine) { fired++ })
-	e.MustSchedule(5, func(*Engine) { fired++ })
-	if err := e.RunUntil(2); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired = %d at t=2, want 1", fired)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d after Run, want 2", fired)
-	}
-}
-
-func TestRunUntilBoundaryInclusive(t *testing.T) {
-	e := New()
-	fired := false
-	e.MustSchedule(3, func(*Engine) { fired = true })
-	if err := e.RunUntil(3); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	if !fired {
-		t.Fatal("event at exactly end time did not fire")
-	}
-}
-
-func TestRunUntilPastRejected(t *testing.T) {
-	e := New()
-	e.MustSchedule(5, func(*Engine) {})
-	if err := e.RunUntil(5); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	if err := e.RunUntil(1); err == nil {
-		t.Fatal("RunUntil into the past accepted")
+	if err := New().Post(1, "", nil, 0); err == nil {
+		t.Fatal("nil owner accepted")
 	}
 }
 
 func TestStop(t *testing.T) {
-	e := New()
+	e, o := New(), &fnOwner{}
 	fired := 0
-	e.MustSchedule(1, func(en *Engine) { fired++; en.Stop() })
-	e.MustSchedule(2, func(*Engine) { fired++ })
-	e.Run()
+	o.after(e, 1, "", func(en *Engine) { fired++; en.Stop() })
+	o.after(e, 2, "", func(*Engine) { fired++ })
+	if err := e.RunGuarded(StallLimit); err != nil {
+		t.Fatal(err)
+	}
 	if fired != 1 {
 		t.Fatalf("fired = %d after Stop, want 1", fired)
 	}
-	e.Run() // resumes
+	if err := e.RunGuarded(StallLimit); err != nil { // resumes
+		t.Fatal(err)
+	}
 	if fired != 2 {
 		t.Fatalf("fired = %d after resume, want 2", fired)
 	}
 }
 
 func TestChainedScheduling(t *testing.T) {
-	e := New()
+	e, o := New(), &fnOwner{}
 	count := 0
-	var tick Handler
+	var tick func(*Engine)
 	tick = func(en *Engine) {
 		count++
 		if count < 100 {
-			en.MustSchedule(0.5, tick)
+			o.after(en, 0.5, "", tick)
 		}
 	}
-	e.MustSchedule(0.5, tick)
-	e.Run()
+	o.after(e, 0.5, "", tick)
+	drain(e)
 	if count != 100 {
 		t.Fatalf("count = %d, want 100", count)
 	}
@@ -196,14 +165,14 @@ func TestChainedScheduling(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []float64 {
 		rng := rand.New(rand.NewSource(seed))
-		e := New()
+		e, o := New(), &fnOwner{}
 		var trace []float64
 		for i := 0; i < 500; i++ {
-			e.MustSchedule(rng.Float64()*100, func(en *Engine) {
+			o.after(e, rng.Float64()*100, "", func(en *Engine) {
 				trace = append(trace, en.Now())
 			})
 		}
-		e.Run()
+		drain(e)
 		return trace
 	}
 	a, b := run(42), run(42)
@@ -221,7 +190,7 @@ func TestDeterminism(t *testing.T) {
 // event per schedule and the observed fire times are the sorted delays.
 func TestPropertyFireTimesAreSortedDelays(t *testing.T) {
 	f := func(raw []float64) bool {
-		e := New()
+		e, o := New(), &fnOwner{}
 		var want []float64
 		for _, d := range raw {
 			d = math.Abs(d)
@@ -229,7 +198,7 @@ func TestPropertyFireTimesAreSortedDelays(t *testing.T) {
 				continue
 			}
 			want = append(want, d)
-			e.MustSchedule(d, func(*Engine) {})
+			o.after(e, d, "", nop)
 		}
 		var got []float64
 		for e.Step() {
@@ -251,54 +220,35 @@ func TestPropertyFireTimesAreSortedDelays(t *testing.T) {
 	}
 }
 
-// recOwner is a minimal Slab-backed owner: it records the payload of each
-// event it fires.
-type recOwner struct {
-	name  string
-	recs  Slab[int]
-	fired []int
-}
-
-func (o *recOwner) post(t *testing.T, e *Engine, at float64, v int) {
-	t.Helper()
-	if err := e.Post(at, o.name, o, o.recs.Put(v)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func (o *recOwner) Fire(_ *Engine, slot uint32) { o.fired = append(o.fired, o.recs.Take(slot)) }
-
 // TestPendingEventsSharedEngineSeqOrder checks the checkpoint view of a
 // shared engine: two owners' interleaved events come back in global
-// scheduling order (not heap or time order), each tagged with its owner and
-// the slot that resolves its payload, and firing them keeps the
+// scheduling order (not heap or time order), each tagged with its label,
+// its owner and the slot it was posted with, and firing them keeps the
 // conservation ledger Seq == Fired + Pending.
 func TestPendingEventsSharedEngineSeqOrder(t *testing.T) {
 	e := New()
-	a, b := &recOwner{name: "a"}, &recOwner{name: "b"}
+	a, b := &fnOwner{}, &fnOwner{}
+	fired := map[*fnOwner][]int{}
 	times := []float64{5, 1, 3, 1, 4, 2}
 	for i, at := range times {
-		o := a
+		o, label := a, "a"
 		if i%2 == 1 {
-			o = b
+			o, label = b, "b"
 		}
-		o.post(t, e, at, 100+i)
+		o.at(e, at, label, func(*Engine) { fired[o] = append(fired[o], 100+i) })
 	}
 	pend := e.PendingEvents()
 	if len(pend) != len(times) {
 		t.Fatalf("PendingEvents returned %d events, want %d", len(pend), len(times))
 	}
 	for i, pe := range pend {
-		want := Owner(a)
+		want, label := Owner(a), "a"
 		if i%2 == 1 {
-			want = b
+			want, label = b, "b"
 		}
-		if pe.Seq != uint64(i+1) || pe.Time != times[i] || pe.Owner != want {
-			t.Fatalf("pending[%d] = seq %d t=%v owner %v, want seq %d t=%v owner %v",
-				i, pe.Seq, pe.Time, pe.Owner, i+1, times[i], want)
-		}
-		if got := pe.Owner.(*recOwner).recs.Get(pe.Slot); got != 100+i {
-			t.Fatalf("pending[%d] slot resolves to %d, want %d", i, got, 100+i)
+		if pe.Seq != uint64(i+1) || pe.Time != times[i] || pe.Label != label || pe.Owner != want || pe.Slot != uint32(i/2) {
+			t.Fatalf("pending[%d] = %+v, want seq %d t=%v label %s owner %v slot %d",
+				i, pe, i+1, times[i], label, want, i/2)
 		}
 	}
 	for e.Step() {
@@ -307,7 +257,7 @@ func TestPendingEventsSharedEngineSeqOrder(t *testing.T) {
 		}
 	}
 	// Time order, FIFO among the two t=1 events.
-	if got, want := fmt.Sprint(a.fired, b.fired), "[102 104 100] [101 103 105]"; got != want {
+	if got, want := fmt.Sprint(fired[a], fired[b]), "[102 104 100] [101 103 105]"; got != want {
 		t.Fatalf("fired payloads a, b = %s, want %s", got, want)
 	}
 }
@@ -329,44 +279,40 @@ func TestSlabReusesFreedSlots(t *testing.T) {
 }
 
 func BenchmarkScheduleAndFire(b *testing.B) {
-	e := New()
-	h := func(*Engine) {}
-	b.ResetTimer()
+	e, o := New(), &fnOwner{}
 	for i := 0; i < b.N; i++ {
-		e.MustSchedule(float64(i%97)*0.001, h)
+		o.after(e, float64(i%97)*0.001, "", nop)
 		if i%64 == 63 {
-			for e.Step() {
-			}
+			drain(e)
 		}
 	}
-	for e.Step() {
-	}
+	drain(e)
 }
 
 func BenchmarkHotLoop(b *testing.B) {
 	// Self-rescheduling event chain: the dominant pattern in the array
 	// simulator (request completion scheduling the next service).
-	e := New()
+	e, o := New(), &fnOwner{}
 	n := 0
-	var tick Handler
+	var tick func(*Engine)
 	tick = func(en *Engine) {
 		n++
 		if n < b.N {
-			en.MustSchedule(0.001, tick)
+			o.after(en, 0.001, "", tick)
 		}
 	}
-	e.MustSchedule(0.001, tick)
+	o.after(e, 0.001, "", tick)
 	b.ResetTimer()
-	e.Run()
+	drain(e)
 }
 
 func TestRunGuardedDetectsStall(t *testing.T) {
-	e := New()
+	e, o := New(), &fnOwner{}
 	// A handler that reschedules itself with zero delay forever: virtual
-	// time never advances, so an unguarded Run would spin indefinitely.
-	var spin Handler
-	spin = func(en *Engine) { en.MustSchedule(0, spin) }
-	e.MustSchedule(1, spin)
+	// time never advances, so an unguarded loop would spin indefinitely.
+	var spin func(*Engine)
+	spin = func(en *Engine) { o.after(en, 0, "", spin) }
+	o.after(e, 1, "", spin)
 	err := e.RunGuarded(1000)
 	if err == nil {
 		t.Fatal("expected watchdog error for zero-delay self-rescheduling loop")
@@ -377,16 +323,16 @@ func TestRunGuardedDetectsStall(t *testing.T) {
 }
 
 func TestRunGuardedPassesHealthyLoop(t *testing.T) {
-	e := New()
+	e, o := New(), &fnOwner{}
 	n := 0
-	var tick Handler
+	var tick func(*Engine)
 	tick = func(en *Engine) {
 		n++
 		if n < 5000 {
-			en.MustSchedule(0.001, tick)
+			o.after(en, 0.001, "", tick)
 		}
 	}
-	e.MustSchedule(0.001, tick)
+	o.after(e, 0.001, "", tick)
 	if err := e.RunGuarded(10); err != nil {
 		t.Fatalf("healthy advancing loop tripped the watchdog: %v", err)
 	}
@@ -396,10 +342,10 @@ func TestRunGuardedPassesHealthyLoop(t *testing.T) {
 }
 
 func TestRunGuardedAllowsBoundedBursts(t *testing.T) {
-	e := New()
+	e, o := New(), &fnOwner{}
 	fired := 0
 	for i := 0; i < 50; i++ {
-		e.MustSchedule(1, func(*Engine) { fired++ }) // same-instant burst
+		o.after(e, 1, "", func(*Engine) { fired++ }) // same-instant burst
 	}
 	if err := e.RunGuarded(100); err != nil {
 		t.Fatalf("burst below the limit tripped the watchdog: %v", err)

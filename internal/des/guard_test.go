@@ -1,6 +1,9 @@
 package des
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,22 +14,22 @@ import (
 func TestRunGuardedEdgeCases(t *testing.T) {
 	cases := []struct {
 		name       string
-		setup      func(e *Engine)
+		setup      func(e *Engine, o *fnOwner)
 		stallLimit uint64
 		wantErr    string // "" means nil error
 		wantFired  uint64
 	}{
 		{
 			name:       "zero pending events drains immediately",
-			setup:      func(e *Engine) {},
+			setup:      func(*Engine, *fnOwner) {},
 			stallLimit: 10,
 			wantErr:    "",
 			wantFired:  0,
 		},
 		{
 			name: "zero stall limit is an already-expired deadline",
-			setup: func(e *Engine) {
-				e.MustSchedule(1, func(*Engine) {})
+			setup: func(e *Engine, o *fnOwner) {
+				o.after(e, 1, "", nop)
 			},
 			stallLimit: 0,
 			wantErr:    "stall limit must be positive",
@@ -34,11 +37,11 @@ func TestRunGuardedEdgeCases(t *testing.T) {
 		},
 		{
 			name: "burst below the limit is fine",
-			setup: func(e *Engine) {
+			setup: func(e *Engine, o *fnOwner) {
 				for i := 0; i < 4; i++ {
-					e.MustSchedule(0, func(*Engine) {})
+					o.after(e, 0, "", nop)
 				}
-				e.MustSchedule(1, func(*Engine) {})
+				o.after(e, 1, "", nop)
 			},
 			stallLimit: 5,
 			wantErr:    "",
@@ -50,9 +53,9 @@ func TestRunGuardedEdgeCases(t *testing.T) {
 			// limit is reached exactly when the last pending event fires, so
 			// the watchdog must still report the stall rather than letting
 			// the drained queue mask it.
-			setup: func(e *Engine) {
+			setup: func(e *Engine, o *fnOwner) {
 				for i := 0; i < 3; i++ {
-					e.MustSchedule(0, func(*Engine) {})
+					o.after(e, 0, "", nop)
 				}
 			},
 			stallLimit: 3,
@@ -61,10 +64,10 @@ func TestRunGuardedEdgeCases(t *testing.T) {
 		},
 		{
 			name: "self-rescheduling handler trips the watchdog",
-			setup: func(e *Engine) {
-				var loop Handler
-				loop = func(e *Engine) { e.MustSchedule(0, loop) }
-				e.MustSchedule(0, loop)
+			setup: func(e *Engine, o *fnOwner) {
+				var loop func(*Engine)
+				loop = func(e *Engine) { o.after(e, 0, "", loop) }
+				o.after(e, 0, "", loop)
 			},
 			stallLimit: 50,
 			wantErr:    "event loop stalled",
@@ -74,7 +77,7 @@ func TestRunGuardedEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New()
-			tc.setup(e)
+			tc.setup(e, &fnOwner{})
 			err := e.RunGuarded(tc.stallLimit)
 			switch {
 			case tc.wantErr == "" && err != nil:
@@ -91,89 +94,124 @@ func TestRunGuardedEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRestorePreservesOrdering checkpoints a running engine's pending set by
-// hand and verifies a restored engine fires the remaining events in the
-// identical order, including same-instant FIFO ties with newly scheduled
-// events.
+// TestRestorePreservesOrdering checkpoints a running engine's pending set
+// by hand and restores it, given out of sequence order, into a fresh
+// engine: the restored engine reports the same pending events and fires
+// them in the identical order, including same-instant FIFO ties with newly
+// posted events. Each event's label names it, so the restore takes exactly
+// what PendingEvents gave.
 func TestRestorePreservesOrdering(t *testing.T) {
-	var origOrder []string
-	record := func(log *[]string, name string) Handler {
+	var origLog, restoredLog []string
+	record := func(log *[]string, name string) func(*Engine) {
 		return func(*Engine) { *log = append(*log, name) }
 	}
-
-	build := func(log *[]string) *Engine {
-		e := New()
-		e.MustSchedule(1, record(log, "a"))
-		e.MustSchedule(2, record(log, "b1"))
-		e.MustSchedule(2, record(log, "b2"))
-		e.MustSchedule(3, record(log, "c"))
-		return e
+	orig, o := New(), &fnOwner{}
+	for _, ev := range []struct {
+		at   float64
+		name string
+	}{{1, "a"}, {2, "b1"}, {2, "b2"}, {3, "c"}} {
+		o.at(orig, ev.at, ev.name, record(&origLog, ev.name))
 	}
-
-	orig := build(&origOrder)
 	if !orig.Step() { // fire "a"; b1,b2,c remain pending
 		t.Fatal("no event fired")
 	}
 
-	// Snapshot: pending events in scheduling order with their absolute times.
-	type saved struct {
-		t    float64
-		name string
+	// Snapshot and restore, each payload in the new owner's slab.
+	pend := orig.PendingEvents()
+	re, ro := New(), &fnOwner{}
+	var evs []PendingEvent
+	for _, pe := range pend {
+		pe.Owner, pe.Slot = ro, ro.fns.Put(record(&restoredLog, pe.Label))
+		evs = append([]PendingEvent{pe}, evs...) // reversed: out of seq order
 	}
-	names := map[uint64]string{2: "b1", 3: "b2", 4: "c"}
-	var snap []saved
-	for _, pe := range orig.PendingEvents() {
-		snap = append(snap, saved{pe.Time, names[pe.Seq]})
-	}
-	savedNow, savedSeq, savedFired := orig.Now(), orig.Seq(), orig.Fired()
-
-	// Restore into a fresh engine.
-	var restoredOrder []string
-	re := New()
-	if err := re.BeginRestore(savedNow); err != nil {
+	if err := re.Restore(orig.Now(), orig.Seq(), orig.Fired(), evs); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range snap {
-		if err := re.At(s.t, record(&restoredOrder, s.name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := re.FinishRestore(savedSeq, savedFired); err != nil {
-		t.Fatal(err)
-	}
-	if re.Now() != savedNow || re.Seq() != savedSeq || re.Fired() != savedFired {
+	if re.Now() != orig.Now() || re.Seq() != orig.Seq() || re.Fired() != orig.Fired() {
 		t.Fatalf("restored counters now=%v seq=%d fired=%d, want %v/%d/%d",
-			re.Now(), re.Seq(), re.Fired(), savedNow, savedSeq, savedFired)
+			re.Now(), re.Seq(), re.Fired(), orig.Now(), orig.Seq(), orig.Fired())
+	}
+	labels := func(pes []PendingEvent) (out []string) {
+		for _, pe := range pes {
+			out = append(out, fmt.Sprint(pe.Time, pe.Label))
+		}
+		return out
+	}
+	if got, want := labels(re.PendingEvents()), labels(pend); !slices.Equal(got, want) {
+		t.Fatalf("restored pending events %v, want %v", got, want)
 	}
 
-	// Schedule one more same-instant event on both engines: it must sort
-	// after the restored t=2 pair in both.
-	orig.MustSchedule(1, record(&origOrder, "late"))
-	re.MustSchedule(1, record(&restoredOrder, "late"))
+	// Post one more same-instant event on both engines: it must sort after
+	// the restored t=2 pair in both.
+	o.after(orig, 1, "late", record(&origLog, "late"))
+	ro.after(re, 1, "late", record(&restoredLog, "late"))
+	drain(orig)
+	drain(re)
 
-	orig.Run()
-	re.Run()
-
-	if strings.Join(origOrder[1:], ",") != strings.Join(restoredOrder, ",") {
-		t.Fatalf("orders diverge: original %v, restored %v", origOrder[1:], restoredOrder)
+	if strings.Join(origLog[1:], ",") != strings.Join(restoredLog, ",") {
+		t.Fatalf("orders diverge: original %v, restored %v", origLog[1:], restoredLog)
 	}
 	if orig.Fired() != re.Fired() {
 		t.Fatalf("fired counts diverge: %d vs %d", orig.Fired(), re.Fired())
 	}
 }
 
-func TestBeginRestoreRequiresFreshEngine(t *testing.T) {
-	e := New()
-	e.MustSchedule(1, func(*Engine) {})
-	if err := e.BeginRestore(5); err == nil {
-		t.Fatal("BeginRestore on a used engine should fail")
+// TestRestoreRejectsBadPositions: Restore loads only a fresh engine, at a
+// valid time, with events no earlier than that time, and a seq that covers
+// the events it posts.
+func TestRestoreRejectsBadPositions(t *testing.T) {
+	o := &fnOwner{}
+	ev := func(seq uint64, at float64) PendingEvent {
+		return PendingEvent{Seq: seq, Time: at, Owner: o, Slot: o.fns.Put(nop)}
 	}
-	fresh := New()
-	if err := fresh.BeginRestore(5); err != nil {
-		t.Fatal(err)
+	used := New()
+	o.after(used, 1, "", nop)
+	cases := []struct {
+		name   string
+		e      *Engine
+		now    float64
+		seq    uint64
+		events []PendingEvent
+		want   string
+	}{
+		{"used engine", used, 5, 3, []PendingEvent{ev(3, 6)}, "fresh engine"},
+		{"seq below the posted count", New(), 5, 1, []PendingEvent{ev(1, 6), ev(2, 7)}, "seq 1 below the 2 events posted"},
+		{"NaN clock", New(), math.NaN(), 1, []PendingEvent{ev(1, 6)}, "time NaN invalid"},
+		{"event before the clock", New(), 5, 1, []PendingEvent{ev(1, 4)}, "before now 5"},
 	}
-	fresh.MustSchedule(0, func(*Engine) {})
-	if err := fresh.FinishRestore(0, 0); err == nil {
-		t.Fatal("FinishRestore with a too-small seq should fail")
+	for _, tc := range cases {
+		if err := tc.e.Restore(tc.now, tc.seq, 0, tc.events); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.want, err)
+		}
+	}
+	if err := New().Restore(5, 9, 7, []PendingEvent{ev(8, 6), ev(9, 5)}); err != nil {
+		t.Fatalf("valid position rejected: %v", err)
+	}
+}
+
+// TestCheckLedger: a saved position is restorable only when each owner's
+// pending seqs ascend, all are distinct and none past seq, and seq ==
+// fired + pending.
+func TestCheckLedger(t *testing.T) {
+	cases := []struct {
+		name       string
+		seq, fired uint64
+		owners     [][]uint64
+		want       string // "" means accepted
+	}{
+		{"consistent", 10, 7, [][]uint64{{4, 9}, {10}}, ""},
+		{"nothing pending", 7, 7, nil, ""},
+		{"fired inflated", 10, 107, [][]uint64{{4, 9}, {10}}, "seq 10 != fired 107 + 3 pending"},
+		{"fired short", 10, 6, [][]uint64{{4, 9}, {10}}, "seq 10 != fired 6 + 3 pending"},
+		{"seqs swapped", 10, 7, [][]uint64{{9, 4}, {10}}, "pending event seq 4 saved after seq 9"},
+		{"seq duplicated in one owner", 10, 7, [][]uint64{{4, 4, 9}}, "pending event seq 4 saved after seq 4"},
+		{"seq duplicated across owners", 10, 7, [][]uint64{{4, 9}, {9}}, "two pending events with seq 9"},
+		{"seq past the counter", 10, 7, [][]uint64{{4, 9}, {11}}, "pending event seq 11 past seq 10"},
+	}
+	for _, tc := range cases {
+		err := CheckLedger(tc.seq, tc.fired, tc.owners...)
+		if (tc.want == "") != (err == nil) || err != nil && !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.want, err)
+		}
 	}
 }

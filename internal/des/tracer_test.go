@@ -21,17 +21,15 @@ func (t *recordingTracer) EventFired(id uint64, label string, at float64, wallNa
 }
 
 func TestTracerObservesLifecycle(t *testing.T) {
-	e := New()
+	e, o := New(), &fnOwner{}
 	tr := &recordingTracer{}
 	e.SetTracer(tr)
 
-	e.MustScheduleLabeled(1, "arrival", func(*Engine) {})
-	e.MustScheduleLabeled(2, "idle-timer", func(*Engine) {})
-	if err := e.Post(3, "epoch", Handler(func(*Engine) {}), 0); err != nil {
-		t.Fatal(err)
-	}
-	e.MustSchedule(4, func(*Engine) {}) // unlabeled
-	e.Run()
+	o.at(e, 1, "arrival", nop)
+	o.at(e, 2, "idle-timer", nop)
+	o.at(e, 3, "epoch", nop)
+	o.at(e, 4, "", nop) // unlabeled
+	drain(e)
 
 	wantScheduled := []string{"arrival", "idle-timer", "epoch", ""}
 	if len(tr.scheduled) != len(wantScheduled) {
@@ -60,15 +58,15 @@ func TestTracerObservesLifecycle(t *testing.T) {
 
 func TestTracerDoesNotChangeResults(t *testing.T) {
 	run := func(tr Tracer) []float64 {
-		e := New()
+		e, o := New(), &fnOwner{}
 		e.SetTracer(tr)
 		var times []float64
 		for _, d := range []float64{3, 1, 2, 1} {
-			e.MustScheduleLabeled(d, "tick", func(en *Engine) {
+			o.after(e, d, "tick", func(en *Engine) {
 				times = append(times, en.Now())
 			})
 		}
-		e.Run()
+		drain(e)
 		return times
 	}
 	plain, traced := run(nil), run(&recordingTracer{})
@@ -83,13 +81,13 @@ func TestTracerDoesNotChangeResults(t *testing.T) {
 }
 
 func TestSetTracerNilRemoves(t *testing.T) {
-	e := New()
+	e, o := New(), &fnOwner{}
 	tr := &recordingTracer{}
 	e.SetTracer(tr)
-	e.MustScheduleLabeled(1, "a", func(*Engine) {})
+	o.at(e, 1, "a", nop)
 	e.SetTracer(nil)
-	e.MustScheduleLabeled(2, "b", func(*Engine) {})
-	e.Run()
+	o.at(e, 2, "b", nop)
+	drain(e)
 	if len(tr.scheduled) != 1 || len(tr.fired) != 0 {
 		t.Fatalf("removed tracer still observed events: %+v", tr)
 	}
@@ -99,17 +97,15 @@ func TestSetTracerNilRemoves(t *testing.T) {
 // pre-scheduled event is pop + handler call, and the nil-tracer branch adds
 // neither a time.Now() call nor any allocation.
 func TestStepWithoutTracerDoesNotAllocate(t *testing.T) {
-	e := New()
-	h := func(*Engine) {}
-	// Warm up the heap's capacity so growth doesn't count.
+	e, o := New(), &fnOwner{}
+	// Warm up the heap's and the slab's capacity so growth doesn't count.
 	for i := 0; i < 1024; i++ {
-		e.MustScheduleLabeled(float64(i), "warm", h)
+		o.at(e, float64(i), "warm", nop)
 	}
-	for e.Step() {
-	}
+	drain(e)
 	const hot = 1024
 	for i := 0; i < hot; i++ {
-		e.MustScheduleLabeled(float64(2000+i), "hot", h)
+		o.at(e, float64(2000+i), "hot", nop)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -132,17 +128,17 @@ func (nullTracer) EventScheduled(uint64, string, float64, float64) {}
 func (nullTracer) EventFired(uint64, string, float64, int64)       {}
 
 func BenchmarkHotLoopTraced(b *testing.B) {
-	e := New()
+	e, o := New(), &fnOwner{}
 	e.SetTracer(nullTracer{})
 	n := 0
-	var tick Handler
+	var tick func(*Engine)
 	tick = func(en *Engine) {
 		n++
 		if n < b.N {
-			en.MustScheduleLabeled(0.001, "tick", tick)
+			o.after(en, 0.001, "tick", tick)
 		}
 	}
-	e.MustScheduleLabeled(0.001, "tick", tick)
+	o.after(e, 0.001, "tick", tick)
 	b.ResetTimer()
-	e.Run()
+	drain(e)
 }

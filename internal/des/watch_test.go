@@ -10,11 +10,11 @@ import (
 // TestWatchPublishesEnginePosition runs a guarded engine with a watch
 // attached and checks the final snapshot matches the engine's own counters.
 func TestWatchPublishesEnginePosition(t *testing.T) {
-	e := New()
+	e, o := New(), &fnOwner{}
 	w := NewWatch()
 	e.SetWatch(w)
 	for i := 0; i < 5; i++ {
-		e.MustScheduleLabeled(float64(i), "tick", func(*Engine) {})
+		o.at(e, float64(i), "tick", nop)
 	}
 	if err := e.RunGuarded(100); err != nil {
 		t.Fatal(err)
@@ -48,12 +48,12 @@ func TestWatchPublishesEnginePosition(t *testing.T) {
 // TestWatchStallRecordsStructuredError checks the watchdog surfaces a
 // *StallError (extractable with errors.As) and mirrors it into the watch.
 func TestWatchStallRecordsStructuredError(t *testing.T) {
-	e := New()
+	e, o := New(), &fnOwner{}
 	w := NewWatch()
 	e.SetWatch(w)
-	var loop Handler
-	loop = func(e *Engine) { e.MustScheduleLabeled(0, "spin", loop) }
-	e.MustScheduleLabeled(0, "spin", loop)
+	var loop func(*Engine)
+	loop = func(e *Engine) { o.after(e, 0, "spin", loop) }
+	o.after(e, 0, "spin", loop)
 	err := e.RunGuarded(25)
 	if err == nil {
 		t.Fatal("expected a stall error")
@@ -80,12 +80,12 @@ func TestWatchStallRecordsStructuredError(t *testing.T) {
 // which is what the seqlock guarantees. Run under -race this also proves the
 // single-writer/many-reader protocol is data-race-free.
 func TestWatchSnapshotConsistentUnderConcurrentReads(t *testing.T) {
-	e := New()
+	e, o := New(), &fnOwner{}
 	w := NewWatch()
 	e.SetWatch(w)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		e.MustScheduleLabeled(float64(i)*1e-3, "tick", func(*Engine) {})
+		o.at(e, float64(i)*1e-3, "tick", nop)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -135,9 +135,9 @@ func TestWatchNilSafe(t *testing.T) {
 	if s := w.Snapshot(); s != (WatchSnapshot{}) {
 		t.Fatalf("nil watch snapshot %+v, want zero", s)
 	}
-	e := New()
+	e, o := New(), &fnOwner{}
 	e.SetWatch(nil)
-	e.MustSchedule(0, func(*Engine) {})
+	o.at(e, 0, "", nop)
 	if err := e.RunGuarded(10); err != nil {
 		t.Fatal(err)
 	}

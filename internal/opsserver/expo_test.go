@@ -70,13 +70,8 @@ var goldenBase = time.Unix(1700000000, 0).UTC()
 // values.
 func goldenWatch(t *testing.T) *des.Watch {
 	t.Helper()
-	eng := des.New()
 	watch := des.NewWatch()
-	eng.SetWatch(watch)
-	for i := 0; i < 5; i++ {
-		eng.MustScheduleLabeled(float64(i), "service", func(*des.Engine) {})
-	}
-	if err := eng.RunGuarded(1000); err != nil {
+	if err := drive(watch, "service", 1000, 0, 1, 2, 3, 4); err != nil {
 		t.Fatal(err)
 	}
 	return watch

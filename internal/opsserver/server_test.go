@@ -38,14 +38,39 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 	return resp.StatusCode, string(body), resp.Header
 }
 
+// testOwner is the tests' one des.Owner: each event carries its label in
+// the owner's slab, and a "spin" event posts the next one at the same
+// instant, a chain that trips the watchdog.
+type testOwner struct{ labels des.Slab[string] }
+
+func (o *testOwner) post(e *des.Engine, t float64, label string) error {
+	return e.Post(t, label, o, o.labels.Put(label))
+}
+
+func (o *testOwner) Fire(e *des.Engine, slot uint32) {
+	if label := o.labels.Take(slot); label == "spin" {
+		_ = o.post(e, e.Now(), label) // never before now
+	}
+}
+
+// drive runs a fresh engine that publishes into watch, with one event under
+// label at each of times, under the watchdog limit.
+func drive(watch *des.Watch, label string, limit uint64, times ...float64) error {
+	eng, o := des.New(), &testOwner{}
+	eng.SetWatch(watch)
+	for _, t := range times {
+		if err := o.post(eng, t, label); err != nil {
+			return err
+		}
+	}
+	return eng.RunGuarded(limit)
+}
+
 func TestServerServesAllEndpoints(t *testing.T) {
 	live := telemetry.NewLive(0)
 	live.Tick(10, 1000, 300, 301)
-	eng := des.New()
 	watch := des.NewWatch()
-	eng.SetWatch(watch)
-	eng.MustScheduleLabeled(1, "service", func(*des.Engine) {})
-	if err := eng.RunGuarded(100); err != nil {
+	if err := drive(watch, "service", 100, 1); err != nil {
 		t.Fatal(err)
 	}
 	tr := telemetry.NewSweepTracker([]string{"read.4"}, 1)
@@ -92,13 +117,8 @@ func TestServerServesAllEndpoints(t *testing.T) {
 }
 
 func TestHealthzReportsWatchdogStall(t *testing.T) {
-	eng := des.New()
 	watch := des.NewWatch()
-	eng.SetWatch(watch)
-	var loop des.Handler
-	loop = func(e *des.Engine) { e.MustScheduleLabeled(0, "spin", loop) }
-	eng.MustScheduleLabeled(0, "spin", loop)
-	if err := eng.RunGuarded(10); err == nil {
+	if err := drive(watch, "spin", 10, 0); err == nil {
 		t.Fatal("expected stall")
 	}
 	s := startTestServer(t, Options{Tool: "arraysim", Watch: watch})
@@ -123,12 +143,7 @@ func TestHealthzReportsWatchdogStall(t *testing.T) {
 func TestHealthzReportsSweepCellStall(t *testing.T) {
 	tr := telemetry.NewSweepTracker([]string{"read.4", "read.6"}, 2)
 	_, watch := tr.StartCell("read.4")
-	eng := des.New()
-	eng.SetWatch(watch)
-	var loop des.Handler
-	loop = func(e *des.Engine) { e.MustScheduleLabeled(0, "spin", loop) }
-	eng.MustScheduleLabeled(0, "spin", loop)
-	if err := eng.RunGuarded(10); err == nil {
+	if err := drive(watch, "spin", 10, 0); err == nil {
 		t.Fatal("expected stall")
 	}
 	s := startTestServer(t, Options{Tool: "experiments", Sweep: tr})

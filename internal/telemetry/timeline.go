@@ -60,16 +60,23 @@ func WriteTimelineCSV(w io.Writer, rows []Sample) error {
 }
 
 // RenderTimeline prints a compact fixed-width view of timeline rows,
-// downsampled to at most maxRows rows, with a power sparkbar.
+// downsampled to at most maxRows rows (at least two), with a power sparkbar.
+// Rows that share a time print once, as the later row, and the last row,
+// the run-final one that equals the Result, always prints.
 func RenderTimeline(w io.Writer, rows []Sample, maxRows int) {
 	if len(rows) == 0 {
 		fmt.Fprintln(w, "(no timeline samples; attach a telemetry recorder)")
 		return
 	}
-	if maxRows < 1 {
-		maxRows = 1
+	keep := make([]int, 0, len(rows))
+	for i := range rows {
+		if i+1 == len(rows) || rows[i+1].T != rows[i].T {
+			keep = append(keep, i)
+		}
 	}
-	stride := (len(rows) + maxRows - 1) / maxRows
+	// Every stride-th row from the first, then the last: ceil((n-1)/(m-1))
+	// keeps the count within m.
+	stride := (len(keep)-2)/(max(maxRows, 2)-1) + 1
 	power := powerW(rows)
 	var maxPower float64
 	for _, p := range power {
@@ -77,7 +84,10 @@ func RenderTimeline(w io.Writer, rows []Sample, maxRows int) {
 	}
 	fmt.Fprintf(w, "%10s %9s %6s %7s %8s %10s  %s\n",
 		"time(s)", "power(W)", "high", "queue", "serving", "done", "power bar")
-	for i := 0; i < len(rows); i += stride {
+	for j, i := range keep {
+		if j%stride != 0 && j != len(keep)-1 {
+			continue
+		}
 		r := rows[i]
 		bar := ""
 		if maxPower > 0 {
