@@ -64,12 +64,8 @@ func (c *Context) DiskState(d int) diskmodel.State { return c.s.disks[d].disk.St
 
 // DiskQueueLen returns the number of queued (not yet started) user
 // requests — the demand signal policies use for spin-up decisions.
-// Background transfers are excluded; see DiskBacklog.
+// Background transfers are excluded.
 func (c *Context) DiskQueueLen(d int) int { return c.s.disks[d].fg.len() }
-
-// DiskBacklog returns all queued operations, including background
-// transfers.
-func (c *Context) DiskBacklog(d int) int { return c.s.disks[d].queueLen() }
 
 // DiskTransitions returns the number of speed transitions disk d has made.
 func (c *Context) DiskTransitions(d int) int { return c.s.disks[d].disk.Transitions() }

@@ -443,9 +443,6 @@ func (s *sim) issueRebuild(d int, remainingMB float64) {
 // DiskFailed reports whether disk d is currently down.
 func (c *Context) DiskFailed(d int) bool { return c.s.disks[d].failed }
 
-// DiskRebuilding reports whether disk d's replacement is still rebuilding.
-func (c *Context) DiskRebuilding(d int) bool { return c.s.disks[d].rebuilding }
-
 // DiskCovered reports whether a hot spare is absorbing disk d's current
 // outage: queued and arriving requests wait for the replacement instead of
 // being lost. Meaningful only while d is failed.
@@ -461,14 +458,6 @@ func (c *Context) RAIDGroup(d int) []int {
 	}
 	r := c.s.flt.raid
 	return append([]int(nil), r.groups[r.groupOf[d]]...)
-}
-
-// SparesLeft returns the number of hot spares remaining in the pool.
-func (c *Context) SparesLeft() int {
-	if c.s.flt == nil {
-		return c.s.cfg.Spares
-	}
-	return c.s.flt.spares
 }
 
 // FilesOn returns the IDs of files currently placed on disk d, sorted.

@@ -69,43 +69,43 @@ func NewPolicy(kind PolicyKind) (array.Policy, error) {
 	}
 }
 
-// SweepConfig parameterizes a Figure-7-style policy comparison.
+// SweepConfig parameterizes a Figure-7-style policy comparison. It is also
+// the configuration block a recorded sweep's manifest digests: the JSON
+// tags name its keys, and `json:"-"` marks what never changes results.
 type SweepConfig struct {
 	// DiskCounts is the array-size axis (paper: 6..16).
-	DiskCounts []int
+	DiskCounts []int `json:"disk_counts"`
 	// Policies compared at every array size.
-	Policies []PolicyKind
-	// TraceSpec is the trace every cell replays and its policy epoch.
-	TraceSpec
+	Policies []PolicyKind `json:"policies"`
+	// TraceSpec is the trace every cell replays and its policy epoch. Its
+	// keys sit at the top level of the block: encoding/json flattens an
+	// embedded struct whose tag gives no name.
+	TraceSpec `json:",inline"`
 	// Press overrides the reliability model used for AFRs (nil = default).
 	// Used for robustness checks, e.g. swapping in the literal OCR reading
-	// of Equation 3.
-	Press *reliability.Model
+	// of Equation 3. A model is not data, so a sweep that sets it cannot
+	// be recorded (SweepManifest refuses it).
+	Press *reliability.Model `json:"-"`
 	// Faults, when non-nil and enabled, injects disk failures into every
 	// cell. Each cell's injector seed is Faults.Seed + the cell's disk
 	// count, so every policy at a given array size faces the identical
 	// failure-threshold draw — the observed-reliability comparison is then
 	// down to how each policy's operating conditions scale the hazard and
 	// how its failover behaves, not to sampling luck.
-	Faults *faults.Config
+	Faults *faults.Config `json:"faults,omitempty"`
 	// Spares is the per-cell hot-spare pool (only meaningful with Faults).
-	Spares int
-	// RebuildMBps paces rebuild traffic; zero uses the array default.
-	RebuildMBps float64
+	Spares int `json:"spares,omitempty"`
 	// RAIDLevels, when non-empty, adds a RAID-organization axis to the
 	// sweep: every (disks, policy) pair runs once per level, with data loss
-	// declared by the redundancy-combination rules of array.RAIDConfig.
-	// Requires Faults. Cells at the same disk count share their injector
-	// seed across levels AND policies, so MTTDL differences are down to the
-	// organization and the policy's operating conditions, not sampling luck.
-	RAIDLevels []array.RAIDLevel
-	// RAIDStripeWidth overrides the group width for every level; zero uses
-	// each level's natural default (whole array for RAID-5/6, replica count
-	// for replication).
-	RAIDStripeWidth int
+	// declared by the redundancy-combination rules of array.RAIDConfig at
+	// each level's natural group width. Requires Faults. Cells at the same
+	// disk count share their injector seed across levels AND policies, so
+	// MTTDL differences are down to the organization and the policy's
+	// operating conditions, not sampling luck.
+	RAIDLevels []array.RAIDLevel `json:"raid_levels,omitempty"`
 	// Exec holds the execution knobs (workers, cell retries, ops
 	// tracking, decision tracing), none of which enters the digest.
-	Exec
+	Exec `json:"-"`
 }
 
 // DefaultSweepConfig returns the paper's light-workload sweep at a reduced
@@ -161,15 +161,12 @@ func (c *SweepConfig) Validate() error {
 			return fmt.Errorf("experiment: disk count %d too small", n)
 		}
 	}
-	if c.RebuildMBps < 0 {
-		return fmt.Errorf("experiment: negative rebuild rate %v", c.RebuildMBps)
-	}
 	if len(c.RAIDLevels) > 0 {
 		if c.Faults == nil || !c.Faults.Enabled {
 			return errors.New("experiment: RAID levels require fault injection")
 		}
 		for _, l := range c.RAIDLevels {
-			rc := array.RAIDConfig{Level: l, StripeWidth: c.RAIDStripeWidth}
+			rc := array.RAIDConfig{Level: l}
 			for _, n := range c.DiskCounts {
 				if err := rc.Validate(n); err != nil {
 					return fmt.Errorf("experiment: RAID level %q at %d disks: %w", l, n, err)
@@ -295,7 +292,6 @@ func runCellOnce(cfg *SweepConfig, trace *workload.Trace, epoch float64, c *Cell
 		EpochSeconds: epoch,
 		Press:        cfg.Press,
 		Spares:       cfg.Spares,
-		RebuildMBps:  cfg.RebuildMBps,
 		Telemetry:    rec,
 		Watch:        watch,
 	}
@@ -305,7 +301,7 @@ func runCellOnce(cfg *SweepConfig, trace *workload.Trace, epoch float64, c *Cell
 		acfg.Faults = &fc
 	}
 	if c.RAID != "" {
-		acfg.RAID = array.RAIDConfig{Level: c.RAID, StripeWidth: cfg.RAIDStripeWidth}
+		acfg.RAID = array.RAIDConfig{Level: c.RAID}
 	}
 	return array.Run(acfg)
 }
@@ -399,7 +395,7 @@ func (m Metric) Value(r *array.Result) (float64, error) {
 //
 // Series keys by (policy, disks) only: on a sweep with a RAID axis the
 // levels at the same (policy, disks) overwrite each other, so RAID sweeps
-// should be read through RAIDCells/RenderRAIDLoss instead.
+// should be read through RenderRAIDLoss instead.
 func (s *SweepResult) Series(m Metric) (map[PolicyKind][]float64, []int, error) {
 	disks := append([]int(nil), s.Config.DiskCounts...)
 	sort.Ints(disks)

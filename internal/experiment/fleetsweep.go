@@ -2,11 +2,12 @@ package experiment
 
 // The fleet sweep scales the paper's question from one array to a cluster:
 // N arrays on one shared-clock DES, a routing tier with deadlines, retries,
-// hedging, and failover in front of them, and correlated faults (rack power
-// shocks, bad vintages) underneath. The axes are fleet size × routing policy
-// × member energy policy, so the sweep measures how much of a single array's
+// hedging, and failover in front of them, and correlated member faults
+// underneath. The axes are fleet size × routing policy × member energy
+// policy, so the sweep measures how much of a single array's
 // energy/reliability trade-off survives — or is masked by — fleet-level
-// resilience machinery.
+// resilience machinery. Rack power shocks are a single fleet's scenario
+// (fleetsim -shocks, cluster.Config.Shocks), not a sweep axis.
 
 import (
 	"fmt"
@@ -22,52 +23,51 @@ import (
 )
 
 // FleetSweepConfig parameterizes a fleet-size × routing × policy comparison.
+// Like SweepConfig, it is its own manifest block: the JSON tags name the
+// digested keys, and `json:"-"` marks what never changes results.
 type FleetSweepConfig struct {
 	// ArrayCounts is the fleet-size axis.
-	ArrayCounts []int
+	ArrayCounts []int `json:"array_counts"`
 	// Routings is the routing-policy axis (empty means all of
 	// cluster.RoutingPolicies).
-	Routings []cluster.RoutingPolicy
+	Routings []cluster.RoutingPolicy `json:"routings"`
 	// Policies is the member energy-policy axis.
-	Policies []PolicyKind
+	Policies []PolicyKind `json:"policies"`
 	// Replicas is the replication factor for every cell; it must not exceed
 	// the smallest fleet size. Zero means 2 (so failover has somewhere to go).
-	Replicas int
+	Replicas int `json:"replicas"`
 	// Racks is the number of power domains per cell. Zero means 2.
-	Racks int
+	Racks int `json:"racks"`
 	// EnclosuresPerRack subdivides racks for reporting. Zero means 1.
-	EnclosuresPerRack int
+	EnclosuresPerRack int `json:"enclosures_per_rack"`
 	// Disks is the per-array size. Zero means 8.
-	Disks int
+	Disks int `json:"disks"`
 
 	// TraceSpec is the FLEET trace and the member policy epoch; the router
 	// splits the trace over the arrays by the replica placement.
-	TraceSpec
+	TraceSpec `json:",inline"`
 
-	// Resilience knobs, applied to every cell (see cluster.Config).
-	DeadlineSeconds      float64
-	MaxAttempts          int
-	RetryBaseSeconds     float64
-	RetryCapSeconds      float64
-	RetryJitterFrac      float64
-	HedgeAfterP99Mult    float64
-	HedgeFallbackSeconds float64
-	MaxBacklog           int
+	// Resilience knobs, applied to every cell (see cluster.Config). The
+	// retry cap and hedge fallback run at cluster.Config's defaults, with
+	// no backlog bound.
+	DeadlineSeconds   float64 `json:"deadline_seconds,omitempty"`
+	MaxAttempts       int     `json:"max_attempts,omitempty"`
+	RetryBaseSeconds  float64 `json:"retry_base_seconds,omitempty"`
+	RetryJitterFrac   float64 `json:"retry_jitter_frac,omitempty"`
+	HedgeAfterP99Mult float64 `json:"hedge_after_p99_mult,omitempty"`
 	// Seed drives the router's retry jitter.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 
-	// Shocks injects rack power events into every cell.
-	Shocks faults.ShockConfig
 	// Faults, when non-nil and enabled, is the shared member fault
 	// configuration. Each cell offsets the injector seed by its fleet size so
 	// every (routing, policy) pair at a given size faces the identical draw.
-	Faults *faults.Config
+	Faults *faults.Config `json:"faults,omitempty"`
 	// Spares is the per-member hot-spare pool (only meaningful with Faults).
-	Spares int
+	Spares int `json:"spares,omitempty"`
 
 	// Exec holds the execution knobs, as in SweepConfig; none enters the
 	// digest.
-	Exec
+	Exec `json:"-"`
 }
 
 // DefaultFleetSweepConfig returns an interactive-scale fleet comparison:
@@ -147,7 +147,7 @@ func (c *FleetSweepConfig) Validate() error {
 			return fmt.Errorf("experiment: unknown routing policy %q", r)
 		}
 	}
-	return c.Shocks.Validate()
+	return nil
 }
 
 // FleetCell is one fleet sweep cell result. Result is nil exactly when
@@ -222,20 +222,16 @@ func (c *FleetSweepConfig) fleetCellConfig(trace *workload.Trace, epoch float64,
 			EpochSeconds: epoch,
 			Spares:       c.Spares,
 		},
-		MakePolicy:           func(int) (array.Policy, error) { return NewPolicy(cell.Policy) },
-		Routing:              cell.Routing,
-		DeadlineSeconds:      c.DeadlineSeconds,
-		MaxAttempts:          c.MaxAttempts,
-		RetryBaseSeconds:     c.RetryBaseSeconds,
-		RetryCapSeconds:      c.RetryCapSeconds,
-		RetryJitterFrac:      c.RetryJitterFrac,
-		HedgeAfterP99Mult:    c.HedgeAfterP99Mult,
-		HedgeFallbackSeconds: c.HedgeFallbackSeconds,
-		MaxBacklog:           c.MaxBacklog,
-		Seed:                 c.Seed,
-		Shocks:               c.Shocks,
-		Telemetry:            rec,
-		Watch:                watch,
+		MakePolicy:        func(int) (array.Policy, error) { return NewPolicy(cell.Policy) },
+		Routing:           cell.Routing,
+		DeadlineSeconds:   c.DeadlineSeconds,
+		MaxAttempts:       c.MaxAttempts,
+		RetryBaseSeconds:  c.RetryBaseSeconds,
+		RetryJitterFrac:   c.RetryJitterFrac,
+		HedgeAfterP99Mult: c.HedgeAfterP99Mult,
+		Seed:              c.Seed,
+		Telemetry:         rec,
+		Watch:             watch,
 	}
 	if c.Faults != nil {
 		// Same seed offset across routings and policies at a given fleet

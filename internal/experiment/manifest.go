@@ -1,41 +1,18 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 
-	"repro/internal/array"
 	"repro/internal/runstore"
 	"repro/internal/telemetry"
 )
 
-// SweepManifestConfig is the digested configuration block of one sweep
-// condition's manifest. It carries exactly the parameters that determine the
-// sweep's results — execution knobs (Parallelism, Track) and the
-// non-serializable Press override are deliberately excluded, the latter
-// surfaced as a marker instead so a custom-model run never shares a digest
-// with a default-model run.
-type SweepManifestConfig struct {
-	DiskCounts     []int          `json:"disk_counts"`
-	Policies       []PolicyKind   `json:"policies"`
-	Workload       map[string]any `json:"workload"`
-	Scale          float64        `json:"scale"`
-	Intensity      float64        `json:"intensity"`
-	EpochSeconds   float64        `json:"epoch_seconds,omitempty"`
-	EpochsPerTrace int            `json:"epochs_per_trace,omitempty"`
-	CustomPress    bool           `json:"custom_press,omitempty"`
-	Faults         map[string]any `json:"faults,omitempty"`
-	Spares         int            `json:"spares,omitempty"`
-	RebuildMBps    float64        `json:"rebuild_mbps,omitempty"`
-	// RAID axis; omitted (and digest-neutral) when the sweep has none.
-	RAIDLevels      []array.RAIDLevel `json:"raid_levels,omitempty"`
-	RAIDStripeWidth int               `json:"raid_stripe_width,omitempty"`
-}
-
 // SweepManifest condenses one finished sweep condition into a runstore
-// manifest: the digested configuration, an aggregate summary over all cells,
-// and every cell's headline metrics flattened into Summary.Extra under
-// "cell.<policy>.<disks>.<metric>" keys, so arrayreport diff compares sweeps
-// cell by cell, not just in aggregate.
+// manifest: the digested configuration (cfg itself, defaulted), an
+// aggregate summary over all cells, and every cell's headline metrics
+// flattened into Summary.Extra under "cell.<policy>.<disks>.<metric>" keys,
+// so arrayreport diff compares sweeps cell by cell, not just in aggregate.
 func SweepManifest(name string, cfg SweepConfig, res *SweepResult) (*runstore.Manifest, error) {
 	m, err := newSweepManifest(name, cfg)
 	if err != nil {
@@ -184,42 +161,30 @@ func aggregateAttribution(cells []Cell) *telemetry.AttributionReport {
 	return out
 }
 
-// newSweepManifest builds the sweep's manifest shell; see newManifest.
+// newSweepManifest builds the sweep's manifest shell; see newManifest. A
+// PRESS override is a model, not data, so a sweep carrying one is refused
+// rather than recorded under a digest that cannot tell it apart.
 func newSweepManifest(name string, cfg SweepConfig) (*runstore.Manifest, error) {
+	if cfg.Press != nil {
+		return nil, errors.New("experiment: a sweep with a PRESS override cannot be recorded")
+	}
 	cfg.setDefaults()
-	mc := SweepManifestConfig{
-		DiskCounts:      cfg.DiskCounts,
-		Policies:        cfg.Policies,
-		Workload:        asMap(cfg.Workload),
-		Scale:           cfg.Scale,
-		Intensity:       cfg.Intensity,
-		EpochSeconds:    cfg.EpochSeconds,
-		EpochsPerTrace:  cfg.EpochsPerTrace,
-		CustomPress:     cfg.Press != nil,
-		Spares:          cfg.Spares,
-		RebuildMBps:     cfg.RebuildMBps,
-		RAIDLevels:      cfg.RAIDLevels,
-		RAIDStripeWidth: cfg.RAIDStripeWidth,
-	}
-	if cfg.Faults != nil {
-		mc.Faults = asMap(*cfg.Faults)
-	}
-	return newManifest(name, mc, cfg.Workload.Seed, cfg.Policies,
-		fmt.Sprintf("scale %g intensity %g", cfg.Scale, cfg.Intensity))
+	return newManifest(name, &cfg, &cfg.TraceSpec, cfg.Policies, "")
 }
 
-// newManifest builds the manifest shell both sweep kinds share — digested
-// config block mc, workload seed, policy list, workload line — without the
-// summary block. A sweep's manifest and its ManifestID both derive from it,
-// so the resume-skip ID always matches the recorded one.
-func newManifest(name string, mc any, seed int64, policies []PolicyKind, workload string) (*runstore.Manifest, error) {
-	m, err := runstore.New("experiments", name, mc)
+// newManifest builds the manifest shell both sweep kinds share, without the
+// summary block. The digested config block is the defaulted sweep config
+// cfg itself; t and policies are its trace and policy axis, and kind
+// prefixes the workload line. A sweep's manifest and its ManifestID both
+// derive from it, so the resume-skip ID always matches the recorded one.
+func newManifest(name string, cfg any, t *TraceSpec, policies []PolicyKind, kind string) (*runstore.Manifest, error) {
+	m, err := runstore.New("experiments", name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	m.Seed = seed
+	m.Seed = t.Workload.Seed
 	m.Policy = policyList(policies)
-	m.Workload = workload
+	m.Workload = fmt.Sprintf("%sscale %g intensity %g", kind, t.Scale, t.Intensity)
 	return m, nil
 }
 
@@ -235,19 +200,6 @@ func manifestID(m *runstore.Manifest, err error) (string, error) {
 		return "", err
 	}
 	return m.ID(), nil
-}
-
-// asMap flattens a config struct through its JSON form so the manifest's
-// config block (and therefore the digest) only sees exported, serialized
-// state.
-func asMap(v any) map[string]any {
-	out, err := runstore.ToJSONMap(v)
-	if err != nil {
-		// All config types here are plain data; failure is a programming
-		// error surfaced at first use in tests.
-		panic(fmt.Sprintf("experiment: config not serializable: %v", err))
-	}
-	return out
 }
 
 func policyList(ps []PolicyKind) string {

@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"repro/internal/reliability"
 	"repro/internal/runstore"
 )
 
@@ -110,6 +112,20 @@ func TestSweepManifestDigestIgnoresExecutionKnobs(t *testing.T) {
 	}
 }
 
+// A PRESS override is a model, not data: it cannot be recorded in a
+// config block, so a sweep that carries one cannot be recorded at all —
+// neither as a manifest nor as a resume-skip ID.
+func TestSweepManifestRefusesPressOverride(t *testing.T) {
+	cfg := DefaultSweepConfig()
+	cfg.Press = reliability.NewModel()
+	if id, err := SweepManifestID("press", cfg); err == nil {
+		t.Errorf("SweepManifestID accepted a PRESS override as %s", id)
+	}
+	if m, err := SweepManifest("press", cfg, &SweepResult{Config: cfg}); err == nil {
+		t.Errorf("SweepManifest accepted a PRESS override as %s", m.ID())
+	}
+}
+
 // TestManifestIDsGolden pins the run IDs the four recorded sweep
 // conditions get at -scale 0.02 (as cmd/experiments builds them). An ID is
 // the condition name plus a config digest prefix, so a change here means a
@@ -136,4 +152,43 @@ func TestManifestIDsGolden(t *testing.T) {
 			t.Errorf("%s recorded as %s, want %s", tc.name, got, tc.want)
 		}
 	}
+}
+
+// TestManifestConfigRoundTrip decodes each recorded condition's config
+// block back into its sweep config and requires the same run ID: the
+// recorded block is the sweep's own configuration, so a manifest is enough
+// to rerun (or resume) the condition it names.
+func TestManifestConfigRoundTrip(t *testing.T) {
+	const scale = 0.02
+	fig7, faults, raid, fleet := DefaultSweepConfig(), DefaultFaultSweepConfig(), DefaultRAIDLossSweepConfig(), DefaultFleetSweepConfig()
+	fig7.Scale, faults.Scale, raid.Scale, fleet.Scale = scale, scale, scale, scale
+	// sameID decodes m's config block into back, then requires id (which
+	// reads back) to name m.
+	sameID := func(m *runstore.Manifest, err error, back any, id func() (string, error)) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(m.Config, back); err != nil {
+			t.Fatal(err)
+		}
+		got, err := id()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != m.ID() {
+			t.Errorf("decoded config recorded as %s, manifest is %s\nconfig: %s", got, m.ID(), m.Config)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  SweepConfig
+	}{{"fig7-light", fig7}, {"faults-light", faults}, {"raidloss-light", raid}} {
+		m, err := SweepManifest(tc.name, tc.cfg, &SweepResult{})
+		var back SweepConfig
+		sameID(m, err, &back, func() (string, error) { return SweepManifestID(tc.name, back) })
+	}
+	m, err := FleetManifest("fleet-light", fleet, &FleetSweepResult{})
+	var back FleetSweepConfig
+	sameID(m, err, &back, func() (string, error) { return FleetManifestID("fleet-light", back) })
 }

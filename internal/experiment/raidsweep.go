@@ -45,17 +45,6 @@ func DefaultRAIDLossSweepConfig() SweepConfig {
 	return cfg
 }
 
-// RAIDCells returns the sweep's cells grouped by RAID level in the sweep's
-// configured level order, each group in cell order. Cells without a RAID
-// level (a sweep mixing axes, or none) land under the empty key.
-func (s *SweepResult) RAIDCells() map[array.RAIDLevel][]Cell {
-	out := make(map[array.RAIDLevel][]Cell)
-	for _, c := range s.Cells {
-		out[c.RAID] = append(out[c.RAID], c)
-	}
-	return out
-}
-
 // RenderRAIDLoss writes the MTTDL-per-policy account of a RAID-loss sweep:
 // one row per (RAID organization, policy) cell with the loss events broken
 // down by mechanism — rebuild windows pierced by a latent sector error

@@ -292,22 +292,22 @@ func retryDelay(base time.Duration, seed int64, cell, attempt int) time.Duration
 
 // TraceSpec is the synthetic trace a sweep replays through every cell and
 // the policy epoch the cells run at. SweepConfig, FleetSweepConfig and
-// AblationConfig embed it.
+// AblationConfig embed it; its tags are the sweep manifest's keys.
 type TraceSpec struct {
 	// Workload is the base generator configuration.
-	Workload workload.GenConfig
+	Workload workload.GenConfig `json:"workload"`
 	// Scale shrinks the trace (request count) by this factor in (0,1] to
 	// trade fidelity for runtime. 1 replays the full paper-scale day; zero
 	// means 0.05.
-	Scale float64
+	Scale float64 `json:"scale"`
 	// Intensity multiplies the arrival rate; the paper's heavy-workload
 	// condition is the same trace at a higher intensity. Zero means 1.
-	Intensity float64
+	Intensity float64 `json:"intensity"`
 	// EpochSeconds is the policy epoch; zero derives it from the trace
 	// duration so that EpochsPerTrace epochs fire regardless of Scale.
-	EpochSeconds float64
+	EpochSeconds float64 `json:"epoch_seconds,omitempty"`
 	// EpochsPerTrace is used when EpochSeconds is zero; zero means 24.
-	EpochsPerTrace int
+	EpochsPerTrace int `json:"epochs_per_trace,omitempty"`
 }
 
 func (t *TraceSpec) setDefaults() {

@@ -346,9 +346,6 @@ func NewInjector(cfg Config, disks int) (*Injector, error) {
 // Now returns the virtual time the injector has integrated hazard up to.
 func (in *Injector) Now() float64 { return in.now }
 
-// FailureCount returns the number of failures produced so far.
-func (in *Injector) FailureCount() int { return in.failures }
-
 // Alive reports whether disk d is currently operational.
 func (in *Injector) Alive(d int) bool { return in.disks[d].alive }
 

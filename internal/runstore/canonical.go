@@ -34,24 +34,6 @@ func CanonicalJSON(v any) ([]byte, error) {
 	return out, nil
 }
 
-// ToJSONMap flattens a struct through its JSON encoding into a generic map,
-// so callers can embed foreign config types in a manifest config block while
-// exposing only their exported, serialized state. Numbers decode with
-// UseNumber, keeping the digest independent of float re-formatting.
-func ToJSONMap(v any) (map[string]any, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("runstore: to map: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var out map[string]any
-	if err := dec.Decode(&out); err != nil {
-		return nil, fmt.Errorf("runstore: to map: %w", err)
-	}
-	return out, nil
-}
-
 // Digest returns the hex SHA-256 of v's canonical JSON — the identity of a
 // run configuration.
 func Digest(v any) (string, error) {
