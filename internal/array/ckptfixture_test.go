@@ -11,6 +11,7 @@ import (
 	"repro/internal/array"
 	"repro/internal/array/arraytest"
 	"repro/internal/checkpoint"
+	"repro/internal/checkpoint/checkpointtest"
 	"repro/internal/des"
 )
 
@@ -91,6 +92,45 @@ func TestCheckpointFixtureV1Resumes(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("resume from the v1 fixture diverged:\nwant %+v\ngot  %+v", want, got)
 	}
+}
+
+// TestResumedSnapshotsMatchUninterrupted resumes a run of fixtureConfig
+// from its fifth snapshot and requires every snapshot the resumed run
+// writes to be byte-identical to the uninterrupted run's at the same
+// instant: a restored event keeps its saved seq, so the pending events a
+// resumed run saves, and the counters, are the uninterrupted run's.
+func TestResumedSnapshotsMatchUninterrupted(t *testing.T) {
+	capture := func(snaps *[][]byte) *array.CheckpointSpec {
+		return &array.CheckpointSpec{
+			EverySimSeconds: fixtureEvery,
+			Tool:            "fixture",
+			ConfigDigest:    "fixture",
+			Sink: func(data []byte) error {
+				*snaps = append(*snaps, bytes.Clone(data))
+				return nil
+			},
+		}
+	}
+	var full, resumed [][]byte
+	cfg := fixtureConfig(t)
+	cfg.Checkpoint = capture(&full)
+	if _, err := array.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	const from = 5
+	if len(full) <= from {
+		t.Fatalf("only %d snapshots captured", len(full))
+	}
+	env, err := checkpoint.Decode(full[from-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = fixtureConfig(t)
+	cfg.Checkpoint = capture(&resumed)
+	if _, err := array.Resume(cfg, env.State); err != nil {
+		t.Fatal(err)
+	}
+	checkpointtest.SameSnapshots(t, full[from:], resumed)
 }
 
 // TestCheckpointFixtureV1Reencodes parses the committed version-1 snapshot

@@ -1,4 +1,5 @@
-// Package checkpointtest fills checkpoint wire structs with awkward values
+// Package checkpointtest holds what the array's and the fleet's checkpoint
+// tests share. Its Filler fills checkpoint wire structs with awkward values
 // for the tests that hold the hand-written state encoders to encoding/json.
 // The filler walks a value by reflection and sets every exported field, the
 // promoted fields of embedded structs included, so a field an encoder

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"path/filepath"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/checkpoint"
+	"repro/internal/checkpoint/checkpointtest"
 	"repro/internal/faults"
 	"repro/internal/policy"
 	"repro/internal/workload"
@@ -129,4 +131,37 @@ func TestFleetCheckpointFixtureV1Resumes(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("resume from the v1 fleet fixture diverged:\nwant %+v\ngot  %+v", want, got)
 	}
+}
+
+// TestFleetResumedSnapshotsMatchUninterrupted resumes a run of
+// fleetFixtureConfig (two arrays on one engine, the router's events beside
+// both members') from a mid-run snapshot and requires every snapshot the
+// resumed run writes to be byte-identical to the uninterrupted run's.
+func TestFleetResumedSnapshotsMatchUninterrupted(t *testing.T) {
+	capture := func(snaps *[][]byte) *checkpoint.Spec {
+		spec := fleetFixtureSpec()
+		spec.Sink = func(data []byte) error {
+			*snaps = append(*snaps, bytes.Clone(data))
+			return nil
+		}
+		return spec
+	}
+	var full, resumed [][]byte
+	cfg := fleetFixtureConfig(t)
+	cfg.Checkpoint = capture(&full)
+	runLedgered(t, cfg)
+	from := len(full) / 2
+	if from == 0 {
+		t.Fatalf("only %d snapshots captured", len(full))
+	}
+	env, err := checkpoint.Decode(full[from-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = fleetFixtureConfig(t)
+	cfg.Checkpoint = capture(&resumed)
+	if _, err := Resume(cfg, env.State); err != nil {
+		t.Fatal(err)
+	}
+	checkpointtest.SameSnapshots(t, full[from:], resumed)
 }

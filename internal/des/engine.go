@@ -6,6 +6,15 @@
 // monotone sequence number), which makes every simulation run fully
 // deterministic for a fixed input.
 //
+// The queue is a heap plus one FIFO lane per (owner, label). An event posted
+// no earlier than the last event of its lane waits in the lane, and only each
+// lane's head sits in the heap, so a deep stream of time-ordered events (an
+// epoch's spaced migrations, a router's fixed-delay deadlines) costs the heap
+// one entry instead of one per event. Any other event goes to the heap alone.
+// Every lane event sorts after its head, so the heap's top is still the
+// earliest pending event and the fire order is (time, seq) exactly as with a
+// heap alone.
+//
 // The kernel is single-threaded by design: disk-array simulations are
 // causally ordered and the profitable parallelism lives one level up, across
 // independent simulation runs (parameter sweeps), not inside one run.
@@ -62,6 +71,7 @@ type event struct {
 	seq   uint64 // FIFO tie-breaker and identity
 	owner Owner
 	slot  uint32
+	lane  int32  // 1 + index of the lane this event heads or waits in; 0 for a heap-only event
 	label string // tracer annotation; "" for unlabeled events
 }
 
@@ -97,36 +107,69 @@ func (h *eventHeap) push(x event) {
 	q[i] = x
 }
 
-// pop removes and returns the earliest event.
+// removeTop removes the earliest event.
 //
 //simlint:hotpath
-func (h *eventHeap) pop() event {
+func (h *eventHeap) removeTop() {
 	q := *h
 	n := len(q) - 1
-	top, x := q[0], q[n]
+	x := q[n]
 	q[n] = event{} // drop the owner and label references
-	q = q[:n]
-	*h = q
-	if n == 0 {
-		return top
+	*h = q[:n]
+	if n > 0 {
+		q[:n].replaceTop(x)
 	}
+}
+
+// replaceTop puts x in place of the earliest event and sifts it down: one
+// sift instead of a pop and a push.
+//
+//simlint:hotpath
+func (h eventHeap) replaceTop(x event) {
+	n := len(h)
 	i := 0
 	for {
 		child := 2*i + 1
 		if child >= n || child < 0 { // child < 0 after int overflow
 			break
 		}
-		if right := child + 1; right < n && q[right].before(&q[child]) {
+		if right := child + 1; right < n && h[right].before(&h[child]) {
 			child = right
 		}
-		if !q[child].before(&x) {
+		if !h[child].before(&x) {
 			break
 		}
-		q[i] = q[child]
+		h[i] = h[child]
 		i = child
 	}
-	q[i] = x
-	return top
+	h[i] = x
+}
+
+// lane is one (owner, label)'s FIFO of events posted in time order. While
+// the lane is live its head is in the heap and q[next:] wait behind it, in
+// time and seq order.
+type lane struct {
+	owner Owner
+	label string
+	live  bool    // the lane's head is in the heap
+	tail  float64 // time of the lane's last event
+	q     []event
+	next  int
+}
+
+// push appends ev behind the lane's tail. When the buffer is full and at
+// least half of it has already left, the waiting events slide to the front
+// instead of the buffer growing, so the buffer of a lane that never drains
+// grows only while more than half of it waits: it stays within a small
+// multiple of the lane's peak depth.
+//
+//simlint:hotpath
+func (l *lane) push(ev event) {
+	if len(l.q) == cap(l.q) && l.next > 0 && l.next >= len(l.q)/2 {
+		n := copy(l.q, l.q[l.next:])
+		l.q, l.next = l.q[:n], 0
+	}
+	l.q = append(l.q, ev) //simlint:allow hotalloc -- freelist growth: the buffer grows to the lane's peak depth, then is reused
 }
 
 // Slab holds an owner's per-event payloads, indexed by the slot the owner
@@ -171,7 +214,9 @@ func (s *Slab[T]) Get(slot uint32) T { return s.items[slot] }
 type Engine struct {
 	now       float64
 	seq       uint64
-	queue     eventHeap
+	queue     eventHeap // earliest-first: heap-only events and each live lane's head
+	lanes     []lane
+	laned     int // events waiting in lanes behind their heads
 	fired     uint64
 	stopped   bool
 	tracer    Tracer
@@ -214,29 +259,93 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // scheduled event fires or stays pending, so Seq() == Fired() + Pending()
 // between events; a restored engine keeps it when its saved position
 // passed CheckLedger, which the checkpoint validators require.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.queue) + e.laned }
 
 // Post schedules an event for owner o at absolute virtual time t, which
 // must not be in the past. When it fires, the engine calls o.Fire with the
 // same slot. Labels should be constant strings ("arrival", "service", ...):
-// they name the event in traces and stall reports. Post is the kernel's
-// scheduling hot path, one call per simulated event, and allocates nothing
-// once the queue has grown to its peak depth.
+// they name the event in traces and stall reports, and each (owner, label)
+// pair has its own lane. Post is the kernel's scheduling hot path, one call
+// per simulated event, and allocates nothing once the queue and the lanes
+// have grown to their peak depth.
 //
 //simlint:hotpath
 func (e *Engine) Post(t float64, label string, o Owner, slot uint32) error {
 	if t < e.now || math.IsNaN(t) {
-		return fmt.Errorf("des: schedule time %v is before now %v", t, e.now) //simlint:allow hotalloc -- error branch: fires once on a caller bug, never in steady state
+		return e.lateErr(t)
 	}
 	if o == nil {
 		return errNilOwner
 	}
 	e.seq++
-	e.queue.push(event{time: t, seq: e.seq, owner: o, slot: slot, label: label})
+	e.enqueue(t, e.seq, label, o, slot)
 	if e.tracer != nil {
 		e.tracer.EventScheduled(e.seq, label, t, e.now)
 	}
 	return nil
+}
+
+// lateErr is the error for an event posted at t, before now or at NaN.
+func (e *Engine) lateErr(t float64) error {
+	return fmt.Errorf("des: schedule time %v is before now %v", t, e.now)
+}
+
+// enqueue queues an event: as its lane's head when the lane is empty,
+// behind the lane's tail when t is not before it, and in the heap alone
+// otherwise. seq is above every queued event's.
+//
+//simlint:hotpath
+func (e *Engine) enqueue(t float64, seq uint64, label string, o Owner, slot uint32) {
+	i := e.laneOf(o, label)
+	l := &e.lanes[i]
+	switch {
+	case !l.live:
+		l.live, l.tail = true, t
+		e.queue.push(event{time: t, seq: seq, owner: o, slot: slot, lane: int32(i + 1), label: label})
+	case t >= l.tail:
+		l.tail = t
+		l.push(event{time: t, seq: seq, owner: o, slot: slot, lane: int32(i + 1), label: label})
+		e.laned++
+	default:
+		e.queue.push(event{time: t, seq: seq, owner: o, slot: slot, label: label})
+	}
+}
+
+// laneOf returns the index of (o, label)'s lane, opening it on the pair's
+// first post. Lanes are keyed by the label's value, and a run's pairs are a
+// small fixed set (labels are constants), so a scan beats a hash; the label
+// is compared first because it is the cheaper comparison and tells most
+// lanes apart.
+//
+//simlint:hotpath
+func (e *Engine) laneOf(o Owner, label string) int {
+	for i := range e.lanes {
+		if l := &e.lanes[i]; l.label == label && l.owner == o {
+			return i
+		}
+	}
+	e.lanes = append(e.lanes, lane{owner: o, label: label}) //simlint:allow hotalloc -- once per (owner, label) pair: a run opens a small fixed set of lanes
+	return len(e.lanes) - 1
+}
+
+// advance moves lane i's next event into the heap in place of its head,
+// the heap's top, with one sift down. It reports false, and leaves the
+// lane empty, when nothing waits behind the head.
+//
+//simlint:hotpath
+func (e *Engine) advance(i int32) bool {
+	l := &e.lanes[i-1]
+	if l.next == len(l.q) {
+		l.live = false
+		l.q, l.next = l.q[:0], 0
+		return false
+	}
+	next := l.q[l.next]
+	l.q[l.next] = event{} // drop the owner and label references
+	l.next++
+	e.laned--
+	e.queue.replaceTop(next)
+	return true
 }
 
 // Stop makes the current RunGuarded call return after the in-flight event
@@ -252,7 +361,10 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := e.queue.pop()
+	ev := e.queue[0]
+	if ev.lane == 0 || !e.advance(ev.lane) {
+		e.queue.removeTop()
+	}
 	e.now = ev.time
 	e.fired++
 	e.lastLabel = ev.label
@@ -289,7 +401,7 @@ func (e *Engine) RunGuarded(stallLimit uint64) error {
 	last := math.Inf(-1)
 	for !e.stopped {
 		if !e.Step() {
-			e.watch.publish(e.now, e.fired, uint64(len(e.queue)), e.seq, streak, e.lastLabel)
+			e.watch.publish(e.now, e.fired, uint64(e.Pending()), e.seq, streak, e.lastLabel)
 			return nil
 		}
 		if e.now != last {
@@ -299,14 +411,14 @@ func (e *Engine) RunGuarded(stallLimit uint64) error {
 			streak++
 		}
 		if w := e.watch; w != nil {
-			w.publish(e.now, e.fired, uint64(len(e.queue)), e.seq, streak, e.lastLabel)
+			w.publish(e.now, e.fired, uint64(e.Pending()), e.seq, streak, e.lastLabel)
 		}
 		if streak >= stallLimit {
 			serr := &StallError{
 				Streak:    streak,
 				SimTime:   e.now,
 				Fired:     e.fired,
-				Pending:   len(e.queue),
+				Pending:   e.Pending(),
 				LastLabel: e.lastLabel,
 			}
 			e.watch.setStall(serr)
@@ -332,14 +444,20 @@ type PendingEvent struct {
 }
 
 // PendingEvents returns every pending event in ascending sequence order —
-// the order they were scheduled — by one walk over the queue. A checkpoint
-// serializes its owner's events in this order (skipping those whose Owner
-// is not itself), and Restore re-posts them with identical FIFO
-// tie-breaking.
+// the order they were scheduled — by one walk over the heap and the lanes.
+// A checkpoint serializes its owner's events in this order (skipping those
+// whose Owner is not itself), and Restore queues them again under the same
+// seqs.
 func (e *Engine) PendingEvents() []PendingEvent {
-	out := make([]PendingEvent, len(e.queue))
-	for i, ev := range e.queue {
-		out[i] = PendingEvent{Seq: ev.seq, Time: ev.time, Label: ev.label, Owner: ev.owner, Slot: ev.slot}
+	out := make([]PendingEvent, 0, e.Pending())
+	add := func(evs []event) {
+		for _, ev := range evs {
+			out = append(out, PendingEvent{Seq: ev.seq, Time: ev.time, Label: ev.label, Owner: ev.owner, Slot: ev.slot})
+		}
+	}
+	add(e.queue)
+	for i := range e.lanes {
+		add(e.lanes[i].q[e.lanes[i].next:])
 	}
 	slices.SortFunc(out, bySeq)
 	return out
@@ -380,29 +498,40 @@ func CheckLedger(seq, fired uint64, owners ...[]uint64) error {
 }
 
 // Restore loads a fresh engine with a checkpoint's position: the clock at
-// now, the events pending then, and the seq and fired counters. It posts
-// the events in ascending Seq order, so same-instant ties break as in the
-// original run, whatever order they are given in (events is sorted in
-// place) and however many owners they belong to; each payload must already
-// be in its owner's slot. Only an
-// engine that has never posted an event accepts it, and seq must cover the
-// events posted, so events posted after it sort after the restored ones.
+// now, the events pending then, and the seq and fired counters. It queues
+// the events in ascending Seq order, each under its saved seq, so they fire
+// and tie-break as in the original run, and the next PendingEvents reports
+// them as the original run's would; events is sorted in place and may
+// belong to any number of owners, each payload already in its owner's
+// slot. Only an engine that has never posted an event accepts it. The
+// saved seqs must be distinct and none past seq, so events posted after
+// Restore sort after the restored ones.
 func (e *Engine) Restore(now float64, seq, fired uint64, events []PendingEvent) error {
-	if e.seq != 0 || e.fired != 0 || len(e.queue) != 0 {
+	if e.seq != 0 || e.fired != 0 || e.Pending() != 0 {
 		return errors.New("des: Restore requires a fresh engine")
 	}
 	if now < 0 || math.IsNaN(now) {
 		return fmt.Errorf("des: Restore time %v invalid", now)
 	}
 	e.now = now
-	slices.SortStableFunc(events, bySeq)
+	slices.SortFunc(events, bySeq)
+	var last uint64
 	for _, pe := range events {
-		if err := e.Post(pe.Time, pe.Label, pe.Owner, pe.Slot); err != nil {
-			return fmt.Errorf("des: Restore %s event seq %d: %w", pe.Label, pe.Seq, err)
+		switch {
+		case pe.Seq <= last:
+			return fmt.Errorf("des: Restore %s event seq %d not after seq %d", pe.Label, pe.Seq, last)
+		case pe.Seq > seq:
+			return fmt.Errorf("des: Restore %s event seq %d past seq %d", pe.Label, pe.Seq, seq)
+		case pe.Time < now || math.IsNaN(pe.Time):
+			return fmt.Errorf("des: Restore %s event seq %d: %w", pe.Label, pe.Seq, e.lateErr(pe.Time))
+		case pe.Owner == nil:
+			return fmt.Errorf("des: Restore %s event seq %d: %w", pe.Label, pe.Seq, errNilOwner)
 		}
-	}
-	if seq < e.seq {
-		return fmt.Errorf("des: Restore seq %d below the %d events posted", seq, e.seq)
+		last = pe.Seq
+		e.enqueue(pe.Time, pe.Seq, pe.Label, pe.Owner, pe.Slot)
+		if e.tracer != nil {
+			e.tracer.EventScheduled(pe.Seq, pe.Label, pe.Time, e.now)
+		}
 	}
 	e.seq = seq
 	e.fired = fired

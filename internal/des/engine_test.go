@@ -360,3 +360,33 @@ func TestRunGuardedZeroLimitRejected(t *testing.T) {
 		t.Fatal("expected error for zero stall limit")
 	}
 }
+
+// BenchmarkDeepLane is the kernel under a deep, time-ordered stream: 500
+// pending deadlines on one label, each re-posted a fixed delay after it
+// fires, as a router's attempt deadlines are, beside a short arrival and
+// service chain. One op is one fired event.
+func BenchmarkDeepLane(b *testing.B) {
+	e, o := New(), &fnOwner{}
+	const depth, gap = 500, 0.01
+	var deadline, arrival, service func(*Engine)
+	deadline = func(en *Engine) { o.after(en, depth*gap, "deadline", deadline) }
+	n := 0
+	service = nop
+	arrival = func(en *Engine) {
+		n++
+		o.after(en, float64(n%7)*0.003, "service", service)
+		o.after(en, gap, "arrival", arrival)
+	}
+	for i := 0; i < depth; i++ {
+		o.at(e, float64(i)*gap, "deadline", deadline)
+	}
+	o.at(e, 0, "arrival", arrival)
+	for i := 0; i < 10*depth; i++ { // grow the queue, the lanes and the slab
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}

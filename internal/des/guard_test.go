@@ -157,8 +157,8 @@ func TestRestorePreservesOrdering(t *testing.T) {
 }
 
 // TestRestoreRejectsBadPositions: Restore loads only a fresh engine, at a
-// valid time, with events no earlier than that time, and a seq that covers
-// the events it posts.
+// valid time, with events no earlier than that time, distinct saved seqs,
+// and a seq that covers the events it posts and every saved seq.
 func TestRestoreRejectsBadPositions(t *testing.T) {
 	o := &fnOwner{}
 	ev := func(seq uint64, at float64) PendingEvent {
@@ -175,9 +175,11 @@ func TestRestoreRejectsBadPositions(t *testing.T) {
 		want   string
 	}{
 		{"used engine", used, 5, 3, []PendingEvent{ev(3, 6)}, "fresh engine"},
-		{"seq below the posted count", New(), 5, 1, []PendingEvent{ev(1, 6), ev(2, 7)}, "seq 1 below the 2 events posted"},
+		{"seq below the posted count", New(), 5, 1, []PendingEvent{ev(1, 6), ev(2, 7)}, "seq 2 past seq 1"},
 		{"NaN clock", New(), math.NaN(), 1, []PendingEvent{ev(1, 6)}, "time NaN invalid"},
 		{"event before the clock", New(), 5, 1, []PendingEvent{ev(1, 4)}, "before now 5"},
+		{"saved seq repeated", New(), 5, 5, []PendingEvent{ev(3, 6), ev(3, 7)}, "seq 3 not after seq 3"},
+		{"saved seq past seq", New(), 5, 5, []PendingEvent{ev(1, 6), ev(7, 7)}, "seq 7 past seq 5"},
 	}
 	for _, tc := range cases {
 		if err := tc.e.Restore(tc.now, tc.seq, 0, tc.events); err == nil || !strings.Contains(err.Error(), tc.want) {

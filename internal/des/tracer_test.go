@@ -94,8 +94,10 @@ func TestSetTracerNilRemoves(t *testing.T) {
 }
 
 // The dispatch hot path with no tracer installed must not allocate: firing a
-// pre-scheduled event is pop + handler call, and the nil-tracer branch adds
-// neither a time.Now() call nor any allocation.
+// pre-scheduled event is a pop or a lane advance plus the handler call, and
+// the nil-tracer branch adds neither a time.Now() call nor any allocation.
+// The hot events are posted in time order on one label, so all but the
+// first wait in a lane.
 func TestStepWithoutTracerDoesNotAllocate(t *testing.T) {
 	e, o := New(), &fnOwner{}
 	// Warm up the heap's and the slab's capacity so growth doesn't count.
@@ -106,6 +108,9 @@ func TestStepWithoutTracerDoesNotAllocate(t *testing.T) {
 	const hot = 1024
 	for i := 0; i < hot; i++ {
 		o.at(e, float64(2000+i), "hot", nop)
+	}
+	if e.laned != hot-1 {
+		t.Fatalf("%d of %d time-ordered events in a lane, want all but the head", e.laned, hot)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
